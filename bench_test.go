@@ -139,6 +139,21 @@ func lstmDeployment(b *testing.B) *core.Deployment {
 	return ablDep
 }
 
+// detect runs one detection experiment to completion: the attack armed at
+// open with the classic defaults, then Detect.
+func detect(b *testing.B, dep *core.Deployment, cfg core.PipelineConfig, spec core.AttackSpec, instr int64) *core.DetectionResult {
+	b.Helper()
+	s, err := core.Open(core.Deployments{dep}, core.WithConfig(cfg), core.WithAttack(spec.Resolve(instr)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := s.Detect(instr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
 // BenchmarkAblationCUs sweeps the compute-unit count: the area saved by
 // trimming buys CUs, and this shows what each CU is worth in judgment
 // latency (diminishing past the wavefront parallelism of the kernels).
@@ -148,12 +163,7 @@ func BenchmarkAblationCUs(b *testing.B) {
 		b.Run(fmt.Sprintf("cus=%d", cus), func(b *testing.B) {
 			var lat sim.Time
 			for i := 0; i < b.N; i++ {
-				res, err := core.RunDetection(dep, core.PipelineConfig{CUs: cus},
-					core.AttackSpec{Seed: 3}, 4_000_000)
-				if err != nil {
-					b.Fatal(err)
-				}
-				lat = res.Latency
+				lat = detect(b, dep, core.PipelineConfig{CUs: cus}, core.AttackSpec{Seed: 3}, 4_000_000).Latency
 			}
 			b.ReportMetric(lat.Microseconds(), "us-latency")
 		})
@@ -170,12 +180,8 @@ func BenchmarkAblationStride(b *testing.B) {
 			var lat sim.Time
 			var drops int64
 			for i := 0; i < b.N; i++ {
-				res, err := core.RunDetection(dep,
-					core.PipelineConfig{CUs: 5, Stride: stride},
+				res := detect(b, dep, core.PipelineConfig{CUs: 5, Stride: stride},
 					core.AttackSpec{Seed: 3}, 4_000_000)
-				if err != nil {
-					b.Fatal(err)
-				}
 				lat, drops = res.Latency, res.Dropped
 			}
 			b.ReportMetric(lat.Microseconds(), "us-latency")
@@ -192,13 +198,8 @@ func BenchmarkAblationFIFODepth(b *testing.B) {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
 			var drops int64
 			for i := 0; i < b.N; i++ {
-				res, err := core.RunDetection(dep,
-					core.PipelineConfig{CUs: 1, Stride: 1024, FIFODepth: depth},
-					core.AttackSpec{Seed: 3}, 3_000_000)
-				if err != nil {
-					b.Fatal(err)
-				}
-				drops = res.Dropped
+				drops = detect(b, dep, core.PipelineConfig{CUs: 1, Stride: 1024, FIFODepth: depth},
+					core.AttackSpec{Seed: 3}, 3_000_000).Dropped
 			}
 			b.ReportMetric(float64(drops), "drops")
 		})
@@ -293,9 +294,10 @@ func BenchmarkPTMEncode(b *testing.B) {
 			Kind:   cpu.KindDirect, Taken: rng.Intn(4) != 0,
 		}
 	}
+	var buf []byte
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		enc.Encode(evs[i%len(evs)])
+		buf = enc.EncodeInto(buf[:0], evs[i%len(evs)])
 	}
 }
 
@@ -305,9 +307,9 @@ func BenchmarkPTMDecode(b *testing.B) {
 	stream = append(stream, enc.Start(0x8000)...)
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 4096; i++ {
-		stream = append(stream, enc.Encode(cpu.BranchEvent{
+		stream = enc.EncodeInto(stream, cpu.BranchEvent{
 			Target: 0x8000 + uint32(rng.Intn(1<<12))&^3, Kind: cpu.KindDirect, Taken: true,
-		})...)
+		})
 	}
 	b.SetBytes(int64(len(stream)))
 	b.ResetTimer()
@@ -480,9 +482,7 @@ func BenchmarkBackendFig8Grid(b *testing.B) {
 							CUs: cus, Backend: name, Calibration: calib,
 							StagedTrace: stagedTraceEnv,
 						}
-						if _, err := core.RunDetection(cell.dep, cfg, cell.attack, 4_000_000); err != nil {
-							b.Fatal(err)
-						}
+						detect(b, cell.dep, cfg, cell.attack, 4_000_000)
 					}
 				}
 			}
@@ -533,11 +533,7 @@ func BenchmarkBackendFig8GridSaturated(b *testing.B) {
 							CUs: cus, Stride: cell.stride, FIFODepth: 1 << 16,
 							Backend: name, Calibration: calib,
 						}
-						res, err := core.RunDetection(cell.dep, cfg, cell.attack, cell.instr)
-						if err != nil {
-							b.Fatal(err)
-						}
-						judged += res.Judged
+						judged += detect(b, cell.dep, cfg, cell.attack, cell.instr).Judged
 					}
 				}
 			}
@@ -640,11 +636,8 @@ func BenchmarkAblationAttackStyle(b *testing.B) {
 			detected := 0
 			var lat sim.Time
 			for i := 0; i < b.N; i++ {
-				res, err := core.RunDetection(dep, core.PipelineConfig{CUs: 5},
+				res := detect(b, dep, core.PipelineConfig{CUs: 5},
 					core.AttackSpec{Seed: int64(i + 1), Mimicry: tc.mimicry}, 4_000_000)
-				if err != nil {
-					b.Fatal(err)
-				}
 				if res.Detected {
 					detected++
 				}
@@ -678,7 +671,7 @@ func BenchmarkTraceBandwidth(b *testing.B) {
 				var events int64
 				sink := cpu.SinkFunc(func(ev cpu.BranchEvent) int64 {
 					events++
-					stream = append(stream, enc.Encode(ev)...)
+					stream = enc.EncodeInto(stream, ev)
 					return 0
 				})
 				c := cpu.New(prog, cpu.Config{Mode: cpu.ModeRTAD, Sink: sink})

@@ -51,7 +51,6 @@ func main() {
 		jsonPath   = flag.String("json", "", "also write results as JSON to this path")
 		metrics    = flag.Bool("metrics", false, "collect telemetry metrics and embed the snapshot in the JSON report")
 		metricsAdr = flag.String("metrics-addr", "", "serve /metrics (Prometheus text) and /debug/pprof live on this address (implies -metrics)")
-		stagedTr   = flag.Bool("staged-trace", false, "run detection pipelines on the staged byte/word trace path instead of the fused fast path (reports are byte-identical; used by the CI differential job)")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 		memProf    = flag.String("memprofile", "", "write an allocation profile at exit to this file")
 	)
@@ -67,7 +66,7 @@ func main() {
 	opts := experiments.Options{
 		OverheadInstr: *overhead, DetectInstr: *detect,
 		TrainELMInstr: *trainELM, TrainLSTMInstr: *trainLSTM,
-		Workers: *workers, Backend: *backend, StagedTrace: *stagedTr,
+		Workers: *workers, Backend: *backend,
 	}
 	if *benchmarks != "" {
 		opts.Benchmarks = strings.Split(*benchmarks, ",")

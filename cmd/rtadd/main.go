@@ -61,12 +61,11 @@ func main() {
 
 		maxSessions  = flag.Int("max-sessions", 64, "concurrent session cap (excess hellos get an explicit busy rejection; 0 = unlimited)")
 		workers      = flag.Int("workers", 0, "fleet width shared by session runners (0 = GOMAXPROCS)")
-		queue        = flag.Int("queue", 16, "per-session chunk queue depth")
+		queue        = flag.Int("queue", 0, "per-session chunk queue depth (0 = built-in default)")
 		shed         = flag.Bool("shed", false, "shed chunks when a session queue is full instead of blocking the socket (lossy)")
 		gap          = flag.Int64("gap", 0, "default replay pacing in CPU cycles per branch event (0 = built-in default)")
-		stagedTrace  = flag.Bool("staged-trace", false, "run session trace delivery on the staged byte/word reference path instead of the fused fast path (judgments are bit-identical)")
-		readTimeout  = flag.Duration("read-timeout", time.Minute, "max gap between client frames")
-		writeTimeout = flag.Duration("write-timeout", time.Minute, "max duration of one response write")
+		readTimeout  = flag.Duration("read-timeout", 0, "max gap between client frames (0 = built-in default)")
+		writeTimeout = flag.Duration("write-timeout", 0, "max duration of one response write (0 = built-in default)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight sessions before force-closing")
 
 		batchWindow = flag.Duration("batch-window", 0, "micro-batch collection window for cross-session fused inference (0 = unbatched)")
@@ -112,9 +111,6 @@ func main() {
 	}
 	if *shed {
 		opts = append(opts, serve.WithShed())
-	}
-	if *stagedTrace {
-		opts = append(opts, serve.WithStagedTrace())
 	}
 	srv := serve.New(registry.New(), opts...)
 

@@ -1,7 +1,7 @@
 // Example streaming shows the incremental detection API: a core.Session is
 // stepped through the victim in slices, judgments are consumed live as the
 // inference engine produces them, and the attack is armed mid-run — the
-// capabilities the batch RunDetection wrapper hides.
+// capabilities a whole-run Session.Detect hides.
 //
 // Run with:
 //

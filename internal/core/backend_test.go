@@ -14,11 +14,8 @@ import (
 // pipeline shows up.
 func runJudged(t *testing.T, dep *Deployment, cfg PipelineConfig, aspec AttackSpec, instr int64) []Judged {
 	t.Helper()
-	s, err := NewSession(dep, cfg)
+	s, err := Open(Deployments{dep}, WithConfig(cfg), WithAttack(aspec.Resolve(instr)))
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Inject(aspec.withDefaults(instr)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Step(instr); err != nil {
@@ -109,11 +106,10 @@ func TestDualSessionBackendsBitIdentical(t *testing.T) {
 
 	runDual := func(elmCfg, lstmCfg PipelineConfig) (elmJ, lstmJ []Judged) {
 		t.Helper()
-		s, err := NewDualSessionLanes(elm, lstm, elmCfg, lstmCfg)
+		s, err := Open(Deployments{elm, lstm},
+			WithLaneConfig(0, elmCfg), WithLaneConfig(1, lstmCfg),
+			WithAttack(aspec.Resolve(instr)))
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Inject(aspec.withDefaults(instr)); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := s.Step(instr); err != nil {

@@ -40,6 +40,21 @@ func trainELMDeployment(t *testing.T, bench string) *Deployment {
 	return dep
 }
 
+// detect runs one single-lane detection experiment to completion: the
+// attack armed at open with the classic defaults, then Detect.
+func detect(t *testing.T, dep *Deployment, cfg PipelineConfig, spec AttackSpec, instr int64) *DetectionResult {
+	t.Helper()
+	s, err := Open(Deployments{dep}, WithConfig(cfg), WithAttack(spec.Resolve(instr)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Detect(instr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestTrainLSTMDeployment(t *testing.T) {
 	dep := trainLSTMDeployment(t, "458.sjeng")
 	if dep.LSTM == nil || dep.Mapper == nil {
@@ -115,12 +130,7 @@ func TestLSTMPipelineEndToEnd(t *testing.T) {
 func TestDetectionLatencyELMConstantAndFasterOnMLMIAOW(t *testing.T) {
 	dep := trainELMDeployment(t, "400.perlbench")
 	run := func(cus int) *DetectionResult {
-		res, err := RunDetection(dep, PipelineConfig{CUs: cus},
-			AttackSpec{BurstLen: 4096, Seed: 1}, 4_000_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		return detect(t, dep, PipelineConfig{CUs: cus}, AttackSpec{BurstLen: 4096, Seed: 1}, 4_000_000)
 	}
 	miaow := run(1)
 	mlmiaow := run(5)
@@ -145,14 +155,8 @@ func TestDetectionLSTMQueueingAndOverflow(t *testing.T) {
 	// far less (Fig 8's discussion).
 	pcfgM := PipelineConfig{CUs: 1, Stride: 192, FIFODepth: 8}
 	pcfgML := PipelineConfig{CUs: 5, Stride: 192, FIFODepth: 8}
-	miaow, err := RunDetection(dep, pcfgM, AttackSpec{BurstLen: 6000, Seed: 2}, 2_500_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mlmiaow, err := RunDetection(dep, pcfgML, AttackSpec{BurstLen: 6000, Seed: 2}, 2_500_000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	miaow := detect(t, dep, pcfgM, AttackSpec{BurstLen: 6000, Seed: 2}, 2_500_000)
+	mlmiaow := detect(t, dep, pcfgML, AttackSpec{BurstLen: 6000, Seed: 2}, 2_500_000)
 	if miaow.Dropped == 0 {
 		t.Error("MIAOW under omnetpp pressure should overflow the MCM FIFO")
 	}
@@ -245,8 +249,13 @@ func TestDualModelDeployment(t *testing.T) {
 		return dep
 	}()
 
-	dual, err := RunDualDetection(elm, lstm, PipelineConfig{CUs: 5},
-		AttackSpec{Seed: 5}, 8_000_000)
+	const instr = 8_000_000
+	s, err := Open(Deployments{elm, lstm}, WithConfig(PipelineConfig{CUs: 5}),
+		WithAttack(AttackSpec{Seed: 5}.Resolve(instr)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dual, err := s.DetectDual(instr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,15 +268,12 @@ func TestDualModelDeployment(t *testing.T) {
 	}
 	// Contention: the LSTM's judgment latency under sharing must be at
 	// least its solo latency (the ELM's syscall windows steal engine time).
-	solo, err := RunDetection(lstm, PipelineConfig{CUs: 5}, AttackSpec{Seed: 5}, 8_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	solo := detect(t, lstm, PipelineConfig{CUs: 5}, AttackSpec{Seed: 5}, instr)
 	if dual.LSTM.Latency < solo.Latency {
 		t.Errorf("shared-engine LSTM latency %v below solo %v", dual.LSTM.Latency, solo.Latency)
 	}
 	// Mismatched deployments are rejected.
-	if _, err := RunDualDetection(lstm, lstm, PipelineConfig{}, AttackSpec{}, 1000); err == nil {
+	if _, err := Open(Deployments{lstm, lstm}); err == nil {
 		t.Error("two LSTMs accepted as a dual deployment")
 	}
 }
@@ -279,12 +285,7 @@ func TestDualModelDeployment(t *testing.T) {
 // IRQs delivered through the scheduler arrive in timestamp order.
 func TestPipelineCausalInvariants(t *testing.T) {
 	dep := trainLSTMDeployment(t, "445.gobmk")
-	res, err := RunDetection(dep, PipelineConfig{CUs: 5, Stride: 512},
-		AttackSpec{Seed: 6}, 1_500_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = res
+	detect(t, dep, PipelineConfig{CUs: 5, Stride: 512}, AttackSpec{Seed: 6}, 1_500_000)
 
 	pipe, err := NewPipeline(dep, PipelineConfig{CUs: 5, Stride: 512})
 	if err != nil {

@@ -14,8 +14,8 @@ import (
 // context (window, stride, mapper table), and their MCM front-ends
 // time-multiplex the one compute engine and share the SoC interconnect —
 // so syscall-window judgments contend with branch-window judgments exactly
-// as they would on the prototype. The wiring lives in NewDualSession; this
-// is the batch wrapper.
+// as they would on the prototype. The wiring lives in openDual (open.go)
+// and Session.DetectDual runs one to completion.
 
 // DualResult pairs the two models' detection results from one victim run.
 type DualResult struct {
@@ -24,20 +24,6 @@ type DualResult struct {
 	// Contention is the extra engine wait the busier model imposed on the
 	// other, visible as elevated latencies relative to solo runs.
 	SharedBusyAt sim.Time
-}
-
-// RunDualDetection deploys both models on one MLPU and injects the attack
-// once; both detectors judge the same aberrant behaviour. It is a thin
-// wrapper over a dual streaming Session run to completion.
-//
-// Deprecated: use Open(Deployments{elmDep, lstmDep}, WithConfig(cfg),
-// WithAttack(aspec.Resolve(instr))) followed by Session.DetectDual(instr).
-func RunDualDetection(elmDep, lstmDep *Deployment, cfg PipelineConfig, aspec AttackSpec, instr int64) (*DualResult, error) {
-	s, err := Open(Deployments{elmDep, lstmDep}, WithConfig(cfg), WithAttack(aspec.Resolve(instr)))
-	if err != nil {
-		return nil, err
-	}
-	return s.DetectDual(instr)
 }
 
 // summarise builds a DetectionResult from a finished pipeline.

@@ -22,10 +22,7 @@ func TestFleetParallelSessionsShareDeployment(t *testing.T) {
 		Attack: AttackSpec{Seed: 3},
 		Instr:  1_500_000,
 	}
-	serial, err := RunDetection(job.Dep, job.Config, job.Attack, job.Instr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := detect(t, job.Dep, job.Config, job.Attack, job.Instr)
 
 	const parallel = 8
 	jobs := make([]Job, parallel)

@@ -93,18 +93,12 @@ func WithTraceInput(gapCycles int64) Option {
 	return func(o *openConfig) { o.replay = true; o.gap = gapCycles }
 }
 
-// Resolve applies the classic experiment defaults to an attack spec for a
-// run of instr instructions: a 32768-event burst and a trigger at 1/40 of
-// the expected taken transfers. It is the defaulting RunDetection always
-// applied, exported so Open(WithAttack(spec.Resolve(instr))) reproduces the
-// batch wrappers exactly.
-func (a AttackSpec) Resolve(instr int64) AttackSpec { return a.withDefaults(instr) }
-
 // Open is the single entry point for detection sessions: it deploys deps
 // (one lane, or ELM+LSTM dual lanes) on the simulated MPSoC and returns a
-// streaming Session. With no options it behaves like the deprecated
-// NewSession/NewDualSession constructors; options select per-lane configs,
-// backends, telemetry, attack arming, and the trace-replay front-end.
+// streaming Session. With no options every lane runs the default pipeline
+// configuration against an executing victim CPU; options select per-lane
+// configs, backends, telemetry, attack arming, and the trace-replay
+// front-end.
 //
 //	s, err := core.Open(core.Deployments{dep},
 //		core.WithConfig(core.PipelineConfig{CUs: 5}),

@@ -20,7 +20,7 @@ func captureStream(t *testing.T, bench string, instr int64) []byte {
 	enc := ptm.NewEncoder(ptm.Config{BranchBroadcast: true})
 	var stream []byte
 	c := cpu.New(prog, cpu.Config{Mode: cpu.ModeRTAD, Sink: cpu.SinkFunc(func(ev cpu.BranchEvent) int64 {
-		stream = append(stream, enc.Encode(ev)...)
+		stream = enc.EncodeInto(stream, ev)
 		return 0
 	})})
 	if _, err := c.Run(instr); err != nil {
@@ -29,14 +29,15 @@ func captureStream(t *testing.T, bench string, instr int64) []byte {
 	return append(stream, enc.Flush()...)
 }
 
-// TestOpenMatchesRunDetection: the options path must reproduce the classic
-// batch wrapper bit for bit — same judgments, same detection summary.
+// TestOpenMatchesRunDetection: the options path must reproduce the batch
+// detection run (its frozen copy, runDetectionLegacy) bit for bit — same
+// judgments, same detection summary.
 func TestOpenMatchesRunDetection(t *testing.T) {
 	dep := trainLSTMDeployment(t, "458.sjeng")
 	const instr = 2_000_000
 	spec := AttackSpec{BurstLen: 16384, Seed: 3}
 
-	want, err := RunDetection(dep, PipelineConfig{CUs: 5}, spec, instr)
+	want, _, _, err := runDetectionLegacy(dep, PipelineConfig{CUs: 5}, spec, instr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestOpenMatchesRunDetection(t *testing.T) {
 		got.MeanLatency != want.MeanLatency || got.IRQTime != want.IRQTime ||
 		got.Judged != want.Judged || got.Dropped != want.Dropped ||
 		got.Detected != want.Detected {
-		t.Fatalf("Open path diverged from RunDetection:\n got %+v\nwant %+v", got, want)
+		t.Fatalf("Open path diverged from the batch run:\n got %+v\nwant %+v", got, want)
 	}
 }
 

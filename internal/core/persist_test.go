@@ -31,14 +31,8 @@ func TestDeploymentSaveLoadRoundTrip(t *testing.T) {
 
 	// The reloaded deployment must behave identically: same detection
 	// latency and judgment sequence on the same run.
-	a, err := RunDetection(dep, PipelineConfig{CUs: 5}, AttackSpec{Seed: 4}, 1_500_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunDetection(got, PipelineConfig{CUs: 5}, AttackSpec{Seed: 4}, 1_500_000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := detect(t, dep, PipelineConfig{CUs: 5}, AttackSpec{Seed: 4}, 1_500_000)
+	b := detect(t, got, PipelineConfig{CUs: 5}, AttackSpec{Seed: 4}, 1_500_000)
 	if a.Latency != b.Latency || a.Detected != b.Detected || a.Judged != b.Judged {
 		t.Errorf("reloaded deployment diverges: %v/%v/%d vs %v/%v/%d",
 			a.Latency, a.Detected, a.Judged, b.Latency, b.Detected, b.Judged)

@@ -47,7 +47,8 @@ type PipelineConfig struct {
 	EngineWrap func(kernels.Backend) kernels.Backend
 	// SharedEngine and Bus support multi-model deployments: pass the same
 	// token/interconnect to several pipelines so their MCMs contend for
-	// one compute engine and one switch (see RunDualDetection).
+	// one compute engine and one switch (Open wires this for dual
+	// deployments).
 	SharedEngine *mcm.SharedEngine
 	Bus          *axi.Interconnect
 	// Telemetry, when non-nil, threads the observability layer through
@@ -144,7 +145,7 @@ type Pipeline struct {
 
 	// Per-branch scratch buffers: BranchRetired and drain run once per
 	// retired branch, so every stage hand-off reuses these instead of
-	// allocating fresh slices (the Take()/Encode() compat paths do that).
+	// allocating fresh slices.
 	encBuf     []byte
 	tbScratch  []ptm.TimedByte
 	twScratch  []tpiu.TimedWord
@@ -505,9 +506,11 @@ func (p *Pipeline) IGMStats() igm.Stats { return p.ig.Stats() }
 // AttackSpec configures the detection experiment's injection.
 type AttackSpec struct {
 	// TriggerBranch fires the attack after this many victim taken
-	// transfers; 0 picks 40 % of the expected run's transfers.
+	// transfers; Resolve turns 0 into 40 % of the expected run's
+	// transfers.
 	TriggerBranch int64
-	// BurstLen is the injected legitimate-event count.
+	// BurstLen is the injected legitimate-event count; Resolve turns 0
+	// into the classic burst.
 	BurstLen int
 	// Mimicry replays a *contiguous* legitimate trace segment instead of
 	// independently sampled events — the evasion technique the LSTM
@@ -548,9 +551,11 @@ type DetectionResult struct {
 	Stages []StageSnapshot
 }
 
-// withDefaults resolves the experiment defaults for a run of instr
-// instructions.
-func (a AttackSpec) withDefaults(instr int64) AttackSpec {
+// Resolve applies the classic experiment defaults to an attack spec for a
+// run of instr instructions: a 32768-event burst and a trigger at 1/40 of
+// the expected taken transfers, so Open(WithAttack(spec.Resolve(instr)))
+// followed by Detect(instr) reproduces the paper's detection runs.
+func (a AttackSpec) Resolve(instr int64) AttackSpec {
 	if a.BurstLen <= 0 {
 		// Long enough that several input vectors land fully inside the
 		// attack even at the widest stride (~1 ms of hijacked execution).
@@ -562,18 +567,4 @@ func (a AttackSpec) withDefaults(instr int64) AttackSpec {
 		a.TriggerBranch = instr / 40
 	}
 	return a
-}
-
-// RunDetection trains nothing: it takes an existing deployment, runs the
-// victim with the attack injected, and measures the judgment latency. It is
-// a thin wrapper over a single streaming Session run to completion.
-//
-// Deprecated: use Open(Deployments{dep}, WithConfig(pcfg),
-// WithAttack(aspec.Resolve(instr))) followed by Session.Detect(instr).
-func RunDetection(dep *Deployment, pcfg PipelineConfig, aspec AttackSpec, instr int64) (*DetectionResult, error) {
-	s, err := Open(Deployments{dep}, WithConfig(pcfg), WithAttack(aspec.Resolve(instr)))
-	if err != nil {
-		return nil, err
-	}
-	return s.Detect(instr)
 }

@@ -11,13 +11,13 @@ import (
 )
 
 // Session is a streaming detection run: one victim CPU driving one or more
-// model pipelines, advanced incrementally. Where RunDetection executes a
-// whole experiment to completion, a session lets the caller interleave
-// execution with observation — run a few hundred thousand instructions,
-// consume the judgments produced so far, arm an attack mid-run, inspect
-// stage queues, repeat — while producing *bit-identical* event streams to
-// the batch path (the CPU, trace chain and MCM models are untouched; the
-// session only changes who calls them and when).
+// model pipelines, advanced incrementally. Where Detect executes a whole
+// experiment to completion, stepping lets the caller interleave execution
+// with observation — run a few hundred thousand instructions, consume the
+// judgments produced so far, arm an attack mid-run, inspect stage queues,
+// repeat — while producing *bit-identical* event streams to a whole run
+// (the CPU, trace chain and MCM models are untouched; slicing only changes
+// who calls them and when).
 //
 // Each session owns a private deterministic sim.Scheduler that delivers
 // completed judgments in time order, and shares nothing mutable with other
@@ -34,8 +34,7 @@ type Session struct {
 	fan   *fanSink
 	lanes []*lane
 	// pool is the legitimate-event reservoir Inject draws from (the lone
-	// deployment's pool, or the LSTM's for dual sessions, matching
-	// RunDualDetection).
+	// deployment's pool, or the LSTM's for dual sessions).
 	pool []cpu.BranchEvent
 	inj  *attack.Injector
 	// shared is the engine token multiplexing the lanes' MCMs on one
@@ -98,13 +97,6 @@ func (f *fanSink) BranchRetired(ev cpu.BranchEvent) int64 {
 	return max
 }
 
-// NewSession builds a single-model streaming session over dep.
-//
-// Deprecated: use Open(Deployments{dep}, WithConfig(cfg)).
-func NewSession(dep *Deployment, cfg PipelineConfig) (*Session, error) {
-	return Open(Deployments{dep}, WithConfig(cfg))
-}
-
 // observe attaches the telemetry bundle to the session-level pieces (the
 // scheduler and victim-CPU gauges). Safe with a nil bundle.
 func (s *Session) observe(tel *obs.Telemetry) {
@@ -146,31 +138,12 @@ func (s *Session) sample() {
 	}
 }
 
-// NewDualSession deploys both models on one MLPU against one victim: each
-// lane has its own IGM context, and the two MCM front-ends time-multiplex
-// one compute engine over one interconnect. Lane 0 is the ELM, lane 1 the
-// LSTM.
-//
-// Deprecated: use Open(Deployments{elmDep, lstmDep}, WithConfig(cfg)).
-func NewDualSession(elmDep, lstmDep *Deployment, cfg PipelineConfig) (*Session, error) {
-	return Open(Deployments{elmDep, lstmDep}, WithConfig(cfg))
-}
-
-// NewDualSessionLanes is NewDualSession with per-lane pipeline configs.
-//
-// Deprecated: use Open(Deployments{elmDep, lstmDep},
-// WithLaneConfig(0, elmCfg), WithLaneConfig(1, lstmCfg)).
-func NewDualSessionLanes(elmDep, lstmDep *Deployment, elmCfg, lstmCfg PipelineConfig) (*Session, error) {
-	return Open(Deployments{elmDep, lstmDep},
-		WithLaneConfig(0, elmCfg), WithLaneConfig(1, lstmCfg))
-}
-
 // Inject arms the attack. Called before the first Step it reproduces the
 // batch experiments exactly; called mid-run it models an attacker striking
 // partway through the monitored window (TriggerBranch then counts victim
 // taken transfers from the arming point, and 0 fires on the very next one).
 // BurstLen must be positive — the instruction budget isn't known here, so
-// no defaulting happens; RunDetection applies the classic defaults.
+// no defaulting happens; AttackSpec.Resolve applies the classic defaults.
 func (s *Session) Inject(spec AttackSpec) error {
 	if s.inj != nil {
 		return fmt.Errorf("core: session already has an armed attack")

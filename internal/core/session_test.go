@@ -10,10 +10,11 @@ import (
 	"rtad/internal/sim"
 )
 
-// runDetectionLegacy is a frozen copy of the pre-Session RunDetection: the
-// batch plumbing (injector wrapping the pipeline as the CPU sink, one Run,
-// one Flush). It anchors the determinism contract — the streaming Session
-// must reproduce its event stream bit for bit, however the run is chunked.
+// runDetectionLegacy is a frozen copy of the batch detection run that
+// predates Session: the plumbing (injector wrapping the pipeline as the CPU
+// sink, one Run, one Flush). It anchors the determinism contract — the
+// streaming Session must reproduce its event stream bit for bit, however
+// the run is chunked.
 func runDetectionLegacy(dep *Deployment, pcfg PipelineConfig, aspec AttackSpec, instr int64) (*DetectionResult, []Judged, sim.Time, error) {
 	prog, err := dep.Profile.Generate()
 	if err != nil {
@@ -79,11 +80,8 @@ func TestSessionMatchesLegacyBitForBit(t *testing.T) {
 
 	runSession := func(chunks []int64) (*DetectionResult, []Judged, sim.Time) {
 		t.Helper()
-		s, err := NewSession(dep, pcfg)
+		s, err := Open(Deployments{dep}, WithConfig(pcfg), WithAttack(aspec.Resolve(instr)))
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Inject(aspec.withDefaults(instr)); err != nil {
 			t.Fatal(err)
 		}
 		var done int64
@@ -127,13 +125,9 @@ func TestSessionMatchesLegacyBitForBit(t *testing.T) {
 		t.Errorf("chunked DetectionResult diverges from legacy")
 	}
 
-	// And the public wrapper is the session, so it must agree too.
-	wrapped, err := RunDetection(dep, pcfg, aspec, instr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(wrapped, legacyRes) {
-		t.Errorf("RunDetection wrapper diverges from legacy")
+	// And Detect drives the same whole-run session, so it must agree too.
+	if got := detect(t, dep, pcfg, aspec, instr); !reflect.DeepEqual(got, legacyRes) {
+		t.Errorf("Open+Detect diverges from legacy:\n got %+v\nwant %+v", got, legacyRes)
 	}
 }
 
@@ -143,7 +137,7 @@ func TestSessionMatchesLegacyBitForBit(t *testing.T) {
 func TestSessionStreamingConsumption(t *testing.T) {
 	dep := trainLSTMDeployment(t, "401.bzip2")
 	pcfg := PipelineConfig{CUs: 5, Stride: 256}
-	s, err := NewSession(dep, pcfg)
+	s, err := Open(Deployments{dep}, WithConfig(pcfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +182,7 @@ func TestSessionStreamingConsumption(t *testing.T) {
 // already streamed — the capability the batch API never had.
 func TestSessionMidRunInject(t *testing.T) {
 	dep := trainLSTMDeployment(t, "458.sjeng")
-	s, err := NewSession(dep, PipelineConfig{CUs: 5, Stride: 512})
+	s, err := Open(Deployments{dep}, WithConfig(PipelineConfig{CUs: 5, Stride: 512}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,9 +220,9 @@ func TestSessionMidRunInject(t *testing.T) {
 	}
 }
 
-// TestDualSessionMatchesLegacyDual pins the dual-model wrapper to the
-// Session path: the public RunDualDetection output must be reproducible via
-// an explicitly stepped dual session.
+// TestDualSessionStepEquivalence pins the whole-run dual path to slicing:
+// DetectDual's output must be reproducible via an explicitly stepped dual
+// session.
 func TestDualSessionStepEquivalence(t *testing.T) {
 	elm := trainELMDeployment(t, "400.perlbench")
 	lstmDep := func() *Deployment {
@@ -239,18 +233,20 @@ func TestDualSessionStepEquivalence(t *testing.T) {
 	aspec := AttackSpec{Seed: 5}
 	const instr = 8_000_000
 
-	batch, err := RunDualDetection(elm, lstmDep, cfg, aspec, instr)
+	open := func() *Session {
+		t.Helper()
+		s, err := Open(Deployments{elm, lstmDep}, WithConfig(cfg), WithAttack(aspec.Resolve(instr)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	batch, err := open().DetectDual(instr)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	s, err := NewDualSession(elm, lstmDep, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Inject(aspec.withDefaults(instr)); err != nil {
-		t.Fatal(err)
-	}
+	s := open()
 	for _, chunk := range []int64{3_000_000, 2_500_000, instr - 5_500_000} {
 		if _, err := s.Step(chunk); err != nil {
 			t.Fatal(err)
@@ -268,10 +264,10 @@ func TestDualSessionStepEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(elmRes, batch.ELM) {
-		t.Error("stepped dual session ELM result diverges from RunDualDetection")
+		t.Error("stepped dual session ELM result diverges from DetectDual")
 	}
 	if !reflect.DeepEqual(lstmRes, batch.LSTM) {
-		t.Error("stepped dual session LSTM result diverges from RunDualDetection")
+		t.Error("stepped dual session LSTM result diverges from DetectDual")
 	}
 	if s.SharedBusyAt() != batch.SharedBusyAt {
 		t.Errorf("shared-engine horizon %v != batch %v", s.SharedBusyAt(), batch.SharedBusyAt)
@@ -285,7 +281,7 @@ func TestDualSessionStepEquivalence(t *testing.T) {
 // block reports through it, and judged work implies observable activity.
 func TestSessionStageSnapshots(t *testing.T) {
 	dep := trainLSTMDeployment(t, "401.bzip2")
-	s, err := NewSession(dep, PipelineConfig{CUs: 5, Stride: 256})
+	s, err := Open(Deployments{dep}, WithConfig(PipelineConfig{CUs: 5, Stride: 256}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,10 +304,7 @@ func TestSessionStageSnapshots(t *testing.T) {
 			t.Errorf("stage %q saw no traffic (MaxDepth %d)", sn.Name, sn.MaxDepth)
 		}
 	}
-	res, err := RunDetection(dep, PipelineConfig{CUs: 5, Stride: 256}, AttackSpec{Seed: 3}, 1_200_000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := detect(t, dep, PipelineConfig{CUs: 5, Stride: 256}, AttackSpec{Seed: 3}, 1_200_000)
 	if len(res.Stages) != len(want) {
 		t.Fatalf("DetectionResult carries %d stage snapshots", len(res.Stages))
 	}

@@ -18,15 +18,9 @@ func TestTelemetryObservationOnly(t *testing.T) {
 	aspec := AttackSpec{Seed: 7}
 	const instr = 1_500_000
 
-	plain, err := RunDetection(dep, PipelineConfig{CUs: 5, Stride: 512}, aspec, instr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := detect(t, dep, PipelineConfig{CUs: 5, Stride: 512}, aspec, instr)
 	tel := obs.New()
-	observed, err := RunDetection(dep, PipelineConfig{CUs: 5, Stride: 512, Telemetry: tel}, aspec, instr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	observed := detect(t, dep, PipelineConfig{CUs: 5, Stride: 512, Telemetry: tel}, aspec, instr)
 	if !reflect.DeepEqual(plain, observed) {
 		t.Errorf("telemetry perturbed the run:\nplain    %+v\nobserved %+v", plain, observed)
 	}
@@ -69,11 +63,9 @@ func TestTraceStepSlicingInvariance(t *testing.T) {
 	run := func(chunks []int64) (trace, metrics []byte) {
 		t.Helper()
 		tel := obs.New()
-		s, err := NewSession(dep, PipelineConfig{CUs: 5, Stride: 512, Telemetry: tel})
+		s, err := Open(Deployments{dep},
+			WithConfig(PipelineConfig{CUs: 5, Stride: 512, Telemetry: tel}), WithAttack(aspec))
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Inject(aspec); err != nil {
 			t.Fatal(err)
 		}
 		for _, c := range chunks {
@@ -165,7 +157,7 @@ func TestDualSessionLaneTelemetry(t *testing.T) {
 	elm := trainELMDeployment(t, "458.sjeng")
 	lstm := trainLSTMDeployment(t, "458.sjeng")
 	tel := obs.New()
-	s, err := NewDualSession(elm, lstm, PipelineConfig{CUs: 5, Telemetry: tel})
+	s, err := Open(Deployments{elm, lstm}, WithConfig(PipelineConfig{CUs: 5, Telemetry: tel}))
 	if err != nil {
 		t.Fatal(err)
 	}

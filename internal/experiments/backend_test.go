@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"encoding/json"
 	"reflect"
 	"strings"
@@ -67,26 +68,48 @@ func TestReportSchemaV2ForNativeBackends(t *testing.T) {
 // TestFig8GridBackendEquivalence is the acceptance check for the backend
 // refactor at grid scale: the full Fig 8 benchmark × model × CU sweep must
 // produce identical rows — latencies, drops, detection verdicts — on the
-// native backends as on the cycle-accurate GPU reference.
+// native backends as on the cycle-accurate GPU reference. Every backend
+// also runs on the staged byte/word trace path, the fused fast path's
+// oracle: its report must match the fused one byte for byte.
 func TestFig8GridBackendEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig8 is the heaviest experiment")
 	}
 	o := quickOpts()
 	o.Benchmarks = []string{"458.sjeng", "456.hmmer"}
-	ref, err := Fig8(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, backend := range []string{kernels.BackendNative, kernels.BackendNativeCalibrated} {
+	// run renders one grid as cmd/experiments -json does, wall clock aside.
+	run := func(backend string, staged bool) (*Fig8Result, []byte) {
+		t.Helper()
 		bo := o
-		bo.Backend = backend
-		got, err := Fig8(bo)
+		bo.Backend, bo.stagedTrace = backend, staged
+		if backend == kernels.BackendNativeCalibrated {
+			bo.Calibration = kernels.NewCalibration()
+		}
+		res, err := Fig8(bo)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, ref) {
-			t.Errorf("%s grid diverges from gpu:\n  got  %+v\n  want %+v", backend, got, ref)
+		r := NewReport(bo)
+		r.Fig8 = res.Report()
+		r.RecordCalibration(bo.Calibration)
+		blob, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, blob
+	}
+	ref, refJSON := run(kernels.BackendGPU, false)
+	for _, backend := range []string{kernels.BackendGPU, kernels.BackendNative, kernels.BackendNativeCalibrated} {
+		fusedJSON := refJSON
+		if backend != kernels.BackendGPU {
+			var got *Fig8Result
+			got, fusedJSON = run(backend, false)
+			if !reflect.DeepEqual(got, ref) {
+				t.Errorf("%s grid diverges from gpu:\n  got  %+v\n  want %+v", backend, got, ref)
+			}
+		}
+		if _, stagedJSON := run(backend, true); !bytes.Equal(stagedJSON, fusedJSON) {
+			t.Errorf("%s: fused report diverges from staged:\n  fused  %s\n  staged %s", backend, fusedJSON, stagedJSON)
 		}
 	}
 }

@@ -47,11 +47,6 @@ type Options struct {
 	// Judgment streams — and therefore every reported number — are
 	// bit-identical across backends; only the wall clock changes.
 	Backend string
-	// StagedTrace runs every detection pipeline on the staged byte/word
-	// trace-delivery reference path instead of the fused fast path. The
-	// report is byte-identical either way — the CI differential job diffs
-	// the two JSON outputs across all backends to prove it.
-	StagedTrace bool
 	// Calibration is the shared cycle-cost table for the native backends.
 	// Nil with BackendNativeCalibrated gets one table created in
 	// withDefaults, shared by every pipeline of the run; nil with
@@ -64,6 +59,11 @@ type Options struct {
 	// leaves every run un-instrumented and the output byte-identical to an
 	// un-instrumented build.
 	Telemetry *obs.Telemetry
+
+	// stagedTrace runs every detection pipeline on the staged byte/word
+	// trace-delivery reference path instead of the fused fast path. Only
+	// the fused-vs-staged equivalence tests set it.
+	stagedTrace bool
 }
 
 // fleet builds the run fleet for the configured width.
@@ -105,7 +105,7 @@ func (o Options) pipelineConfig(cus int, tel *obs.Telemetry) core.PipelineConfig
 		Telemetry:   tel,
 		Backend:     o.Backend,
 		Calibration: o.Calibration,
-		StagedTrace: o.StagedTrace,
+		StagedTrace: o.stagedTrace,
 	}
 }
 

@@ -253,7 +253,7 @@ func New(cfg Config) *IGM {
 }
 
 // FeedWord consumes one timed 32-bit word from the TPIU port, advancing the
-// TA/P2S/IVG pipeline. Completed vectors accumulate for Take.
+// TA/P2S/IVG pipeline. Completed vectors accumulate for TakeInto.
 func (g *IGM) FeedWord(w tpiu.TimedWord) {
 	g.stats.Words++
 	payload := g.defr.Feed(w.W)
@@ -416,15 +416,6 @@ func (g *IGM) Recycle(classes []int32) {
 	}
 	g.free = append(g.free, classes)
 }
-
-// Take returns and clears the emitted vectors. The returned slice is
-// freshly allocated and owned by the caller.
-//
-// Deprecated: use TakeInto with a recycled buffer
-// (`vecs = ig.TakeInto(vecs[:0])`) — it is the primary hand-off API and
-// drains the IGM with zero steady-state allocations. CI rejects new
-// in-repo Take callers.
-func (g *IGM) Take() []Vector { return g.TakeInto(nil) }
 
 // TakeInto appends the emitted vectors to dst, clears the internal queue
 // (retaining its capacity for reuse), and returns the extended slice. A

@@ -19,18 +19,18 @@ func pushTrace(t *testing.T, g *IGM, events []cpu.BranchEvent) []Vector {
 	var now sim.Time
 	for _, ev := range events {
 		now = sim.CPUClock.Duration(ev.Cycle)
-		port.Push(now, enc.Encode(ev))
+		port.Push(now, enc.EncodeInto(nil, ev))
 	}
 	port.Push(now, enc.Flush())
 	port.Flush(now)
-	for _, tb := range port.Take() {
+	for _, tb := range port.TakeInto(nil) {
 		fmtr.Push(tb.At, tb.B)
 	}
 	fmtr.Flush(now)
-	for _, w := range fmtr.Take() {
+	for _, w := range fmtr.TakeInto(nil) {
 		g.FeedWord(w)
 	}
-	return g.Take()
+	return g.TakeInto(nil)
 }
 
 func takenBranches(targets []uint32) []cpu.BranchEvent {
@@ -279,7 +279,7 @@ func TestTraceCorruptionRecovery(t *testing.T) {
 	for i, tgt := range targets {
 		now = sim.Time(i*100) * sim.Nanosecond
 		ev := cpu.BranchEvent{Cycle: int64(i * 25), PC: 0x8000, Target: tgt, Kind: cpu.KindDirect, Taken: true}
-		push(enc.Encode(ev))
+		push(enc.EncodeInto(nil, ev))
 		if i == half {
 			// Corruption: a burst of junk that is not valid PFT.
 			push([]byte{0xFF, 0x80, 0xFF, 0x55, 0x80})
@@ -287,7 +287,7 @@ func TestTraceCorruptionRecovery(t *testing.T) {
 	}
 	push(enc.Flush())
 	fmtr.Flush(now)
-	for _, w := range fmtr.Take() {
+	for _, w := range fmtr.TakeInto(nil) {
 		g.FeedWord(w)
 	}
 	st := g.Stats()

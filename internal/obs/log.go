@@ -89,58 +89,3 @@ func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false 
 func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
 func (discardHandler) WithAttrs([]slog.Attr) slog.Handler        { return discardHandler{} }
 func (discardHandler) WithGroup(string) slog.Handler             { return discardHandler{} }
-
-// LogfLogger bridges a printf-style hook into a *slog.Logger — the compat
-// shim behind serve.Config.Logf. Records render as "msg key=val ..." and
-// reach logf as a single %s argument, so legacy hooks keep receiving one
-// line per event.
-func LogfLogger(logf func(format string, args ...any)) *slog.Logger {
-	return slog.New(&logfHandler{logf: logf})
-}
-
-type logfHandler struct {
-	logf  func(format string, args ...any)
-	attrs []slog.Attr
-	group string
-}
-
-func (h *logfHandler) Enabled(_ context.Context, level slog.Level) bool {
-	return level >= slog.LevelInfo
-}
-
-func (h *logfHandler) Handle(_ context.Context, r slog.Record) error {
-	var b strings.Builder
-	b.WriteString(r.Message)
-	emit := func(a slog.Attr) {
-		if a.Equal(slog.Attr{}) {
-			return
-		}
-		key := a.Key
-		if h.group != "" {
-			key = h.group + "." + key
-		}
-		fmt.Fprintf(&b, " %s=%v", key, a.Value.Resolve().Any())
-	}
-	for _, a := range h.attrs {
-		emit(a)
-	}
-	r.Attrs(func(a slog.Attr) bool { emit(a); return true })
-	h.logf("%s", b.String())
-	return nil
-}
-
-func (h *logfHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	nh := *h
-	nh.attrs = append(append([]slog.Attr(nil), h.attrs...), attrs...)
-	return &nh
-}
-
-func (h *logfHandler) WithGroup(name string) slog.Handler {
-	nh := *h
-	if nh.group != "" {
-		nh.group += "." + name
-	} else {
-		nh.group = name
-	}
-	return &nh
-}

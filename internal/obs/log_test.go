@@ -86,28 +86,3 @@ func TestDiscardLogger(t *testing.T) {
 		t.Error("discard logger claims to be enabled")
 	}
 }
-
-func TestLogfLogger(t *testing.T) {
-	var lines []string
-	log := LogfLogger(func(format string, args ...any) {
-		lines = append(lines, strings.TrimSpace(strings.Replace(format, "%s", args[0].(string), 1)))
-	})
-	log.Info("serve: session open", "session", "s-1", "backend", "native")
-	log.Debug("invisible") // the bridge keeps legacy hooks at info+
-	log.With("session", "s-2").Info("serve: eos")
-	log.WithGroup("batch").Info("flush", "reason", "window")
-
-	want := []string{
-		"serve: session open session=s-1 backend=native",
-		"serve: eos session=s-2",
-		"flush batch.reason=window",
-	}
-	if len(lines) != len(want) {
-		t.Fatalf("got %d lines %v, want %d", len(lines), lines, len(want))
-	}
-	for i := range want {
-		if lines[i] != want[i] {
-			t.Errorf("line %d = %q, want %q", i, lines[i], want[i])
-		}
-	}
-}

@@ -190,16 +190,6 @@ func (e *Encoder) Timestamp(cycles uint32) []byte {
 	return append(dst, hdrTimestamp, byte(cycles), byte(cycles>>8), byte(cycles>>16), byte(cycles>>24))
 }
 
-// Encode packetises one retired-branch event. The returned slice is freshly
-// allocated only when non-empty; not-taken branches usually just buffer an
-// atom bit and return nil until the atom byte fills.
-//
-// Deprecated: use EncodeInto with a recycled buffer
-// (`buf = enc.EncodeInto(buf[:0], ev)`) — it is the hot-path form and
-// encodes every event with zero steady-state allocations. CI rejects new
-// in-repo Encode callers.
-func (e *Encoder) Encode(ev cpu.BranchEvent) []byte { return e.EncodeInto(nil, ev) }
-
 // EncodeInto packetises one retired-branch event into dst (appending) and
 // returns the extended slice. This is the hot-path form: a caller that
 // recycles dst (`buf = enc.EncodeInto(buf[:0], ev)`) encodes every event

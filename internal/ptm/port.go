@@ -78,7 +78,7 @@ type Port struct {
 	buf    []byte
 	occ    int      // counted-mode occupancy (staged mode uses len(buf))
 	freeAt sim.Time // next fabric instant the port can emit a beat
-	// Out accumulates released bytes; callers consume it with Take.
+	// Out accumulates released bytes; callers consume it with TakeInto.
 	out []TimedByte
 
 	releases  int64
@@ -249,15 +249,6 @@ func (p *Port) FlushCounted(at sim.Time) Release {
 	}
 	return rel
 }
-
-// Take returns and clears the released-byte stream. The returned slice is
-// freshly allocated and owned by the caller.
-//
-// Deprecated: use TakeInto with a recycled buffer
-// (`buf = port.TakeInto(buf[:0])`) — it is the primary hand-off API and
-// drains the port with zero steady-state allocations. CI rejects new
-// in-repo Take callers.
-func (p *Port) Take() []TimedByte { return p.TakeInto(nil) }
 
 // TakeInto appends the released-byte stream to dst, clears the internal
 // queue (retaining its capacity for reuse), and returns the extended slice.

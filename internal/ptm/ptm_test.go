@@ -45,7 +45,7 @@ func TestBranchAddressRoundTrip(t *testing.T) {
 	var stream []byte
 	stream = append(stream, e.Start(0x8000)...)
 	for _, tgt := range targets {
-		stream = append(stream, e.Encode(branchEv(0x8000, tgt, cpu.KindDirect, true))...)
+		stream = e.EncodeInto(stream, branchEv(0x8000, tgt, cpu.KindDirect, true))
 	}
 	pkts, errs := DecodeAll(stream)
 	if errs != 0 {
@@ -70,8 +70,8 @@ func TestBranchAddressRoundTrip(t *testing.T) {
 func TestCompressionShrinksNearbyAddresses(t *testing.T) {
 	e := NewEncoder(Config{BranchBroadcast: true})
 	e.Start(0x8000)
-	first := e.Encode(branchEv(0, 0x12345678&^1, cpu.KindDirect, true))
-	near := e.Encode(branchEv(0, (0x12345678&^1)+4, cpu.KindDirect, true))
+	first := e.EncodeInto(nil, branchEv(0, 0x12345678&^1, cpu.KindDirect, true))
+	near := e.EncodeInto(nil, branchEv(0, (0x12345678&^1)+4, cpu.KindDirect, true))
 	if len(first) != maxBranchBytes {
 		t.Errorf("cold branch packet = %d bytes, want %d", len(first), maxBranchBytes)
 	}
@@ -87,7 +87,7 @@ func TestSyscallExceptionPacket(t *testing.T) {
 	e := NewEncoder(Config{BranchBroadcast: true})
 	var stream []byte
 	stream = append(stream, e.Start(0x8000)...)
-	stream = append(stream, e.Encode(branchEv(0x8010, cpu.SyscallTarget(7), cpu.KindSyscall, true))...)
+	stream = e.EncodeInto(stream, branchEv(0x8010, cpu.SyscallTarget(7), cpu.KindSyscall, true))
 	pkts, errs := DecodeAll(stream)
 	if errs != 0 {
 		t.Fatalf("%d decode errors", errs)
@@ -107,12 +107,12 @@ func TestAtomsAccumulateAndFlush(t *testing.T) {
 	var stream []byte
 	// Three not-taken events buffer silently.
 	for i := 0; i < 3; i++ {
-		if out := e.Encode(branchEv(0x8000, 0, cpu.KindDirect, false)); len(out) != 0 {
+		if out := e.EncodeInto(nil, branchEv(0x8000, 0, cpu.KindDirect, false)); len(out) != 0 {
 			t.Fatalf("not-taken event %d emitted %d bytes early", i, len(out))
 		}
 	}
 	// A taken branch must flush atoms *before* its address packet.
-	stream = e.Encode(branchEv(0x8000, 0x9000, cpu.KindDirect, true))
+	stream = e.EncodeInto(nil, branchEv(0x8000, 0x9000, cpu.KindDirect, true))
 	pkts, errs := DecodeAll(append(e.Start(0x0)[:0], stream...))
 	_ = errs // compressed branch without baseline: decoder flags desync
 	if len(pkts) < 2 || pkts[0].Type != PktAtoms || pkts[1].Type != PktBranch {
@@ -134,7 +134,7 @@ func TestAtomPacking(t *testing.T) {
 	var stream []byte
 	pattern := []bool{true, false, true, true, false, true, false}
 	for _, taken := range pattern {
-		stream = append(stream, e.Encode(branchEv(0x8000, 0x8100, cpu.KindDirect, taken))...)
+		stream = e.EncodeInto(stream, branchEv(0x8000, 0x8100, cpu.KindDirect, taken))
 	}
 	stream = append(stream, e.Flush()...)
 	pkts, _ := DecodeAll(stream)
@@ -158,8 +158,8 @@ func TestNonBroadcastEmitsAddressesOnlyForIndirect(t *testing.T) {
 	e := NewEncoder(Config{BranchBroadcast: false})
 	var stream []byte
 	stream = append(stream, e.Start(0x8000)...)
-	stream = append(stream, e.Encode(branchEv(0x8000, 0x8800, cpu.KindDirect, true))...)
-	stream = append(stream, e.Encode(branchEv(0x8004, 0x8900, cpu.KindReturn, true))...)
+	stream = e.EncodeInto(stream, branchEv(0x8000, 0x8800, cpu.KindDirect, true))
+	stream = e.EncodeInto(stream, branchEv(0x8004, 0x8900, cpu.KindReturn, true))
 	stream = append(stream, e.Flush()...)
 	pkts, errs := DecodeAll(stream)
 	if errs != 0 {
@@ -187,7 +187,7 @@ func TestPeriodicSync(t *testing.T) {
 	var stream []byte
 	stream = append(stream, e.Start(0x8000)...)
 	for i := 0; i < 25; i++ {
-		stream = append(stream, e.Encode(branchEv(0x8000, 0x8000+uint32(i*4), cpu.KindDirect, true))...)
+		stream = e.EncodeInto(stream, branchEv(0x8000, 0x8000+uint32(i*4), cpu.KindDirect, true))
 	}
 	pkts, errs := DecodeAll(stream)
 	if errs != 0 {
@@ -211,9 +211,9 @@ func TestOverflowResetsCompression(t *testing.T) {
 	e := NewEncoder(Config{BranchBroadcast: true})
 	var stream []byte
 	stream = append(stream, e.Start(0x8000)...)
-	stream = append(stream, e.Encode(branchEv(0, 0x12340000, cpu.KindDirect, true))...)
+	stream = e.EncodeInto(stream, branchEv(0, 0x12340000, cpu.KindDirect, true))
 	stream = append(stream, e.Overflow()...)
-	post := e.Encode(branchEv(0, 0x12340004, cpu.KindDirect, true))
+	post := e.EncodeInto(nil, branchEv(0, 0x12340004, cpu.KindDirect, true))
 	if len(post) != maxBranchBytes {
 		t.Errorf("post-overflow branch = %d bytes, want full %d", len(post), maxBranchBytes)
 	}
@@ -294,7 +294,7 @@ func TestWorkloadTraceRoundTrip(t *testing.T) {
 			if ev.Taken {
 				want = append(want, ev.Target)
 			}
-			stream = append(stream, enc.Encode(ev)...)
+			stream = enc.EncodeInto(stream, ev)
 			return 0
 		})
 		c := cpu.New(prog, cpu.Config{Mode: cpu.ModeRTAD, Sink: sink})
@@ -348,7 +348,7 @@ func TestRandomEventsRoundTrip(t *testing.T) {
 			if taken {
 				want = append(want, target)
 			}
-			stream = append(stream, enc.Encode(branchEv(0x8000, target, kind, taken))...)
+			stream = enc.EncodeInto(stream, branchEv(0x8000, target, kind, taken))
 		}
 		stream = append(stream, enc.Flush()...)
 		pkts, errs := DecodeAll(stream)
@@ -376,14 +376,14 @@ func TestPortThresholdHoldback(t *testing.T) {
 	port := NewPort(PortConfig{DrainThreshold: 16, BytesPerCycle: 4})
 	at := sim.Time(1000 * sim.Nanosecond)
 	port.Push(at, make([]byte, 10))
-	if got := port.Take(); len(got) != 0 {
+	if got := port.TakeInto(nil); len(got) != 0 {
 		t.Fatalf("released %d bytes below threshold", len(got))
 	}
 	if port.Occupancy() != 10 {
 		t.Errorf("occupancy = %d, want 10", port.Occupancy())
 	}
 	port.Push(at+sim.Microsecond, make([]byte, 10))
-	out := port.Take()
+	out := port.TakeInto(nil)
 	if len(out) != 20 {
 		t.Fatalf("released %d bytes, want 20", len(out))
 	}
@@ -407,7 +407,7 @@ func TestPortFlush(t *testing.T) {
 	port := NewPort(PortConfig{DrainThreshold: 1000})
 	port.Push(0, []byte{1, 2, 3})
 	port.Flush(sim.Microsecond)
-	out := port.Take()
+	out := port.TakeInto(nil)
 	if len(out) != 3 {
 		t.Fatalf("flush released %d bytes", len(out))
 	}
@@ -481,7 +481,7 @@ func TestOverflowAnywhereRecovers(t *testing.T) {
 				stream = append(stream, enc.Overflow()...)
 			}
 			tgt := 0x8000 + uint32(r.Intn(1<<16))&^3
-			stream = append(stream, enc.Encode(branchEv(0x8000, tgt, cpu.KindDirect, true))...)
+			stream = enc.EncodeInto(stream, branchEv(0x8000, tgt, cpu.KindDirect, true))
 		}
 		if _, errs := DecodeAll(stream); errs != 0 {
 			t.Fatalf("trial %d: %d errors with interleaved overflows", trial, errs)

@@ -26,7 +26,7 @@ func collectTrace(t *testing.T, bench string, broadcast bool, instr int64) (*isa
 	var stream []byte
 	sink := cpu.SinkFunc(func(ev cpu.BranchEvent) int64 {
 		truth = append(truth, ev)
-		stream = append(stream, enc.Encode(ev)...)
+		stream = enc.EncodeInto(stream, ev)
 		return 0
 	})
 	c := cpu.New(prog, cpu.Config{Mode: cpu.ModeRTAD, Sink: sink})

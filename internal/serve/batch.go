@@ -59,7 +59,7 @@ import (
 //     immediately so blocked sessions can finish and deliver summaries
 
 // DefaultBatchMax bounds a micro-batch (in parked sessions) when
-// Config.BatchMax is zero.
+// config.BatchMax is zero.
 const DefaultBatchMax = 32
 
 // pendingInfer is one parked engine call: the request plus the channel its

@@ -5,40 +5,39 @@ import (
 	"time"
 
 	"rtad/internal/obs"
-	"rtad/internal/registry"
 )
 
 // Option tunes a Server built by New. The zero configuration is usable:
 // unlimited sessions, fleet width GOMAXPROCS, 16-chunk queues, block
 // backpressure, one-minute I/O deadlines, no batching, no telemetry.
-type Option func(*Config)
+type Option func(*config)
 
 // WithMaxSessions bounds concurrently live sessions; a hello beyond the
 // bound is rejected with an explicit ErrBusy frame rather than queued
 // invisibly. 0 (the default) means unlimited.
-func WithMaxSessions(n int) Option { return func(c *Config) { c.MaxSessions = n } }
+func WithMaxSessions(n int) Option { return func(c *config) { c.MaxSessions = n } }
 
 // WithWorkers sets the Fleet width the session runners share; 0 sizes it
 // to GOMAXPROCS.
-func WithWorkers(n int) Option { return func(c *Config) { c.Workers = n } }
+func WithWorkers(n int) Option { return func(c *config) { c.Workers = n } }
 
 // WithQueueDepth bounds each session's decoded-chunk queue (0 = 16).
-func WithQueueDepth(n int) Option { return func(c *Config) { c.QueueDepth = n } }
+func WithQueueDepth(n int) Option { return func(c *config) { c.QueueDepth = n } }
 
 // WithShed switches backpressure from block (lossless, TCP holds the
 // client) to shed (drop the newest chunk when a session's queue is full).
 // Shedding changes the judgment stream; lossless replay needs block.
-func WithShed() Option { return func(c *Config) { c.Shed = true } }
+func WithShed() Option { return func(c *config) { c.Shed = true } }
 
 // WithTimeouts bounds the gap between client frames (read) and one
 // response write (write). 0 keeps the 1-minute default for that side.
 func WithTimeouts(read, write time.Duration) Option {
-	return func(c *Config) { c.ReadTimeout, c.WriteTimeout = read, write }
+	return func(c *config) { c.ReadTimeout, c.WriteTimeout = read, write }
 }
 
 // WithGapCycles sets the replay pacing offered to clients that don't ask
 // for one (0 = core.DefaultReplayGap).
-func WithGapCycles(gap int64) Option { return func(c *Config) { c.GapCycles = gap } }
+func WithGapCycles(gap int64) Option { return func(c *config) { c.GapCycles = gap } }
 
 // WithBatching enables cross-session micro-batched inference: pending
 // vectors from all admitted sessions (shadow lanes included) are collected
@@ -46,40 +45,21 @@ func WithGapCycles(gap int64) Option { return func(c *Config) { c.GapCycles = ga
 // judged in one fused pass. Judgment streams are bit-identical to the
 // unbatched path. window 0 disables batching; max 0 uses DefaultBatchMax.
 func WithBatching(window time.Duration, max int) Option {
-	return func(c *Config) { c.BatchWindow, c.BatchMax = window, max }
+	return func(c *config) { c.BatchWindow, c.BatchMax = window, max }
 }
-
-// WithStagedTrace runs every session's trace-delivery chain on the staged
-// byte/word reference path instead of the fused analytic fast path
-// (bit-identical; a cross-checking escape hatch).
-func WithStagedTrace() Option { return func(c *Config) { c.StagedTrace = true } }
 
 // WithTelemetry records serve metrics — and the registry's
 // rtad_serve_model_* lifecycle series — into tel.
-func WithTelemetry(tel *obs.Telemetry) Option { return func(c *Config) { c.Telemetry = tel } }
+func WithTelemetry(tel *obs.Telemetry) Option { return func(c *config) { c.Telemetry = tel } }
 
 // WithLogger routes structured logs (session lifecycle, swap/canary
 // transitions, errors, drain progress) to l.
-func WithLogger(l *slog.Logger) Option { return func(c *Config) { c.Logger = l } }
+func WithLogger(l *slog.Logger) Option { return func(c *config) { c.Logger = l } }
 
 // WithWallTracer records wall-clock spans of the serving path, exportable
 // as Perfetto JSON.
-func WithWallTracer(w *obs.WallTracer) Option { return func(c *Config) { c.WallTracer = w } }
+func WithWallTracer(w *obs.WallTracer) Option { return func(c *config) { c.WallTracer = w } }
 
 // WithFlight retains a bounded ring of recent per-session events, dumped
 // on panic, protocol violation, or abort.
-func WithFlight(f *obs.FlightRecorder) Option { return func(c *Config) { c.Flight = f } }
-
-// New builds a server that admits sessions from reg, the versioned model
-// registry: every hello is admitted on the newest promoted version of its
-// benchmark/model key and keeps that version until the session ends, so
-// Promote swaps traffic atomically with zero downtime and zero rejected
-// frames. A nil reg gets a fresh empty registry (populate it via Deploy or
-// the admin endpoints).
-func New(reg *registry.Registry, opts ...Option) *Server {
-	var cfg Config
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return newServer(reg, cfg)
-}
+func WithFlight(f *obs.FlightRecorder) Option { return func(c *config) { c.Flight = f } }

@@ -56,19 +56,7 @@ func lifecycleServer(t *testing.T, tel *obs.Telemetry, depA *core.Deployment) (s
 	}
 	srv := New(nil, opts...)
 	srv.Deploy(depA)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ln) }()
-	t.Cleanup(func() {
-		srv.Shutdown(10 * time.Second)
-		if err := <-done; err != nil {
-			t.Errorf("Serve: %v", err)
-		}
-	})
-	return ln.Addr().String(), srv.Registry()
+	return serveLoopback(t, srv), srv.Registry()
 }
 
 func findVersion(t *testing.T, reg *registry.Registry, key string, id int64) registry.VersionInfo {

@@ -63,7 +63,7 @@ func captureTrace(p workload.Profile, instr int64) ([]byte, error) {
 	enc := ptm.NewEncoder(ptm.Config{BranchBroadcast: true})
 	var stream []byte
 	c := cpu.New(prog, cpu.Config{Mode: cpu.ModeRTAD, Sink: cpu.SinkFunc(func(ev cpu.BranchEvent) int64 {
-		stream = append(stream, enc.Encode(ev)...)
+		stream = enc.EncodeInto(stream, ev)
 		return 0
 	})})
 	if _, err := c.Run(instr); err != nil {
@@ -80,6 +80,13 @@ func startServer(t *testing.T, opts []Option, deps ...*core.Deployment) string {
 	for _, d := range deps {
 		srv.Deploy(d)
 	}
+	return serveLoopback(t, srv)
+}
+
+// serveLoopback serves srv on an ephemeral loopback port until the test
+// ends, then drains it, and returns the address.
+func serveLoopback(t *testing.T, srv *Server) string {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -307,7 +314,9 @@ func TestConcurrentClients(t *testing.T) {
 func TestBusyRejection(t *testing.T) {
 	dep, stream := fixtures(t)
 	tel := obs.NewMetricsOnly()
-	addr := startServer(t, []Option{WithMaxSessions(1), WithTelemetry(tel)}, dep)
+	srv := New(nil, WithMaxSessions(1), WithTelemetry(tel))
+	srv.Deploy(dep)
+	addr := serveLoopback(t, srv)
 
 	c1, err := Dial(addr, Hello{Benchmark: fixBench, Model: "lstm"}, nil)
 	if err != nil {
@@ -341,6 +350,16 @@ func TestBusyRejection(t *testing.T) {
 		}
 		if !errors.As(err, &em) || em.Code != ErrBusy || time.Now().After(deadline) {
 			t.Fatalf("post-finish dial: %v", err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	// Finish returns once the summary frame arrives, before the server's
+	// deferred session end runs; wait for that end before reading the
+	// gauge. A stale gauge write would stay at 1 for good, so the exact
+	// check below still catches it.
+	for len(srv.Sessions()) != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d sessions still live on the server", len(srv.Sessions()))
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

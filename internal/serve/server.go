@@ -16,10 +16,10 @@ import (
 	"rtad/internal/registry"
 )
 
-// Config sizes and paces a Server. The zero value is usable: unlimited
-// sessions, fleet width GOMAXPROCS, 16-chunk queues, block backpressure,
-// one-minute I/O deadlines.
-type Config struct {
+// config sizes and paces a Server; New fills it from Options. The zero
+// value is usable: unlimited sessions, fleet width GOMAXPROCS, 16-chunk
+// queues, block backpressure, one-minute I/O deadlines.
+type config struct {
 	// MaxSessions bounds concurrently live sessions; a hello beyond the
 	// bound is rejected with an explicit ErrBusy frame rather than queued
 	// invisibly. 0 means unlimited.
@@ -58,20 +58,14 @@ type Config struct {
 	// BatchMax caps one micro-batch (0 = DefaultBatchMax). A full batch
 	// flushes without waiting out the window.
 	BatchMax int
-	// StagedTrace runs every session's trace-delivery chain on the staged
-	// byte/word reference path instead of the fused analytic fast path.
-	// Judgment streams are bit-identical either way (the fused path's
-	// contract, enforced by the differential CI job); this is an escape
-	// hatch for cross-checking a live deployment against the reference.
-	StagedTrace bool
 	// Telemetry records serve metrics (sessions, rejections, queue depth,
 	// bytes, judgments, wall-clock stage latencies) alongside whatever the
 	// registry already holds.
 	Telemetry *obs.Telemetry
 	// Logger receives structured logs — session lifecycle, errors, drain
 	// progress — each session-scoped line tagged with the obs.SessionKey
-	// attribute carrying the SessionID from the welcome frame. Nil falls
-	// back to Logf (wrapped), or to silence when that is nil too.
+	// attribute carrying the SessionID from the welcome frame. Nil is
+	// silence.
 	Logger *slog.Logger
 	// WallTracer, when set, records wall-clock spans of the serving path —
 	// frame reads, admission, chunk feeds, batch flushes, judgment writes —
@@ -82,12 +76,6 @@ type Config struct {
 	// and is dumped (via Logger, as JSON) when a session panics, violates
 	// the protocol, or aborts. Nil records nothing.
 	Flight *obs.FlightRecorder
-	// Logf, when set and Logger is nil, receives one rendered line per
-	// session lifecycle event.
-	//
-	// Deprecated: set Logger. Logf survives as a compatibility shim and is
-	// wrapped into a *slog.Logger internally.
-	Logf func(format string, args ...any)
 }
 
 // ServeSecondsBuckets bound the rtad_serve_*_seconds stage-latency
@@ -103,7 +91,7 @@ var ServeSecondsBuckets = obs.ExpBuckets(1e-6, 2, 26)
 // bit-identical judgment streams to a solo in-process run over the same
 // bytes.
 type Server struct {
-	cfg Config
+	cfg config
 	// reg is the versioned model registry behind admission: a session is
 	// welcomed on the newest promoted version of its key and holds exactly
 	// that version until it ends, which is the whole zero-downtime story —
@@ -152,16 +140,17 @@ type Server struct {
 	mE2ESec   *obs.Histogram // chunk read off the socket -> its last judgment written
 }
 
-// NewServer builds a server over cfg with its own empty registry.
-// Deployments are registered with Deploy before Serve.
-//
-// Deprecated: use New with a *registry.Registry and functional options;
-// NewServer survives as a compatibility shim over it.
-func NewServer(cfg Config) *Server { return newServer(nil, cfg) }
-
-// newServer is the one construction path behind New and the NewServer
-// shim. A nil reg gets a fresh empty registry.
-func newServer(reg *registry.Registry, cfg Config) *Server {
+// New builds a server that admits sessions from reg, the versioned model
+// registry: every hello is admitted on the newest promoted version of its
+// benchmark/model key and keeps that version until the session ends, so
+// Promote swaps traffic atomically with zero downtime and zero rejected
+// frames. A nil reg gets a fresh empty registry (populate it via Deploy or
+// the admin endpoints).
+func New(reg *registry.Registry, opts ...Option) *Server {
+	var cfg config
+	for _, o := range opts {
+		o(&cfg)
+	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 16
 	}
@@ -173,11 +162,7 @@ func newServer(reg *registry.Registry, cfg Config) *Server {
 	}
 	logger := cfg.Logger
 	if logger == nil {
-		if cfg.Logf != nil {
-			logger = obs.LogfLogger(cfg.Logf)
-		} else {
-			logger = obs.DiscardLogger()
-		}
+		logger = obs.DiscardLogger()
 	}
 	tel := cfg.Telemetry
 	var batch *batcher
@@ -390,15 +375,18 @@ func (s *Server) handle(conn net.Conn) {
 			hello.Benchmark, hello.Model, strings.Join(s.reg.ActiveKeys(), ", ")))
 		return
 	}
+	// The live count, its gauge and the drain's wait group all change
+	// under the lock: concurrent admissions and session ends cannot leave
+	// a stale gauge as the last write, and a Shutdown that starts draining
+	// after this point always waits for the session.
 	s.live++
+	s.mLive.Set(int64(s.live))
+	s.sessions.Add(1)
 	s.nextID++
 	id := fmt.Sprintf("s-%d", s.nextID)
-	live := s.live
 	s.mu.Unlock()
 
-	s.sessions.Add(1)
 	s.mTotal.Inc()
-	s.mLive.Set(int64(live))
 	admitted := false
 	defer func() {
 		if !admitted {
@@ -525,13 +513,12 @@ func (s *Server) handle(conn net.Conn) {
 func (s *Server) endSession(id string, held ...*registry.Version) {
 	s.mu.Lock()
 	s.live--
-	live := s.live
+	s.mLive.Set(int64(s.live))
 	delete(s.states, id)
 	s.mu.Unlock()
 	for _, v := range held {
 		s.reg.Release(v) // nil-safe
 	}
-	s.mLive.Set(int64(live))
 	s.cfg.Flight.End(id)
 	s.sessions.Done()
 }
@@ -594,7 +581,7 @@ func (s *Server) openSession(id string, ver, shadowVer *registry.Version, hello 
 		opts := []core.Option{
 			core.WithConfig(core.PipelineConfig{
 				CUs: hello.CUs, Backend: backend, Stride: stride,
-				Calibration: s.calib, StagedTrace: s.cfg.StagedTrace,
+				Calibration: s.calib,
 			}),
 			core.WithTraceInput(gap),
 		}

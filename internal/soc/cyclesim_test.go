@@ -24,18 +24,18 @@ func analyticVectors(events []cpu.BranchEvent, cfg Config) []igm.Vector {
 	var last sim.Time
 	for _, ev := range events {
 		last = sim.CPUClock.Duration(ev.Cycle)
-		port.Push(last, enc.Encode(ev))
+		port.Push(last, enc.EncodeInto(nil, ev))
 	}
 	port.Push(last, enc.Flush())
 	port.Flush(last)
-	for _, tb := range port.Take() {
+	for _, tb := range port.TakeInto(nil) {
 		fmtr.Push(tb.At, tb.B)
 	}
 	fmtr.Flush(last)
-	for _, w := range fmtr.Take() {
+	for _, w := range fmtr.TakeInto(nil) {
 		g.FeedWord(w)
 	}
-	return g.Take()
+	return g.TakeInto(nil)
 }
 
 func record(t *testing.T, bench string, instr int64) ([]cpu.BranchEvent, *igm.AddressMap) {

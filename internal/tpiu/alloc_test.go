@@ -39,7 +39,7 @@ func TestDeframerFeedZeroAlloc(t *testing.T) {
 		at += 1000
 		f.Push(at, byte(b))
 	}
-	words := f.Take()
+	words := f.TakeInto(nil)
 	if len(words) != FrameBytes/4 {
 		t.Fatalf("expected one frame (%d words), got %d", FrameBytes/4, len(words))
 	}

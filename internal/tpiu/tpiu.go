@@ -258,15 +258,6 @@ func (f *Formatter) emitCounted(n int) FrameEmit {
 	return FrameEmit{LastWordAt: end - period, Payload: n}
 }
 
-// Take returns and clears the emitted word stream. The returned slice is
-// freshly allocated and owned by the caller.
-//
-// Deprecated: use TakeInto with a recycled buffer
-// (`buf = fmtr.TakeInto(buf[:0])`) — it is the primary hand-off API and
-// drains the formatter with zero steady-state allocations. CI rejects new
-// in-repo Take callers.
-func (f *Formatter) Take() []TimedWord { return f.TakeInto(nil) }
-
 // TakeInto appends the emitted word stream to dst, clears the internal
 // queue (retaining its capacity for reuse), and returns the extended slice.
 // A caller that recycles dst (`buf = fmtr.TakeInto(buf[:0])`) drains the

@@ -23,7 +23,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	f.Flush(sim.Microsecond)
 	var got []byte
-	for _, w := range f.Take() {
+	for _, w := range f.TakeInto(nil) {
 		got = append(got, d.Feed(w.W)...)
 	}
 	if !bytes.Equal(got, payload) {
@@ -43,14 +43,14 @@ func TestPartialFrameNeedsFlush(t *testing.T) {
 	for i := 0; i < PayloadBytes-1; i++ {
 		f.Push(0, byte(i))
 	}
-	if len(f.Take()) != 0 {
+	if len(f.TakeInto(nil)) != 0 {
 		t.Fatal("partial frame emitted without flush")
 	}
 	if f.Buffered() != PayloadBytes-1 {
 		t.Errorf("Buffered = %d", f.Buffered())
 	}
 	f.Flush(0)
-	words := f.Take()
+	words := f.TakeInto(nil)
 	if len(words) != FrameBytes/4 {
 		t.Fatalf("flush emitted %d words, want %d", len(words), FrameBytes/4)
 	}
@@ -62,7 +62,7 @@ func TestWordTiming(t *testing.T) {
 	for i := 0; i < PayloadBytes; i++ {
 		f.Push(at, 0xAA)
 	}
-	words := f.Take()
+	words := f.TakeInto(nil)
 	if len(words) != 4 {
 		t.Fatalf("%d words", len(words))
 	}
@@ -78,7 +78,7 @@ func TestWordTiming(t *testing.T) {
 	for i := 0; i < PayloadBytes; i++ {
 		f.Push(at, 0xBB)
 	}
-	second := f.Take()
+	second := f.TakeInto(nil)
 	if second[0].At < words[3].At+sim.FabricClock.Period() {
 		t.Error("second frame overlaps first on the port")
 	}
@@ -91,7 +91,7 @@ func TestDeframerRejectsWrongSource(t *testing.T) {
 		f.Push(0, 1)
 	}
 	var got []byte
-	for _, w := range f.Take() {
+	for _, w := range f.TakeInto(nil) {
 		got = append(got, d.Feed(w.W)...)
 	}
 	if len(got) != 0 || d.BadFrames != 1 {
@@ -123,7 +123,7 @@ func TestFormatterDeframerProperty(t *testing.T) {
 		}
 		f.Flush(sim.Time(len(payload)))
 		var got []byte
-		for _, w := range f.Take() {
+		for _, w := range f.TakeInto(nil) {
 			got = append(got, d.Feed(w.W)...)
 		}
 		return bytes.Equal(got, payload)
@@ -153,18 +153,18 @@ func TestCoreSightPathEndToEnd(t *testing.T) {
 			want = append(want, target)
 		}
 		ev := cpu.BranchEvent{PC: 0x8000, Target: target, Kind: cpu.KindDirect, Taken: taken}
-		port.Push(now, enc.Encode(ev))
+		port.Push(now, enc.EncodeInto(nil, ev))
 	}
 	port.Push(now, enc.Flush())
 	port.Flush(now)
-	for _, tb := range port.Take() {
+	for _, tb := range port.TakeInto(nil) {
 		fmtr.Push(tb.At, tb.B)
 	}
 	fmtr.Flush(now)
 
 	var got []uint32
 	lastAt := sim.Time(-1)
-	for _, w := range fmtr.Take() {
+	for _, w := range fmtr.TakeInto(nil) {
 		if w.At < lastAt {
 			t.Fatal("port words out of time order")
 		}
