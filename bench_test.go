@@ -19,7 +19,6 @@ package rtad
 import (
 	"fmt"
 	"math/rand"
-	"os"
 	"runtime"
 	"sync"
 	"testing"
@@ -478,10 +477,7 @@ func BenchmarkBackendFig8Grid(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for _, cell := range cells {
 					for _, cus := range []int{1, 5} {
-						cfg := core.PipelineConfig{
-							CUs: cus, Backend: name, Calibration: calib,
-							StagedTrace: stagedTraceEnv,
-						}
+						cfg := core.PipelineConfig{CUs: cus, Backend: name, Calibration: calib}
 						detect(b, cell.dep, cfg, cell.attack, 4_000_000)
 					}
 				}
@@ -490,15 +486,6 @@ func BenchmarkBackendFig8Grid(b *testing.B) {
 		})
 	}
 }
-
-// stagedTraceEnv switches BenchmarkBackendFig8Grid onto the staged
-// byte/word trace path, so the fused fast path's grid speedup can be
-// measured back to back on one host:
-//
-//	RTAD_STAGED_TRACE=1 go test -run '^$' -bench BenchmarkBackendFig8Grid -benchtime 3x .
-//
-// (BENCH_backends.json's trace_fastpath_speedup section records such a pair.)
-var stagedTraceEnv = os.Getenv("RTAD_STAGED_TRACE") != ""
 
 // BenchmarkBackendFig8GridSaturated is the same grid in Fig 8's overflow
 // regime: a hot IGM stride with an MCM FIFO deep enough that nothing drops,

@@ -8,38 +8,21 @@
 //
 //	benchinfo
 //	benchinfo -instr 5000000
-//	benchinfo -bench-file BENCH_frontend.json
-//
-// -bench-file instead pretty-prints one of the repo's committed benchmark
-// baselines (BENCH_backends.json, BENCH_frontend.json), resolving the schema
-// from the file itself.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 
 	"rtad/internal/cpu"
-	"rtad/internal/obs"
 	"rtad/internal/ptm"
 	"rtad/internal/workload"
 )
 
 func main() {
 	instr := flag.Int64("instr", 2_000_000, "instruction budget per benchmark")
-	benchFile := flag.String("bench-file", "", "pretty-print a committed BENCH_*.json baseline instead of running the workload suite")
 	flag.Parse()
-
-	if *benchFile != "" {
-		if err := printBenchFile(*benchFile); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	fmt.Printf("%-16s %8s %8s %8s %9s %10s %10s %9s\n",
 		"benchmark", "CPI", "branch%", "taken%", "call%", "instr/svc", "indirect%", "B/branch")
@@ -80,242 +63,5 @@ func main() {
 			perSvc,
 			100*float64(st.Indirects)/float64(st.Branches),
 			float64(traceBytes)/float64(st.Branches))
-	}
-}
-
-// printBenchFile pretty-prints a committed BENCH_*.json baseline. The schema
-// field inside the file selects the layout; both baseline families share the
-// provenance header (date, host, command).
-func printBenchFile(path string) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var doc map[string]any
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return fmt.Errorf("%s: %v", path, err)
-	}
-	for _, k := range []string{"schema", "date", "goos", "goarch", "cpu", "command"} {
-		if v, ok := doc[k].(string); ok {
-			fmt.Printf("%-9s %s\n", k+":", v)
-		}
-	}
-	fmt.Println()
-	schema, _ := doc["schema"].(string)
-	switch schema {
-	case "rtad-bench-backends/1":
-		printBackendsBaseline(doc)
-	case "rtad-bench-frontend/1":
-		printFrontendBaseline(doc)
-	case "rtad-bench-serve/1":
-		printServeBaseline(doc)
-	default:
-		return fmt.Errorf("%s: unknown schema %q", path, schema)
-	}
-	if note, ok := doc["note"].(string); ok {
-		fmt.Printf("\nnote: %s\n", note)
-	}
-	return nil
-}
-
-func sortedKeys(m map[string]any) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func numCell(row map[string]any, key string, width int) string {
-	if v, ok := row[key].(float64); ok {
-		return fmt.Sprintf("%*.0f", width, v)
-	}
-	return fmt.Sprintf("%*s", width, "-")
-}
-
-// printBackendsBaseline lays out BENCH_backends.json: one row per benchmark,
-// one ns/op column per inference backend, plus the headline speedups.
-func printBackendsBaseline(doc map[string]any) {
-	benches, _ := doc["benchmarks"].(map[string]any)
-	fmt.Printf("%-26s %14s %14s %18s\n", "benchmark (ns/op)", "gpu", "native", "native-calibrated")
-	for _, name := range sortedKeys(benches) {
-		row, _ := benches[name].(map[string]any)
-		fmt.Printf("%-26s %s %s %s\n", name,
-			numCell(row, "gpu", 14), numCell(row, "native", 14), numCell(row, "native-calibrated", 18))
-	}
-	if sp, ok := doc["speedup_native_calibrated_vs_gpu"].(map[string]any); ok {
-		fmt.Printf("\nspeedup, native-calibrated vs gpu:\n")
-		for _, k := range sortedKeys(sp) {
-			if v, ok := sp[k].(float64); ok {
-				fmt.Printf("  %-22s %6.2fx\n", k, v)
-			}
-		}
-	}
-	if fp, ok := doc["trace_fastpath_speedup"].(map[string]any); ok {
-		fmt.Printf("\ntrace fast path (BackendFig8Grid: fused analytic vs staged byte/word, same host):\n")
-		staged, _ := fp["staged_ns_per_op"].(map[string]any)
-		fused, _ := fp["fused_ns_per_op"].(map[string]any)
-		sp, _ := fp["speedup_vs_staged"].(map[string]any)
-		fmt.Printf("  %-18s %14s %14s %9s\n", "backend", "staged", "fused", "speedup")
-		for _, k := range sortedKeys(fused) {
-			s := "-"
-			if v, ok := sp[k].(float64); ok {
-				s = fmt.Sprintf("%.2fx", v)
-			}
-			fmt.Printf("  %-18s %s %s %9s\n", k,
-				numCell(staged, k, 14), numCell(fused, k, 14), s)
-		}
-		if prior, ok := fp["speedup_vs_prior_record"].(map[string]any); ok {
-			fmt.Printf("  vs prior committed grid record:")
-			for _, k := range sortedKeys(prior) {
-				if v, ok := prior[k].(float64); ok {
-					fmt.Printf("  %s %.2fx", k, v)
-				}
-			}
-			fmt.Println()
-		}
-	}
-	if cb, ok := doc["cpu_benchmarks"].(map[string]any); ok {
-		fmt.Printf("\nvictim-CPU engine (BenchmarkCPURun, zero allocs/op asserted in-bench):\n")
-		fmt.Printf("%-26s %14s %14s %12s\n", "mix", "ns/op", "Minstr/s", "vs seed")
-		for _, name := range sortedKeys(cb) {
-			row, _ := cb[name].(map[string]any)
-			speedup := "-"
-			if v, ok := row["speedup_vs_seed"].(float64); ok {
-				speedup = fmt.Sprintf("%.2fx", v)
-			}
-			mips := "-"
-			if v, ok := row["minstr_per_s"].(float64); ok {
-				mips = fmt.Sprintf("%.1f", v)
-			}
-			fmt.Printf("%-26s %s %14s %12s\n", name, numCell(row, "ns_per_op", 14), mips, speedup)
-		}
-	}
-	if sp, ok := doc["block_engine_speedup_vs_seed"].(map[string]any); ok {
-		fmt.Printf("\nblock engine vs seed interpreter (same host, back-to-back):\n")
-		for _, k := range sortedKeys(sp) {
-			if v, ok := sp[k].(float64); ok {
-				fmt.Printf("  %-26s %6.2fx\n", k, v)
-			}
-		}
-	}
-}
-
-// printServeBaseline lays out BENCH_serve.json: the loadgen fleet shape,
-// then the unbatched/batched passes side by side with the headline
-// aggregate-throughput speedup.
-func printServeBaseline(doc map[string]any) {
-	str := func(k string) string {
-		if v, ok := doc[k].(string); ok {
-			return v
-		}
-		return "-"
-	}
-	num := func(k string) float64 {
-		v, _ := doc[k].(float64)
-		return v
-	}
-	fmt.Printf("fleet: %s/%s on %s backend — %.0f clients (%.0f probed), stride %.0f, %.0f workers\n",
-		str("bench"), str("model"), str("backend"),
-		num("clients"), num("probes"), num("stride"), num("workers"))
-	fmt.Printf("batching: window %.0fµs, max %.0f sessions; trace %.0f bytes/client\n\n",
-		num("batch_window_us"), num("batch_max"), num("trace_bytes"))
-
-	runs, _ := doc["runs"].(map[string]any)
-	fmt.Printf("%-11s %10s %8s %12s %12s %12s %12s\n",
-		"pass", "judg/s", "wall s", "p50 µs", "p90 µs", "p99 µs", "batch size")
-	for _, name := range []string{"unbatched", "batched"} {
-		run, _ := runs[name].(map[string]any)
-		if run == nil {
-			continue
-		}
-		lat, _ := run["latency_us"].(map[string]any)
-		bs := "-"
-		if v, ok := run["batch_mean_size"].(float64); ok {
-			bs = fmt.Sprintf("%.1f", v)
-		}
-		wall := "-"
-		if v, ok := run["wall_s"].(float64); ok {
-			wall = fmt.Sprintf("%.2f", v)
-		}
-		fmt.Printf("%-11s %s %8s %s %s %s %12s\n", name,
-			numCell(run, "throughput_judgments_per_s", 10), wall,
-			numCell(lat, "p50", 12), numCell(lat, "p90", 12), numCell(lat, "p99", 12), bs)
-	}
-	printed := false
-	for _, name := range []string{"unbatched", "batched"} {
-		run, _ := runs[name].(map[string]any)
-		if run == nil {
-			continue
-		}
-		snap, ok := serveSLO(run)
-		if !ok {
-			continue
-		}
-		if !printed {
-			fmt.Printf("\nserver-side chunk→judgment SLO (µs):\n")
-			printed = true
-		}
-		fmt.Printf("  %-11s p50 %8.0f  p99 %8.0f  (%d chunks)\n",
-			name, snap.Quantile(0.50)*1e6, snap.Quantile(0.99)*1e6, snap.Count)
-	}
-	if v, ok := doc["speedup_batched_vs_unbatched"].(float64); ok {
-		fmt.Printf("\nspeedup, batched vs unbatched aggregate throughput: %.2fx\n", v)
-	}
-}
-
-// serveSLO extracts the server-side end-to-end histogram a newer loadgen
-// records per run (older baselines lack it — print nothing) and hands it
-// back as a snapshot so the quantiles are re-derived with the shared
-// estimator rather than trusting pre-baked numbers.
-func serveSLO(run map[string]any) (obs.HistogramSnapshot, bool) {
-	v, ok := run["server_chunk_judgment_seconds"]
-	if !ok {
-		return obs.HistogramSnapshot{}, false
-	}
-	raw, err := json.Marshal(v)
-	if err != nil {
-		return obs.HistogramSnapshot{}, false
-	}
-	var snap obs.HistogramSnapshot
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		return obs.HistogramSnapshot{}, false
-	}
-	return snap, snap.Count > 0
-}
-
-// printFrontendBaseline lays out BENCH_frontend.json: the per-event
-// microbenchmarks with their zero-alloc baselines, then the end-to-end
-// wall-clock speedup table.
-func printFrontendBaseline(doc map[string]any) {
-	benches, _ := doc["benchmarks"].(map[string]any)
-	fmt.Printf("%-24s %10s %8s %11s\n", "benchmark", "ns/op", "B/op", "allocs/op")
-	for _, name := range sortedKeys(benches) {
-		row, _ := benches[name].(map[string]any)
-		ns := "-"
-		if v, ok := row["ns_per_op"].(float64); ok {
-			ns = fmt.Sprintf("%.1f", v)
-		}
-		fmt.Printf("%-24s %10s %s %s\n", name,
-			ns, numCell(row, "bytes_per_op", 8), numCell(row, "allocs_per_op", 11))
-	}
-	wc, ok := doc["wallclock"].(map[string]any)
-	if !ok {
-		return
-	}
-	name, _ := wc["benchmark"].(string)
-	before, _ := wc["before_ns_per_op"].(map[string]any)
-	after, _ := wc["after_ns_per_op"].(map[string]any)
-	speedup, _ := wc["speedup"].(map[string]any)
-	fmt.Printf("\n%s wall clock (ns/op):\n", name)
-	fmt.Printf("  %-18s %14s %14s %9s\n", "backend", "before", "after", "speedup")
-	for _, b := range sortedKeys(before) {
-		sp := "-"
-		if v, ok := speedup[b].(float64); ok {
-			sp = fmt.Sprintf("%.2fx", v)
-		}
-		fmt.Printf("  %-18s %s %s %9s\n", b,
-			numCell(before, b, 14), numCell(after, b, 14), sp)
 	}
 }

@@ -1,16 +1,10 @@
-// Command loadgen hammers an rtadd daemon with many concurrent rtad-wire
-// sessions and measures the serving plane: per-judgment turnaround latency
-// (p50/p90/p99) and aggregate judgment throughput, unbatched versus
-// micro-batched. It is the harness behind the committed BENCH_serve.json
-// baseline.
+// Command loadgen hammers a running rtadd daemon with many concurrent
+// rtad-wire sessions and measures the serving plane from the client side:
+// per-judgment turnaround latency (p50/p90/p99) and aggregate judgment
+// throughput.
 //
-// Two modes:
-//
-//	loadgen -clients 1000                      # spawn: in-process daemon, runs
-//	                                           # unbatched then batched, writes
-//	                                           # BENCH_serve.json
-//	loadgen -addr 127.0.0.1:7433 -clients 256  # external: hammer a running
-//	                                           # rtadd, print stats only
+//	loadgen -clients 48          # rtadd on its default address, under its default -max-sessions 64
+//	loadgen -addr 127.0.0.1:7433 -metrics-addr 127.0.0.1:9465 -clients 64 -probes 8
 //
 // The fleet splits into two roles, the standard load-test shape. The first
 // -probes clients are closed-loop latency probes: after each chunk they wait
@@ -18,36 +12,30 @@
 // from the chunk write to that judgment's arrival — queueing plus batching
 // plus inference as the client experiences it. Every other client streams
 // its chunks open-loop, throttled only by the server's per-session queue
-// backpressure, which keeps the fleet's workers saturated with in-flight
+// backpressure, which keeps the server's workers saturated with in-flight
 // chunks the way a real always-on probe population would. All sessions use
 // the same explicit -stride (denser than the LSTM default) so inference
-// dominates the host work and both configurations judge identical vector
-// sets.
+// dominates the host work.
 //
-// -verify makes client 0 accumulate its judgment stream and compare it,
-// field for field, against an in-process trace-replay reference — the
-// bit-identity spot check that batching must not change any stream, even
-// under full concurrent load. Spawn mode only.
+// With -metrics-addr, loadgen scrapes the daemon's /metrics after the pass
+// and prints the server-side chunk→judgment p50/p99 next to its own
+// numbers. The recorded serving benchmark is perfbench's serve workloads
+// (see EXPERIMENTS.md); loadgen is the tool for poking a live daemon.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
-	"runtime"
 	"runtime/pprof"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
 
-	"rtad/internal/core"
 	"rtad/internal/cpu"
 	"rtad/internal/obs"
 	"rtad/internal/ptm"
@@ -57,33 +45,17 @@ import (
 
 func main() {
 	var (
-		addr    = flag.String("addr", "", "external rtadd address (empty = spawn an in-process daemon and bench unbatched vs batched)")
-		bench   = flag.String("bench", "458.sjeng", "victim benchmark: trace source, and the deployment trained in spawn mode")
-		backend = flag.String("backend", "native", "inference backend every session requests")
-		clients = flag.Int("clients", 64, "concurrent rtad-wire sessions")
-		probes  = flag.Int("probes", 64, "closed-loop latency probes among the clients; the rest stream open-loop to keep the fleet saturated")
-		stride  = flag.Int("stride", 16, "judgment stride requested in every hello (0 = deployment default)")
-		gap     = flag.Int64("gap", 100_000, "replay pacing in simulated CPU cycles per branch; large gaps drain the MCM FIFO between vectors so every strided vector is judged instead of dropped (0 = server default)")
-		chunk   = flag.Int("chunk", 4096, "trace bytes per closed-loop send")
-
-		workers     = flag.Int("workers", 64, "spawn mode: fleet width of the in-process daemon (GOMAXPROCS=1 hosts need this explicit)")
-		batchWindow = flag.Duration("batch-window", time.Millisecond, "spawn mode: micro-batch window of the batched pass")
-		batchMax    = flag.Int("batch-max", 32, "spawn mode: micro-batch size cap of the batched pass")
-
-		trainInstr = flag.Int64("train-instr", 1_200_000, "spawn mode: victim instructions to train the deployment on")
+		addr       = flag.String("addr", "127.0.0.1:7433", "rtadd address")
+		bench      = flag.String("bench", "458.sjeng", "victim benchmark: the trace source, and the deployment every session requests")
+		backend    = flag.String("backend", "native", "inference backend every session requests")
+		clients    = flag.Int("clients", 64, "concurrent rtad-wire sessions")
+		probes     = flag.Int("probes", 64, "closed-loop latency probes among the clients; the rest stream open-loop to keep the server saturated")
+		stride     = flag.Int("stride", 16, "judgment stride requested in every hello (0 = deployment default)")
+		gap        = flag.Int64("gap", 100_000, "replay pacing in simulated CPU cycles per branch; large gaps drain the MCM FIFO between vectors so every strided vector is judged instead of dropped (0 = server default)")
+		chunk      = flag.Int("chunk", 4096, "trace bytes per closed-loop send")
 		traceInstr = flag.Int64("trace-instr", 200_000, "victim instructions captured into the trace each client streams")
-
-		modes   = flag.String("modes", "unbatched,batched", "spawn mode: which passes to run; a single mode skips the comparison (useful for profiling one pass)")
-		repeats = flag.Int("repeats", 1, "spawn mode: repeats per mode, interleaved to cancel host drift; recorded stats are each mode's median-throughput repeat")
-		profile = flag.String("cpuprofile", "", "write a CPU profile of the load passes to this file")
-		verify  = flag.Bool("verify", false, "spawn mode: compare client 0's judgments against an in-process reference (bit-identity spot check)")
-		out     = flag.String("out", "", "spawn mode: write the rtad-bench-serve/1 baseline to this file (e.g. BENCH_serve.json)")
-		note    = flag.String("note", "", "free-form note recorded in the baseline")
-
-		metricsAdr = flag.String("metrics-addr", "", "external mode: scrape this rtadd metrics address after the pass for the server-side SLO snapshot")
-		logFormat  = flag.String("log-format", "text", "spawn mode: structured log format of the spawned daemon: "+obs.LogFormats)
-		logLevel   = flag.String("log-level", "warn", "spawn mode: minimum log level of the spawned daemon (info per-session lines would swamp the bench output)")
-		wallTrace  = flag.String("wall-trace", "", "spawn mode: write the spawned daemon's Perfetto wall-clock trace (all passes on one timeline) to this file")
+		profile    = flag.String("cpuprofile", "", "write a CPU profile of the load pass to this file")
+		metricsAdr = flag.String("metrics-addr", "", "scrape this rtadd metrics address after the pass for the server-side SLO snapshot")
 	)
 	flag.Parse()
 	if *profile != "" {
@@ -95,40 +67,24 @@ func main() {
 		pprof.StartCPUProfile(f)
 		defer pprof.StopCPUProfile()
 	}
-	opts := obsOpts{
-		metricsAddr: *metricsAdr,
-		logFormat:   *logFormat,
-		logLevel:    *logLevel,
-		wallTrace:   *wallTrace,
-	}
-	if err := run(*addr, *bench, *backend, *clients, *probes, *stride, *gap, *chunk, *workers,
-		*batchWindow, *batchMax, *trainInstr, *traceInstr, *modes, *repeats, *verify, *out, *note, opts); err != nil {
+	if err := run(*addr, *bench, *backend, *clients, *probes, *stride, *gap, *chunk, *traceInstr, *metricsAdr); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }
 
-// obsOpts carries the observability flags into run.
-type obsOpts struct {
-	metricsAddr string
-	logFormat   string
-	logLevel    string
-	wallTrace   string
-}
-
-func run(addr, bench, backend string, clients, probes, stride int, gap int64, chunk, workers int,
-	batchWindow time.Duration, batchMax int, trainInstr, traceInstr int64,
-	modes string, repeats int, verify bool, out, note string, opts obsOpts) error {
+func run(addr, bench, backend string, clients, probes, stride int, gap int64, chunk int,
+	traceInstr int64, metricsAddr string) error {
 
 	p, ok := workload.ByName(bench)
 	if !ok {
 		return fmt.Errorf("unknown benchmark %q", bench)
 	}
+	if clients < 1 {
+		return fmt.Errorf("-clients must be at least 1, got %d", clients)
+	}
 	if probes > clients {
 		probes = clients
-	}
-	if probes < 1 {
-		probes = 1 // client 0 must stay closed-loop: it carries -verify
 	}
 	fmt.Printf("capturing %s trace (%d instructions)...\n", bench, traceInstr)
 	stream, err := captureTrace(p, traceInstr)
@@ -137,170 +93,19 @@ func run(addr, bench, backend string, clients, probes, stride int, gap int64, ch
 	}
 	fmt.Printf("trace: %d bytes\n", len(stream))
 
-	if addr != "" {
-		if verify {
-			return fmt.Errorf("-verify needs spawn mode: the reference must share the daemon's trained weights")
-		}
-		st, err := pass(addr, bench, backend, stride, gap, chunk, clients, probes, stream, nil)
-		if err != nil {
-			return err
-		}
-		if opts.metricsAddr != "" {
-			if snap, ok := scrapeServeSLO("http://" + opts.metricsAddr + "/metrics"); ok {
-				st.serverSLO, st.hasSLO = snap, true
-			} else {
-				fmt.Fprintf(os.Stderr, "warning: no %s histogram at %s\n", serveSLOMetric, opts.metricsAddr)
-			}
-		}
-		printPass("external", st)
-		return nil
-	}
-
-	// Spawn mode: train once, then run the same fleet of clients against an
-	// unbatched and a batched in-process daemon over the same deployment.
-	fmt.Printf("training lstm detector on %s (%d instructions)...\n", bench, trainInstr)
-	cfg := core.DefaultTrainConfig(p, core.ModelLSTM)
-	cfg.TrainInstr = trainInstr
-	dep, err := core.Train(cfg)
+	st, err := pass(addr, bench, backend, stride, gap, chunk, clients, probes, stream)
 	if err != nil {
 		return err
 	}
-
-	var want []serve.Judgment
-	if verify {
-		want, err = referenceJudgments(dep, backend, stride, gap, stream)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("reference: %d judgments per session\n", len(want))
-	}
-
-	level, err := obs.ParseLogLevel(opts.logLevel)
-	if err != nil {
-		return err
-	}
-	dlog, err := obs.NewLogger(os.Stderr, opts.logFormat, level)
-	if err != nil {
-		return err
-	}
-	var wall *obs.WallTracer
-	if opts.wallTrace != "" {
-		wall = obs.NewWallTracer()
-	}
-	base := []serve.Option{
-		serve.WithMaxSessions(clients + 8),
-		serve.WithWorkers(workers),
-		serve.WithLogger(dlog), // default -log-level warn keeps per-session lines out of the bench output
-		serve.WithWallTracer(wall),
-	}
-	modeList := strings.Split(modes, ",")
-	for _, mode := range modeList {
-		if mode != "unbatched" && mode != "batched" {
-			return fmt.Errorf("unknown mode %q in -modes (want unbatched and/or batched)", mode)
+	if metricsAddr != "" {
+		if snap, ok := scrapeServeSLO("http://" + metricsAddr + "/metrics"); ok {
+			st.serverSLO, st.hasSLO = snap, true
+		} else {
+			fmt.Fprintf(os.Stderr, "warning: no %s histogram at %s\n", serveSLOMetric, metricsAddr)
 		}
 	}
-	if repeats < 1 {
-		repeats = 1
-	}
-	// Repeats interleave the modes (u, b, u, b, ...) so slow host drift —
-	// frequency scaling, neighbours on a shared box — hits both sides alike
-	// instead of biasing whichever mode ran later.
-	all := map[string][]*passStats{}
-	for rep := 0; rep < repeats; rep++ {
-		for _, mode := range modeList {
-			tel := obs.NewMetricsOnly()
-			opts := append(append([]serve.Option(nil), base...), serve.WithTelemetry(tel))
-			if mode == "batched" {
-				opts = append(opts, serve.WithBatching(batchWindow, batchMax))
-			}
-			daddr, stop, err := startDaemon(dep, opts...)
-			if err != nil {
-				return err
-			}
-			// The pass scrapes its daemon's /metrics over HTTP rather than
-			// reading the registry in-process: the SLO snapshot printed next
-			// to the client-side numbers is exactly what an external
-			// Prometheus would have seen.
-			msrv, err := obs.Serve("127.0.0.1:0", tel.Reg)
-			if err != nil {
-				stop()
-				return err
-			}
-			st, err := pass(daddr, bench, backend, stride, gap, chunk, clients, probes, stream, want)
-			if err != nil {
-				msrv.Close()
-				stop()
-				return fmt.Errorf("%s pass: %w", mode, err)
-			}
-			if err := stop(); err != nil {
-				msrv.Close()
-				return fmt.Errorf("%s pass: drain: %w", mode, err)
-			}
-			if snap, ok := scrapeServeSLO("http://" + msrv.Addr() + "/metrics"); ok {
-				st.serverSLO, st.hasSLO = snap, true
-			}
-			if err := msrv.Close(); err != nil {
-				return err
-			}
-			if mode == "batched" {
-				h := tel.Reg.Histogram("rtad_serve_batch_size", serve.BatchSizeBuckets)
-				if h.Count() > 0 {
-					st.batchMeanSize = h.Sum() / float64(h.Count())
-				}
-				st.flushes = map[string]int64{}
-				for _, reason := range []string{"window", "full", "starve", "drain"} {
-					st.flushes[reason] = tel.Reg.Counter("rtad_serve_batch_flush_" + reason + "_total").Value()
-				}
-			}
-			all[mode] = append(all[mode], st)
-			name := mode
-			if repeats > 1 {
-				name = fmt.Sprintf("%s %d/%d", mode, rep+1, repeats)
-			}
-			printPass(name, st)
-		}
-	}
-	if wall != nil {
-		f, err := os.Create(opts.wallTrace)
-		if err != nil {
-			return err
-		}
-		if err := wall.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote wall trace %s (%d events)\n", opts.wallTrace, wall.Events())
-	}
-	runs := map[string]*passStats{}
-	for _, mode := range modeList {
-		runs[mode] = medianPass(all[mode])
-	}
-
-	if runs["unbatched"] == nil || runs["batched"] == nil {
-		return nil // single-mode run: nothing to compare or record
-	}
-	if runs["unbatched"].judged != runs["batched"].judged {
-		return fmt.Errorf("judgment counts diverged: unbatched %d, batched %d",
-			runs["unbatched"].judged, runs["batched"].judged)
-	}
-	speedup := runs["batched"].throughput / runs["unbatched"].throughput
-	if repeats > 1 {
-		fmt.Printf("\nbatched vs unbatched throughput (median of %d): %.2fx\n", repeats, speedup)
-	} else {
-		fmt.Printf("\nbatched vs unbatched throughput: %.2fx\n", speedup)
-	}
-	if verify {
-		fmt.Println("verify: client 0 judgment streams bit-identical to the in-process reference in both passes")
-	}
-
-	if out == "" {
-		return nil
-	}
-	return writeBaseline(out, bench, backend, clients, probes, stride, gap, workers,
-		batchWindow, batchMax, len(stream), note, runs, speedup)
+	printPass(st)
+	return nil
 }
 
 // captureTrace records a victim run as the raw branch-broadcast PTM stream
@@ -322,50 +127,17 @@ func captureTrace(p workload.Profile, instr int64) ([]byte, error) {
 	return append(stream, enc.Flush()...), nil
 }
 
-// referenceJudgments replays the stream through an in-process trace-input
-// session — the unbatched single-session ground truth.
-func referenceJudgments(dep *core.Deployment, backend string, stride int, gap int64, stream []byte) ([]serve.Judgment, error) {
-	s, err := core.Open(core.Deployments{dep},
-		core.WithConfig(core.PipelineConfig{Backend: backend, Stride: stride}),
-		core.WithTraceInput(gap))
-	if err != nil {
-		return nil, err
-	}
-	if err := s.FeedTrace(stream); err != nil {
-		return nil, err
-	}
-	if err := s.Drain(); err != nil {
-		return nil, err
-	}
-	var want []serve.Judgment
-	for _, j := range s.Results() {
-		want = append(want, serve.Judgment{
-			Seq:         j.Vector.Seq,
-			Done:        int64(j.Rec.Done),
-			FinalRetire: int64(j.FinalRetire),
-			IRQAt:       int64(j.Rec.IRQAt),
-			MarginQ:     j.Rec.Judgment.MarginQ,
-			EwmaQ:       j.Rec.Judgment.EwmaQ,
-			Anomaly:     j.Rec.Judgment.Anomaly,
-		})
-	}
-	return want, nil
-}
-
 // passStats aggregates one load pass.
 type passStats struct {
-	wall          time.Duration
-	cpu           time.Duration // process user+system CPU consumed by the pass
-	judged        int64
-	throughput    float64 // judgments per wall-clock second
-	latP50        float64 // microseconds
-	latP90        float64
-	latP99        float64
-	latMax        float64
-	samples       int
-	batchMeanSize float64
-	flushes       map[string]int64 // batched pass only: flush counts by reason
-	allThroughput []float64        // every repeat's throughput, when -repeats > 1
+	wall       time.Duration
+	cpu        time.Duration // process user+system CPU consumed by the pass
+	judged     int64
+	throughput float64 // judgments per wall-clock second
+	latP50     float64 // microseconds
+	latP90     float64
+	latP99     float64
+	latMax     float64
+	samples    int
 
 	sess0     string                // client 0's server-minted SessionID, for log/trace correlation
 	serverSLO obs.HistogramSnapshot // scraped rtad_serve_chunk_judgment_seconds
@@ -393,32 +165,13 @@ func scrapeServeSLO(url string) (obs.HistogramSnapshot, bool) {
 	return obs.ParsePrometheusHistogram(string(body), serveSLOMetric)
 }
 
-// medianPass picks the median-throughput repeat — a real measured pass, not
-// a synthetic average — and annotates it with the full spread.
-func medianPass(sts []*passStats) *passStats {
-	if len(sts) == 1 {
-		return sts[0]
-	}
-	ordered := append([]*passStats(nil), sts...)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].throughput < ordered[j].throughput })
-	med := ordered[len(ordered)/2]
-	for _, st := range sts {
-		med.allThroughput = append(med.allThroughput, round3(st.throughput))
-	}
-	return med
-}
-
 // pass runs the client fleet against addr and aggregates latency and
 // throughput. Clients below probes are closed-loop latency probes; the rest
-// stream open-loop. If verifyWant is non-nil, client 0 accumulates its
-// judgments and they are compared field-for-field against it.
-func pass(addr, bench, backend string, stride int, gap int64, chunk, clients, probes int, stream []byte,
-	verifyWant []serve.Judgment) (*passStats, error) {
-
+// stream open-loop.
+func pass(addr, bench, backend string, stride int, gap int64, chunk, clients, probes int, stream []byte) (*passStats, error) {
 	type clientOut struct {
 		lat    []float64
 		judged int64
-		js     []serve.Judgment
 		sess   string
 		err    error
 	}
@@ -431,15 +184,11 @@ func pass(addr, bench, backend string, stride int, gap int64, chunk, clients, pr
 		go func(i int) {
 			defer wg.Done()
 			o := &outs[i]
-			collect := verifyWant != nil && i == 0
 
 			var armed atomic.Bool
 			gotJ := make(chan time.Time, 1)
-			onJudgment := func(j serve.Judgment) {
+			onJudgment := func(serve.Judgment) {
 				o.judged++
-				if collect {
-					o.js = append(o.js, j)
-				}
 				if armed.CompareAndSwap(true, false) {
 					select {
 					case gotJ <- time.Now():
@@ -521,26 +270,12 @@ func pass(addr, bench, backend string, stride int, gap int64, chunk, clients, pr
 		st.latP50, st.latP90, st.latP99 = quantile(lat, 0.50), quantile(lat, 0.90), quantile(lat, 0.99)
 		st.latMax = lat[n-1]
 	}
-
-	if verifyWant != nil {
-		got := outs[0].js
-		if len(got) != len(verifyWant) {
-			return nil, fmt.Errorf("verify: client 0 judged %d vectors, reference %d", len(got), len(verifyWant))
-		}
-		for k := range got {
-			if got[k] != verifyWant[k] {
-				return nil, fmt.Errorf("verify: judgment %d diverged from the reference:\n got %+v\nwant %+v",
-					k, got[k], verifyWant[k])
-			}
-		}
-	}
 	return st, nil
 }
 
 // processCPU returns the process's cumulative user+system CPU time; pass
-// deltas separate real work from idle in the wall-clock numbers (loadgen's
-// clients and the spawned daemon share one process, so the delta covers
-// both sides of the socket).
+// deltas separate the clients' own work from idle in the wall-clock
+// numbers.
 func processCPU() time.Duration {
 	var ru syscall.Rusage
 	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
@@ -557,9 +292,9 @@ func quantile(sorted []float64, q float64) float64 {
 	return sorted[idx]
 }
 
-func printPass(name string, st *passStats) {
-	fmt.Printf("\n%s: %d judgments in %v (%.0f judgments/s, cpu %v = %.0f%% busy)\n",
-		name, st.judged, st.wall.Round(time.Millisecond), st.throughput,
+func printPass(st *passStats) {
+	fmt.Printf("\npass: %d judgments in %v (%.0f judgments/s, cpu %v = %.0f%% busy)\n",
+		st.judged, st.wall.Round(time.Millisecond), st.throughput,
 		st.cpu.Round(time.Millisecond), 100*st.cpu.Seconds()/st.wall.Seconds())
 	fmt.Printf("  turnaround latency (µs, %d samples): p50 %.0f  p90 %.0f  p99 %.0f  max %.0f\n",
 		st.samples, st.latP50, st.latP90, st.latP99, st.latMax)
@@ -573,104 +308,4 @@ func printPass(name string, st *passStats) {
 	if st.sess0 != "" {
 		fmt.Printf("  session id (client 0): %s\n", st.sess0)
 	}
-	if st.batchMeanSize > 0 {
-		fmt.Printf("  mean batch size: %.1f vectors (flushes: window %d, full %d, starve %d, drain %d)\n",
-			st.batchMeanSize, st.flushes["window"], st.flushes["full"], st.flushes["starve"], st.flushes["drain"])
-	}
-}
-
-func writeBaseline(path, bench, backend string, clients, probes, stride int, gap int64, workers int,
-	batchWindow time.Duration, batchMax, traceBytes int, note string,
-	runs map[string]*passStats, speedup float64) error {
-
-	runDoc := func(st *passStats) map[string]any {
-		d := map[string]any{
-			"wall_s":                     round3(st.wall.Seconds()),
-			"cpu_s":                      round3(st.cpu.Seconds()),
-			"judgments_total":            st.judged,
-			"throughput_judgments_per_s": round3(st.throughput),
-			"latency_us": map[string]any{
-				"p50": round3(st.latP50), "p90": round3(st.latP90),
-				"p99": round3(st.latP99), "max": round3(st.latMax),
-				"samples": st.samples,
-			},
-		}
-		if st.hasSLO {
-			// Raw snapshot, not pre-computed quantiles: benchinfo (and any
-			// later reader) re-derives p50/p99 with HistogramSnapshot.Quantile.
-			d["server_chunk_judgment_seconds"] = st.serverSLO
-		}
-		if st.batchMeanSize > 0 {
-			d["batch_mean_size"] = round3(st.batchMeanSize)
-		}
-		if len(st.allThroughput) > 1 {
-			d["throughput_repeats"] = st.allThroughput
-		}
-		return d
-	}
-	doc := map[string]any{
-		"schema":  "rtad-bench-serve/1",
-		"date":    time.Now().Format("2006-01-02"),
-		"goos":    runtime.GOOS,
-		"goarch":  runtime.GOARCH,
-		"cpu":     cpuModel(),
-		"command": "go run ./cmd/loadgen " + strings.Join(os.Args[1:], " "),
-		"bench":   bench, "model": "lstm", "backend": backend,
-		"clients": clients, "probes": probes, "stride": stride, "gap_cycles": gap, "workers": workers,
-		"batch_window_us": batchWindow.Microseconds(),
-		"batch_max":       batchMax,
-		"trace_bytes":     traceBytes,
-		"runs": map[string]any{
-			"unbatched": runDoc(runs["unbatched"]),
-			"batched":   runDoc(runs["batched"]),
-		},
-		"speedup_batched_vs_unbatched": round3(speedup),
-	}
-	if note != "" {
-		doc["note"] = note
-	}
-	raw, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
-}
-
-func round3(v float64) float64 {
-	return float64(int64(v*1000+0.5)) / 1000
-}
-
-// cpuModel reads the host CPU model name for the baseline provenance header.
-func cpuModel() string {
-	raw, err := os.ReadFile("/proc/cpuinfo")
-	if err != nil {
-		return runtime.GOARCH
-	}
-	for _, line := range strings.Split(string(raw), "\n") {
-		if name, ok := strings.CutPrefix(line, "model name"); ok {
-			return strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(name), ":"))
-		}
-	}
-	return runtime.GOARCH
-}
-
-// startDaemon runs an in-process server over dep on a loopback listener.
-func startDaemon(dep *core.Deployment, opts ...serve.Option) (string, func() error, error) {
-	srv := serve.New(nil, opts...)
-	srv.Deploy(dep)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", nil, err
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ln) }()
-	stop := func() error {
-		srv.Shutdown(time.Minute)
-		return <-done
-	}
-	return ln.Addr().String(), stop, nil
 }

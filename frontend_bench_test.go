@@ -1,18 +1,15 @@
 // Front-end microbenchmarks: the per-branch co-simulation hot path this
-// repo's zero-allocation refactor targets. Each benchmark asserts its
-// steady-state allocation contract (0 allocs/op) before timing, so a
-// regression fails the benchmark rather than silently shifting numbers;
-// the CI perf-smoke job runs them at -benchtime 1x for exactly that check.
-//
-// BENCH_frontend.json records the committed baseline (see EXPERIMENTS.md
-// for methodology and `go run ./cmd/benchinfo -bench-file BENCH_frontend.json`
-// for a rendering).
+// repo's zero-allocation refactor targets, one stage at a time. Each
+// benchmark asserts its steady-state allocation contract (0 allocs/op)
+// before timing, so a regression fails the benchmark rather than silently
+// shifting numbers; the CI perf-smoke job runs them at -benchtime 1x for
+// exactly that check. The assembled per-branch chain is timed by
+// BenchmarkTracePipelineChain{Fused,Staged} in tracepipeline_bench_test.go.
 package rtad
 
 import (
 	"testing"
 
-	"rtad/internal/core"
 	"rtad/internal/cpu"
 	"rtad/internal/ptm"
 	"rtad/internal/sim"
@@ -106,41 +103,6 @@ func BenchmarkFrontendScheduler(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.After(8, nop)
 		s.Step()
-	}
-}
-
-// BenchmarkFrontendChain measures the whole per-branch front-end — encode →
-// port → TPIU framing → deframe → decode → address map — through
-// core.Pipeline.BranchRetired, with targets the mapper filters (the common
-// case: the IGM table admits only monitored addresses, so most branches end
-// at the mapper without emitting a vector).
-func BenchmarkFrontendChain(b *testing.B) {
-	dep := lstmDeployment(b)
-	p, err := core.NewPipeline(dep, core.PipelineConfig{
-		CUs: 5, Stride: 256, Backend: "native-calibrated",
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	const filtered = 0xDEAD0000
-	var cycle int64
-	branch := func() {
-		cycle += 20
-		p.BranchRetired(cpu.BranchEvent{
-			PC: 0x8000, Target: filtered, Kind: cpu.KindDirect, Taken: true, Cycle: cycle,
-		})
-	}
-	for i := 0; i < 20000; i++ { // warm-up: settle every stage buffer
-		branch()
-	}
-	assertZeroAlloc(b, "BranchRetired(filtered)", branch)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		branch()
-	}
-	if p.Err() != nil {
-		b.Fatal(p.Err())
 	}
 }
 

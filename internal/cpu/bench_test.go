@@ -36,7 +36,7 @@ loop:
 
 // BenchmarkCPURun measures the tiered engine's sustained interpretation
 // rate on straight-line and branchy mixes. The perf-smoke CI job runs it
-// and the zero-alloc assertion guards the block engine's steady state.
+// at -benchtime 1x, where the zero-alloc assertion is the gate.
 func BenchmarkCPURun(b *testing.B) {
 	for _, tc := range []struct {
 		name string

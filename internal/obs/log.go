@@ -9,8 +9,8 @@ import (
 )
 
 // Structured logging for the serving plane, built on log/slog. The
-// conventions live here so every emitter — internal/serve, cmd/rtadd,
-// cmd/loadgen — logs the same shape:
+// conventions live here so every emitter — internal/serve and
+// cmd/rtadd — logs the same shape:
 //
 //   - one "session" attribute per session-scoped line, carrying the
 //     SessionID the server minted in the welcome frame; grep (or jq) on it

@@ -9,7 +9,7 @@ import (
 
 // Quantile estimates the q-th quantile (0 <= q <= 1) of the observations
 // by linear interpolation inside the bucket the rank falls into — the
-// same estimator Prometheus's histogram_quantile applies, so a loadgen
+// same estimator Prometheus's histogram_quantile applies, so an
 // SLO snapshot computed here matches what a dashboard over the scraped
 // /metrics would show. Returns NaN when the histogram is empty (or nil).
 //
@@ -26,7 +26,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 
 // Quantile estimates the q-th quantile from a captured snapshot, with the
 // same semantics as Histogram.Quantile. This is what consumers of scraped
-// or serialized histograms (loadgen, benchinfo) use.
+// histograms (loadgen's -metrics-addr pass) use.
 func (s HistogramSnapshot) Quantile(q float64) float64 {
 	return quantileFromBuckets(s.Bounds, s.Cumulative, s.Count, q)
 }

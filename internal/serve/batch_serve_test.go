@@ -30,22 +30,55 @@ func compareJudgments(t *testing.T, label string, got, want []Judgment) {
 }
 
 // TestBatchedE2EBitIdentical is the tentpole acceptance test: with
-// micro-batching enabled and several sessions of *different backends*
-// streaming concurrently (mixed batches), every session's judgment stream
-// and detection summary are byte-identical to the unbatched in-process
-// reference for its backend. Run under -race in CI.
+// micro-batching enabled and several sessions of *different backends* and
+// different traffic streaming concurrently (mixed batches), every session's
+// judgment stream and detection summary are byte-identical to the
+// unbatched in-process reference for its backend and traffic. Run under
+// -race in CI.
 func TestBatchedE2EBitIdentical(t *testing.T) {
 	dep, stream := fixtures(t)
-	short := stream[:len(stream)/4]
 	backends := []string{kernels.BackendGPU, kernels.BackendNative, kernels.BackendNativeCalibrated}
 
-	wantJ := map[string][]Judgment{}
-	for _, b := range backends {
-		wantJ[b], _ = referenceRun(t, dep, b, short)
-		if len(wantJ[b]) == 0 {
-			t.Fatal("reference run judged nothing; lengthen the fixture")
+	// The default traffic (deployment stride, server gap) runs on every
+	// backend. The dense traffic is perfbench's serve-dense-batched one: a
+	// client-chosen stride 8 and a gap of 100000 cycles, which drains the
+	// MCM FIFO between vectors so every strided vector is judged. It runs on
+	// the native backends only: gpu sessions on it take tens of seconds
+	// under -race.
+	traffics := []struct {
+		stride   int
+		gap      int64
+		stream   []byte
+		backends []string
+	}{
+		{0, 0, stream[:len(stream)/4], backends},
+		{8, 100_000, stream[:len(stream)/16], backends[1:]},
+	}
+	type session struct {
+		hello  Hello
+		stream []byte
+		want   []Judgment
+	}
+	var kinds []session
+	for _, tr := range traffics {
+		for _, b := range tr.backends {
+			want, _ := referenceRun(t, dep, b, tr.stride, tr.gap, tr.stream)
+			if len(want) == 0 {
+				t.Fatal("reference run judged nothing; lengthen the fixture")
+			}
+			kinds = append(kinds, session{
+				hello: Hello{
+					Benchmark: fixBench, Model: "lstm", Backend: b, Attack: testAttack,
+					Stride: tr.stride, GapCycles: tr.gap,
+				},
+				stream: tr.stream,
+				want:   want,
+			})
 		}
 	}
+	// Two clients per backend and traffic, all concurrent: batches mix
+	// backends, traffics and sessions freely.
+	sessions := append(append([]session(nil), kinds...), kinds...)
 
 	tel := obs.NewMetricsOnly()
 	addr := startServer(t, []Option{
@@ -54,29 +87,25 @@ func TestBatchedE2EBitIdentical(t *testing.T) {
 		WithTelemetry(tel),
 	}, dep)
 
-	// Two clients per backend, all concurrent: batches mix backends and
-	// sessions freely.
 	var wg sync.WaitGroup
-	errs := make([]error, 2*len(backends))
-	for i := 0; i < len(errs); i++ {
+	errs := make([]error, len(sessions))
+	for i, s := range sessions {
 		wg.Add(1)
-		go func(i int) {
+		go func(i int, s session) {
 			defer wg.Done()
-			backend := backends[i%len(backends)]
-			c, err := Dial(addr, Hello{
-				Benchmark: fixBench, Model: "lstm", Backend: backend, Attack: testAttack,
-			}, nil)
+			label := fmt.Sprintf("client %d (%s, stride %d)", i, s.hello.Backend, s.hello.Stride)
+			c, err := Dial(addr, s.hello, nil)
 			if err != nil {
 				errs[i] = err
 				return
 			}
 			chunk := 2048 * (i + 1)
-			for off := 0; off < len(short); off += chunk {
+			for off := 0; off < len(s.stream); off += chunk {
 				end := off + chunk
-				if end > len(short) {
-					end = len(short)
+				if end > len(s.stream) {
+					end = len(s.stream)
 				}
-				if err := c.Send(short[off:end]); err != nil {
+				if err := c.Send(s.stream[off:end]); err != nil {
 					errs[i] = err
 					return
 				}
@@ -87,22 +116,21 @@ func TestBatchedE2EBitIdentical(t *testing.T) {
 				return
 			}
 			got := c.Judgments()
-			want := wantJ[backend]
-			if len(got) != len(want) {
-				errs[i] = fmt.Errorf("client %d (%s): judged %d, want %d", i, backend, len(got), len(want))
+			if len(got) != len(s.want) {
+				errs[i] = fmt.Errorf("%s: judged %d, want %d", label, len(got), len(s.want))
 				return
 			}
 			for k := range got {
-				if got[k] != want[k] {
-					errs[i] = fmt.Errorf("client %d (%s): judgment %d diverged under batching:\n got %+v\nwant %+v",
-						i, backend, k, got[k], want[k])
+				if got[k] != s.want[k] {
+					errs[i] = fmt.Errorf("%s: judgment %d diverged under batching:\n got %+v\nwant %+v",
+						label, k, got[k], s.want[k])
 					return
 				}
 			}
-			if sum.Judged != len(want) {
-				errs[i] = fmt.Errorf("client %d (%s): summary judged %d, want %d", i, backend, sum.Judged, len(want))
+			if sum.Judged != len(s.want) {
+				errs[i] = fmt.Errorf("%s: summary judged %d, want %d", label, sum.Judged, len(s.want))
 			}
-		}(i)
+		}(i, s)
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -164,7 +192,7 @@ func TestBatchedVsUnbatchedSoloClient(t *testing.T) {
 func TestDrainFlushesPartialBatches(t *testing.T) {
 	dep, stream := fixtures(t)
 	short := stream[:len(stream)/8]
-	want, _ := referenceRun(t, dep, kernels.BackendNative, short)
+	want, _ := referenceRun(t, dep, kernels.BackendNative, 0, 0, short)
 
 	tel := obs.NewMetricsOnly()
 	srv := New(nil,

@@ -59,20 +59,29 @@ func lifecycleServer(t *testing.T, tel *obs.Telemetry, depA *core.Deployment) (s
 	return serveLoopback(t, srv), srv.Registry()
 }
 
-func findVersion(t *testing.T, reg *registry.Registry, key string, id int64) registry.VersionInfo {
-	t.Helper()
+// lookupVersion returns the snapshot row of version id of model key, and
+// whether the registry still holds that version.
+func lookupVersion(reg *registry.Registry, key string, id int64) (registry.VersionInfo, bool) {
 	for _, mi := range reg.Snapshot() {
 		if mi.Model != key {
 			continue
 		}
 		for _, vi := range mi.Versions {
 			if vi.Version == id {
-				return vi
+				return vi, true
 			}
 		}
 	}
-	t.Fatalf("version %s@%d not in registry snapshot", key, id)
-	return registry.VersionInfo{}
+	return registry.VersionInfo{}, false
+}
+
+func findVersion(t *testing.T, reg *registry.Registry, key string, id int64) registry.VersionInfo {
+	t.Helper()
+	vi, ok := lookupVersion(reg, key, id)
+	if !ok {
+		t.Fatalf("version %s@%d not in registry snapshot", key, id)
+	}
+	return vi
 }
 
 // TestHotSwapUnderLoad is the zero-downtime acceptance test. A client is
@@ -94,8 +103,8 @@ func TestHotSwapUnderLoad(t *testing.T) {
 
 	// Ground truth from single-version servers: what each model says about
 	// this exact trace when no swap ever happens.
-	refA, _ := referenceRun(t, depA, kernels.BackendGPU, short)
-	refB, _ := referenceRun(t, depB, kernels.BackendGPU, short)
+	refA, _ := referenceRun(t, depA, kernels.BackendGPU, 0, 0, short)
+	refB, _ := referenceRun(t, depB, kernels.BackendGPU, 0, 0, short)
 	if len(refA) == 0 || len(refB) == 0 {
 		t.Fatal("reference runs judged nothing; lengthen the fixture")
 	}
@@ -197,14 +206,17 @@ func TestHotSwapUnderLoad(t *testing.T) {
 	}
 
 	// v1 was retired by the promote and c1 — its last holder — has drained,
-	// so the registry dropped it entirely: retired versions release their
+	// so the registry drops it entirely: retired versions release their
 	// deployment memory at the last session's exit, they don't linger.
-	for _, mi := range reg.Snapshot() {
-		for _, vi := range mi.Versions {
-			if mi.Model == key && vi.Version == 1 {
-				t.Errorf("drained retired v1 still in the registry: %+v", vi)
-			}
+	// Finish returns once the summary frame arrives, before the server's
+	// deferred session end releases c1's hold; wait for that release. A
+	// leaked hold is never released, so the deadline still catches it.
+	deadline := time.Now().Add(5 * time.Second)
+	for vi, held := lookupVersion(reg, key, 1); held; vi, held = lookupVersion(reg, key, 1) {
+		if time.Now().After(deadline) {
+			t.Fatalf("drained retired v1 still in the registry: %+v", vi)
 		}
+		time.Sleep(10 * time.Millisecond)
 	}
 	v2Info := findVersion(t, reg, key, 2)
 	if v2Info.State != "active" || v2Info.Judged != int64(len(refB)) {
@@ -221,8 +233,8 @@ func TestCanaryShadowNeverLeaks(t *testing.T) {
 	depA, stream := fixtures(t)
 	depB := fixturesB(t)
 	short := stream[:len(stream)/8]
-	refA, _ := referenceRun(t, depA, kernels.BackendGPU, short)
-	refB, _ := referenceRun(t, depB, kernels.BackendGPU, short)
+	refA, _ := referenceRun(t, depA, kernels.BackendGPU, 0, 0, short)
+	refB, _ := referenceRun(t, depB, kernels.BackendGPU, 0, 0, short)
 	if len(refA) == 0 {
 		t.Fatal("reference run judged nothing; lengthen the fixture")
 	}

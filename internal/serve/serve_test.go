@@ -104,13 +104,14 @@ func serveLoopback(t *testing.T, srv *Server) string {
 
 var testAttack = &AttackSpec{TriggerBranch: 1000, BurstLen: 16384, Seed: 7}
 
-// referenceRun replays stream through an in-process trace-input session —
+// referenceRun replays stream through an in-process trace-input session at
+// the given stride and gap (0 = the defaults a hello without them gets) —
 // the ground truth the wire path must reproduce bit-identically.
-func referenceRun(t *testing.T, dep *core.Deployment, backend string, stream []byte) ([]Judgment, *core.DetectionResult) {
+func referenceRun(t *testing.T, dep *core.Deployment, backend string, stride int, gap int64, stream []byte) ([]Judgment, *core.DetectionResult) {
 	t.Helper()
 	s, err := core.Open(core.Deployments{dep},
-		core.WithConfig(core.PipelineConfig{Backend: backend}),
-		core.WithTraceInput(0),
+		core.WithConfig(core.PipelineConfig{Backend: backend, Stride: stride}),
+		core.WithTraceInput(gap),
 		core.WithAttack(core.AttackSpec{
 			TriggerBranch: testAttack.TriggerBranch,
 			BurstLen:      testAttack.BurstLen,
@@ -173,7 +174,7 @@ func TestE2EBitIdenticalAcrossBackends(t *testing.T) {
 		kernels.BackendGPU, kernels.BackendNative, kernels.BackendNativeCalibrated,
 	} {
 		t.Run(backend, func(t *testing.T) {
-			wantJ, wantRes := referenceRun(t, dep, backend, stream)
+			wantJ, wantRes := referenceRun(t, dep, backend, 0, 0, stream)
 			c, err := Dial(addr, Hello{
 				Benchmark: fixBench, Model: "lstm", Backend: backend, Attack: testAttack,
 			}, nil)

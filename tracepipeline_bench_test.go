@@ -6,8 +6,7 @@
 // per-branch hot path — including the Fig 6 OverheadSink collection path.
 //
 // The ChainFused/ChainStaged pair measures the same per-branch work on both
-// trace paths; their ns/op ratio is the per-branch view of the
-// trace_fastpath_speedup section in BENCH_backends.json.
+// trace paths; their ns/op ratio is the fused path's per-branch speedup.
 package rtad
 
 import (
@@ -105,7 +104,7 @@ func BenchmarkTracePipelineIGM(b *testing.B) {
 
 // chainBench drives core.Pipeline.BranchRetired with mapper-filtered targets
 // (the common case) on one trace path, asserting the per-branch zero-alloc
-// contract before timing. Same event stream as BenchmarkFrontendChain.
+// contract before timing.
 func chainBench(b *testing.B, staged bool) {
 	dep := lstmDeployment(b)
 	p, err := core.NewPipeline(dep, core.PipelineConfig{
