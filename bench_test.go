@@ -153,12 +153,13 @@ func detect(b *testing.B, dep *core.Deployment, cfg core.PipelineConfig, spec co
 	return res
 }
 
-// BenchmarkAblationCUs sweeps the compute-unit count: the area saved by
-// trimming buys CUs, and this shows what each CU is worth in judgment
-// latency (diminishing past the wavefront parallelism of the kernels).
+// BenchmarkAblationCUs sweeps the compute-unit count up to core.MaxCUs:
+// the area saved by trimming buys CUs, and this shows what each CU is
+// worth in judgment latency (no kernel dispatches more wavefronts than
+// MaxCUs, so more CUs could not help).
 func BenchmarkAblationCUs(b *testing.B) {
 	dep := lstmDeployment(b)
-	for _, cus := range []int{1, 2, 3, 5, 8} {
+	for _, cus := range []int{1, 2, 3, 4, 5} {
 		b.Run(fmt.Sprintf("cus=%d", cus), func(b *testing.B) {
 			var lat sim.Time
 			for i := 0; i < b.N; i++ {
@@ -374,18 +375,14 @@ func BenchmarkELMInferenceGPU(b *testing.B) {
 
 // ------------------------------------------------------ backend comparison
 
-// benchBackends are the registered inference backends, fidelity-identical
-// by construction (judgment streams are bit-identical; see
+// benchBackends are the inference backends, fidelity-identical by
+// construction (judgment streams are bit-identical; see
 // internal/kernels/backend_test.go), so these benchmarks measure pure
 // wall-clock cost of the same computation.
-var benchBackends = []string{
-	kernels.BackendGPU, kernels.BackendNative, kernels.BackendNativeCalibrated,
-}
+var benchBackends = []string{kernels.BackendGPU, kernels.BackendNativeCalibrated}
 
 // BenchmarkBackendELMInference times a single steady-state ELM judgment on
-// each backend. The warm-up call lets the lazy native backend record its
-// shape (its first inference runs the GPU simulator), so the loop measures
-// the replay path the detection pipelines actually sit on.
+// each backend, after one warm-up call.
 func BenchmarkBackendELMInference(b *testing.B) {
 	model := trainedELMModel(b)
 	w := make([]int32, kernels.ELMWindow)

@@ -46,7 +46,7 @@ func main() {
 		trainELM   = flag.Int64("train-elm", 0, "ELM training instruction budget (0 = default)")
 		trainLSTM  = flag.Int64("train-lstm", 0, "LSTM training instruction budget (0 = default)")
 		fig7Bench  = flag.String("fig7bench", "401.bzip2", "benchmark for Fig 7")
-		backend    = flag.String("backend", "", "inference backend: gpu | native | native-calibrated (default gpu; judgments are bit-identical across backends)")
+		backend    = flag.String("backend", "", "inference backend: gpu | native-calibrated (default gpu; judgments are bit-identical across backends)")
 		workers    = flag.Int("workers", 0, "fleet width for the grid experiments (0 = one per CPU)")
 		jsonPath   = flag.String("json", "", "also write results as JSON to this path")
 		metrics    = flag.Bool("metrics", false, "collect telemetry metrics and embed the snapshot in the JSON report")

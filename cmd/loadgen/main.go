@@ -47,11 +47,11 @@ func main() {
 	var (
 		addr       = flag.String("addr", "127.0.0.1:7433", "rtadd address")
 		bench      = flag.String("bench", "458.sjeng", "victim benchmark: the trace source, and the deployment every session requests")
-		backend    = flag.String("backend", "native", "inference backend every session requests")
+		backend    = flag.String("backend", "native-calibrated", "inference backend every session requests")
 		clients    = flag.Int("clients", 64, "concurrent rtad-wire sessions")
 		probes     = flag.Int("probes", 64, "closed-loop latency probes among the clients; the rest stream open-loop to keep the server saturated")
 		stride     = flag.Int("stride", 16, "judgment stride requested in every hello (0 = deployment default)")
-		gap        = flag.Int64("gap", 100_000, "replay pacing in simulated CPU cycles per branch; large gaps drain the MCM FIFO between vectors so every strided vector is judged instead of dropped (0 = server default)")
+		gap        = flag.Int64("gap", 100_000, "replay pacing in simulated CPU cycles per branch; large gaps drain the MCM FIFO between vectors so every strided vector is judged instead of dropped (0 = the default)")
 		chunk      = flag.Int("chunk", 4096, "trace bytes per closed-loop send")
 		traceInstr = flag.Int64("trace-instr", 200_000, "victim instructions captured into the trace each client streams")
 		profile    = flag.String("cpuprofile", "", "write a CPU profile of the load pass to this file")

@@ -61,15 +61,11 @@ func main() {
 
 		maxSessions  = flag.Int("max-sessions", 64, "concurrent session cap (excess hellos get an explicit busy rejection; 0 = unlimited)")
 		workers      = flag.Int("workers", 0, "fleet width shared by session runners (0 = GOMAXPROCS)")
-		queue        = flag.Int("queue", 0, "per-session chunk queue depth (0 = built-in default)")
-		shed         = flag.Bool("shed", false, "shed chunks when a session queue is full instead of blocking the socket (lossy)")
-		gap          = flag.Int64("gap", 0, "default replay pacing in CPU cycles per branch event (0 = built-in default)")
 		readTimeout  = flag.Duration("read-timeout", 0, "max gap between client frames (0 = built-in default)")
 		writeTimeout = flag.Duration("write-timeout", 0, "max duration of one response write (0 = built-in default)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight sessions before force-closing")
 
 		batchWindow = flag.Duration("batch-window", 0, "micro-batch collection window for cross-session fused inference (0 = unbatched)")
-		batchMax    = flag.Int("batch-max", 0, "max vectors per micro-batch (0 = built-in default)")
 
 		watchDir       = flag.String("watch", "", "poll this directory for new or changed .dep files and register them as model versions")
 		watchInterval  = flag.Duration("watch-interval", 5*time.Second, "poll cadence of -watch")
@@ -97,22 +93,16 @@ func main() {
 		wall = obs.NewWallTracer()
 	}
 
-	opts := []serve.Option{
+	srv := serve.New(registry.New(),
 		serve.WithMaxSessions(*maxSessions),
 		serve.WithWorkers(*workers),
-		serve.WithQueueDepth(*queue),
-		serve.WithGapCycles(*gap),
 		serve.WithTimeouts(*readTimeout, *writeTimeout),
-		serve.WithBatching(*batchWindow, *batchMax),
+		serve.WithBatching(*batchWindow, 0),
 		serve.WithTelemetry(tel),
 		serve.WithLogger(logger),
 		serve.WithWallTracer(wall),
 		serve.WithFlight(flight),
-	}
-	if *shed {
-		opts = append(opts, serve.WithShed())
-	}
-	srv := serve.New(registry.New(), opts...)
+	)
 
 	var msrv *obs.Server
 	if *metricsAdr != "" {
@@ -149,13 +139,6 @@ func main() {
 		keys = srv.Models()
 	}
 	logger.Info("serving deployments", "count", len(keys), "models", strings.Join(keys, ", "))
-	if *batchWindow > 0 {
-		max := *batchMax
-		if max <= 0 {
-			max = serve.DefaultBatchMax
-		}
-		logger.Info("micro-batching sessions", "window", *batchWindow, "max_vectors", max)
-	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -17,14 +17,12 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"time"
 
 	"rtad/internal/core"
-	"rtad/internal/kernels"
 	"rtad/internal/obs"
 	"rtad/internal/prof"
 	"rtad/internal/workload"
@@ -35,8 +33,7 @@ func main() {
 		bench   = flag.String("bench", "458.sjeng", "benchmark (SPEC-like name, e.g. omnetpp)")
 		model   = flag.String("model", "lstm", "detector: elm | lstm")
 		cus     = flag.Int("cus", 5, "compute units (1 = MIAOW, 5 = ML-MIAOW)")
-		backend = flag.String("backend", "", "inference backend: gpu | native | native-calibrated (default gpu; judgments are bit-identical across backends)")
-		calib   = flag.String("calib", "", "calibration-table JSON for the native backends: loaded if present, saved after the run")
+		backend = flag.String("backend", "", "inference backend: gpu | native-calibrated (default gpu; judgments are bit-identical across backends)")
 		instr   = flag.Int64("instr", 3_000_000, "detection-run instruction budget")
 		burst   = flag.Int("burst", 16384, "injected legitimate-event burst length")
 		seed    = flag.Int64("seed", 1, "attack placement seed")
@@ -127,21 +124,6 @@ func main() {
 		fmt.Printf("deployment saved to %s\n", *save)
 	}
 
-	var caltab *kernels.Calibration
-	if *calib != "" {
-		var err error
-		caltab, err = kernels.LoadCalibrationFile(*calib)
-		switch {
-		case errors.Is(err, os.ErrNotExist):
-			caltab = kernels.NewCalibration()
-		case err != nil:
-			fmt.Fprintln(os.Stderr, err)
-			prof.Exit(ps, 1)
-		default:
-			fmt.Printf("loaded %d calibration entries from %s\n", caltab.Len(), *calib)
-		}
-	}
-
 	kind = dep.Kind
 	detInstr := *instr
 	if kind == core.ModelELM && detInstr < 6_000_000 {
@@ -150,7 +132,7 @@ func main() {
 	fmt.Printf("running detection (%d instructions, %d CUs, burst %d)...\n", detInstr, *cus, *burst)
 	spec := core.AttackSpec{BurstLen: *burst, Seed: *seed, Mimicry: *mimic}
 	sess, err := core.Open(core.Deployments{dep},
-		core.WithConfig(core.PipelineConfig{CUs: *cus, Telemetry: tel, Backend: *backend, Calibration: caltab}),
+		core.WithConfig(core.PipelineConfig{CUs: *cus, Telemetry: tel, Backend: *backend}),
 		core.WithAttack(spec.Resolve(detInstr)))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -161,14 +143,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		prof.Exit(ps, 1)
 	}
-	if *calib != "" && caltab.Len() > 0 {
-		if err := caltab.SaveFile(*calib); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			prof.Exit(ps, 1)
-		}
-		fmt.Printf("saved %d calibration entries to %s\n", caltab.Len(), *calib)
-	}
-
 	fmt.Printf("\nattack injected at %v\n", res.InjectTime)
 	fmt.Printf("first post-attack judgment: latency %v (branch retired %v, judged %v)\n",
 		res.Latency, res.First.FinalRetire, res.First.Rec.Done)

@@ -15,12 +15,18 @@ import (
 	"rtad/internal/cpu"
 )
 
+// MaxBurstLen bounds Config.BurstLen. A burst is pushed through the sink
+// chain one event at a time inside a single retirement, so its length is
+// the work one victim branch can trigger; 2^20 events is 32× the classic
+// 32768-event experiment burst.
+const MaxBurstLen = 1 << 20
+
 // Config parameterises an injection.
 type Config struct {
 	// TriggerBranch fires the attack after this many retired taken
 	// transfers of the victim.
 	TriggerBranch int64
-	// BurstLen is the number of legitimate events replayed.
+	// BurstLen is the number of legitimate events replayed, 1..MaxBurstLen.
 	BurstLen int
 	// SpacingCycles is the CPU-cycle gap between injected events (the
 	// attacker's gadget chain executes at normal machine speed).
@@ -66,8 +72,8 @@ func New(cfg Config, next cpu.Sink) (*Injector, error) {
 	if next == nil {
 		return nil, fmt.Errorf("attack: nil downstream sink")
 	}
-	if cfg.BurstLen <= 0 {
-		return nil, fmt.Errorf("attack: burst length must be positive")
+	if cfg.BurstLen <= 0 || cfg.BurstLen > MaxBurstLen {
+		return nil, fmt.Errorf("attack: burst length %d outside 1..%d", cfg.BurstLen, MaxBurstLen)
 	}
 	if len(cfg.Pool) == 0 {
 		return nil, fmt.Errorf("attack: empty legitimate-event pool")

@@ -132,6 +132,12 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{BurstLen: 0, Pool: makePool(1)}, sink); err == nil {
 		t.Error("zero burst accepted")
 	}
+	if _, err := New(Config{BurstLen: MaxBurstLen + 1, Pool: makePool(1)}, sink); err == nil {
+		t.Error("burst above MaxBurstLen accepted")
+	}
+	if _, err := New(Config{BurstLen: MaxBurstLen, Pool: makePool(1)}, sink); err != nil {
+		t.Errorf("burst of MaxBurstLen rejected: %v", err)
+	}
 	if _, err := New(Config{BurstLen: 5}, sink); err == nil {
 		t.Error("empty pool accepted")
 	}

@@ -48,10 +48,8 @@ func TestSessionBackendsBitIdenticalLSTM(t *testing.T) {
 	const instr = 2_000_000
 	for _, cus := range []int{1, 5} {
 		ref := runJudged(t, dep, PipelineConfig{CUs: cus}, aspec, instr)
-		for _, backend := range []string{kernels.BackendNative, kernels.BackendNativeCalibrated} {
-			got := runJudged(t, dep, PipelineConfig{CUs: cus, Backend: backend}, aspec, instr)
-			checkJudgedEqual(t, backend, got, ref)
-		}
+		got := runJudged(t, dep, PipelineConfig{CUs: cus, Backend: kernels.BackendNativeCalibrated}, aspec, instr)
+		checkJudgedEqual(t, kernels.BackendNativeCalibrated, got, ref)
 	}
 }
 
@@ -60,10 +58,8 @@ func TestSessionBackendsBitIdenticalELM(t *testing.T) {
 	aspec := AttackSpec{BurstLen: 4096, Seed: 1}
 	const instr = 4_000_000
 	ref := runJudged(t, dep, PipelineConfig{CUs: 5}, aspec, instr)
-	for _, backend := range []string{kernels.BackendNative, kernels.BackendNativeCalibrated} {
-		got := runJudged(t, dep, PipelineConfig{CUs: 5, Backend: backend}, aspec, instr)
-		checkJudgedEqual(t, backend, got, ref)
-	}
+	got := runJudged(t, dep, PipelineConfig{CUs: 5, Backend: kernels.BackendNativeCalibrated}, aspec, instr)
+	checkJudgedEqual(t, kernels.BackendNativeCalibrated, got, ref)
 }
 
 // TestSessionBackendSharedCalibration reuses one calibration table across
@@ -92,9 +88,7 @@ func TestSessionBackendSharedCalibration(t *testing.T) {
 
 // TestDualSessionBackendsBitIdentical checks backend equivalence where the
 // contention model is most intertwined with timing: both models sharing one
-// engine. It also exercises mixed lanes — one model native, the other on the
-// cycle-accurate GPU — which must match the all-GPU reference too, since
-// both backends charge identical cycles.
+// engine.
 func TestDualSessionBackendsBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("dual-session runs are heavy")
@@ -104,11 +98,9 @@ func TestDualSessionBackendsBitIdentical(t *testing.T) {
 	aspec := AttackSpec{Seed: 5}
 	const instr = 8_000_000
 
-	runDual := func(elmCfg, lstmCfg PipelineConfig) (elmJ, lstmJ []Judged) {
+	runDual := func(cfg PipelineConfig) (elmJ, lstmJ []Judged) {
 		t.Helper()
-		s, err := Open(Deployments{elm, lstm},
-			WithLaneConfig(0, elmCfg), WithLaneConfig(1, lstmCfg),
-			WithAttack(aspec.Resolve(instr)))
+		s, err := Open(Deployments{elm, lstm}, WithConfig(cfg), WithAttack(aspec.Resolve(instr)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,15 +113,8 @@ func TestDualSessionBackendsBitIdentical(t *testing.T) {
 		return s.LaneResults(0), s.LaneResults(1)
 	}
 
-	gpuCfg := PipelineConfig{CUs: 5}
-	natCfg := PipelineConfig{CUs: 5, Backend: kernels.BackendNative}
-	refELM, refLSTM := runDual(gpuCfg, gpuCfg)
-
-	natELM, natLSTM := runDual(natCfg, natCfg)
+	refELM, refLSTM := runDual(PipelineConfig{CUs: 5})
+	natELM, natLSTM := runDual(PipelineConfig{CUs: 5, Backend: kernels.BackendNativeCalibrated})
 	checkJudgedEqual(t, "dual native (elm lane)", natELM, refELM)
 	checkJudgedEqual(t, "dual native (lstm lane)", natLSTM, refLSTM)
-
-	mixELM, mixLSTM := runDual(natCfg, gpuCfg)
-	checkJudgedEqual(t, "mixed lanes (elm native)", mixELM, refELM)
-	checkJudgedEqual(t, "mixed lanes (lstm gpu)", mixLSTM, refLSTM)
 }

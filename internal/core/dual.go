@@ -27,11 +27,11 @@ type DualResult struct {
 }
 
 // summarise builds a DetectionResult from a finished pipeline.
-func summarise(dep *Deployment, pipe *Pipeline, cfg PipelineConfig, injectTime sim.Time) (*DetectionResult, error) {
+func summarise(dep *Deployment, pipe *Pipeline, injectTime sim.Time) (*DetectionResult, error) {
 	res := &DetectionResult{
 		Benchmark:  dep.Profile.Name,
 		Kind:       dep.Kind,
-		CUs:        cfg.CUs,
+		CUs:        pipe.cfg.CUs,
 		InjectTime: injectTime,
 		Judged:     len(pipe.Judged()),
 		Dropped:    pipe.MCMStats().Dropped,

@@ -34,10 +34,7 @@ func MeasureOverhead(p workload.Profile, mode cpu.Mode, instr int64) (OverheadRe
 	var sink cpu.Sink
 	if mode == cpu.ModeRTAD {
 		// The RTAD path's only host cost is the CoreSight port.
-		sink = ptm.NewOverheadSink(
-			ptm.Config{BranchBroadcast: true},
-			ptm.PortConfig{DrainThreshold: DefaultDrainThreshold},
-		)
+		sink = ptm.NewOverheadSink(ptm.Config{BranchBroadcast: true}, ptm.PortConfig{})
 	}
 	run := cpu.New(prog, cpu.Config{Mode: mode, Sink: sink})
 	if _, err := run.Run(instr); err != nil {

@@ -18,45 +18,21 @@ import (
 type Deployments []*Deployment
 
 // Option configures Open. Options compose left to right; later options win
-// where they overlap (e.g. a WithLaneConfig overrides WithConfig for that
-// lane).
+// where they overlap.
 type Option func(*openConfig)
 
 type openConfig struct {
-	base    PipelineConfig
-	lane    map[int]PipelineConfig
-	laneSet map[int]bool
-	tel     *obs.Telemetry
-	telSet  bool
-	attack  *AttackSpec
-	replay  bool
-	gap     int64
+	base   PipelineConfig
+	tel    *obs.Telemetry
+	telSet bool
+	attack *AttackSpec
+	replay bool
+	gap    int64
 }
 
-// WithConfig sets the base pipeline configuration applied to every lane.
+// WithConfig sets the pipeline configuration applied to every lane.
 func WithConfig(cfg PipelineConfig) Option {
 	return func(o *openConfig) { o.base = cfg }
-}
-
-// WithLaneConfig overrides the pipeline configuration of one lane (0-based),
-// letting dual sessions diverge per lane — most usefully in Backend, running
-// e.g. the ELM natively while the LSTM stays on the cycle-accurate engine.
-func WithLaneConfig(lane int, cfg PipelineConfig) Option {
-	return func(o *openConfig) {
-		if o.lane == nil {
-			o.lane = map[int]PipelineConfig{}
-			o.laneSet = map[int]bool{}
-		}
-		o.lane[lane] = cfg
-		o.laneSet[lane] = true
-	}
-}
-
-// WithBackend selects the inference backend for every lane
-// (kernels.BackendGPU, BackendNative, BackendNativeCalibrated); it applies
-// on top of WithConfig. Judgment streams are bit-identical across backends.
-func WithBackend(name string) Option {
-	return func(o *openConfig) { o.base.Backend = name }
 }
 
 // WithEngineWrap installs an inference-engine interceptor on every lane
@@ -75,8 +51,9 @@ func WithTelemetry(tel *obs.Telemetry) Option {
 }
 
 // WithAttack arms the attack at open, exactly as Session.Inject would before
-// the first Step: spec is taken literally (BurstLen must be positive; use
-// AttackSpec.Resolve to apply the classic experiment defaults first).
+// the first Step: spec is taken literally (BurstLen must be in
+// 1..attack.MaxBurstLen; use AttackSpec.Resolve to apply the classic
+// experiment defaults first).
 func WithAttack(spec AttackSpec) Option {
 	return func(o *openConfig) { o.attack = &spec }
 }
@@ -86,9 +63,10 @@ func WithAttack(spec AttackSpec) Option {
 // shape, where the monitored SoC is elsewhere and only its CoreSight bytes
 // reach the detector. Branch retirements are re-synthesised from the stream
 // at a fixed pacing of gapCycles CPU cycles per branch event (plus any
-// backpressure stall the trace path reports); gapCycles <= 0 picks
-// DefaultReplayGap. Replay is deterministic: the same byte stream yields a
-// bit-identical judgment stream however it is chunked.
+// backpressure stall the trace path reports); 0 picks DefaultReplayGap, and
+// Open rejects gaps outside 0..MaxReplayGap. Replay is deterministic: the
+// same byte stream yields a bit-identical judgment stream however it is
+// chunked.
 func WithTraceInput(gapCycles int64) Option {
 	return func(o *openConfig) { o.replay = true; o.gap = gapCycles }
 }
@@ -96,9 +74,9 @@ func WithTraceInput(gapCycles int64) Option {
 // Open is the single entry point for detection sessions: it deploys deps
 // (one lane, or ELM+LSTM dual lanes) on the simulated MPSoC and returns a
 // streaming Session. With no options every lane runs the default pipeline
-// configuration against an executing victim CPU; options select per-lane
-// configs, backends, telemetry, attack arming, and the trace-replay
-// front-end.
+// configuration against an executing victim CPU; options select the
+// config, telemetry, attack arming, and the trace-replay front-end.
+// Session.Resolved reports what the defaults resolved to.
 //
 //	s, err := core.Open(core.Deployments{dep},
 //		core.WithConfig(core.PipelineConfig{CUs: 5}),
@@ -108,6 +86,9 @@ func Open(deps Deployments, opts ...Option) (*Session, error) {
 	var o openConfig
 	for _, opt := range opts {
 		opt(&o)
+	}
+	if o.telSet {
+		o.base.Telemetry = o.tel
 	}
 	var (
 		s   *Session
@@ -132,20 +113,25 @@ func Open(deps Deployments, opts ...Option) (*Session, error) {
 	return s, nil
 }
 
-// laneConfig resolves lane i's pipeline configuration from the options.
-func (o *openConfig) laneConfig(i int) PipelineConfig {
-	if o.laneSet[i] {
-		return o.lane[i]
+// Resolved reports what Open resolved for the session: lane 0's pipeline
+// configuration after defaults (CUs, stride, backend name), and the
+// trace-replay gap in CPU cycles per branch event (0 for a session with a
+// live victim CPU).
+func (s *Session) Resolved() (PipelineConfig, int64) {
+	var gap int64
+	if s.front != nil {
+		gap = s.front.gap
 	}
-	return o.base
+	return s.lanes[0].pipe.cfg, gap
 }
 
 // frontEnd attaches the victim front-end: the executing CPU model, or the
 // trace-replay decoder when WithTraceInput was given.
 func (s *Session) frontEnd(dep *Deployment, o *openConfig) error {
 	if o.replay {
-		s.front = newTraceFront(o.gap)
-		return nil
+		f, err := newTraceFront(o.gap)
+		s.front = f
+		return err
 	}
 	prog, tcache, err := dep.victimProgram()
 	if err != nil {
@@ -156,25 +142,21 @@ func (s *Session) frontEnd(dep *Deployment, o *openConfig) error {
 }
 
 func openSingle(dep *Deployment, o *openConfig) (*Session, error) {
-	cfg := o.laneConfig(0)
-	if o.telSet {
-		cfg.Telemetry = o.tel
-	}
-	pipe, err := NewPipeline(dep, cfg)
+	pipe, err := NewPipeline(dep, o.base)
 	if err != nil {
 		return nil, err
 	}
 	s := &Session{
 		sched: sim.NewScheduler(),
 		fan:   &fanSink{pipes: []*Pipeline{pipe}},
-		lanes: []*lane{{dep: dep, pipe: pipe, cfg: cfg.withDefaults(dep.Kind)}},
+		lanes: []*lane{{dep: dep, pipe: pipe}},
 		pool:  dep.Pool,
 	}
 	s.swap = &swapSink{next: s.fan}
 	if err := s.frontEnd(dep, o); err != nil {
 		return nil, err
 	}
-	s.observe(cfg.Telemetry)
+	s.observe(o.base.Telemetry)
 	return s, nil
 }
 
@@ -192,18 +174,10 @@ func openDual(elmDep, lstmDep *Deployment, o *openConfig) (*Session, error) {
 	}
 	shared := mcm.NewSharedEngine()
 
-	elmCfg, lstmCfg := o.laneConfig(0), o.laneConfig(1)
-	tel := elmCfg.Telemetry
-	if tel == nil {
-		tel = lstmCfg.Telemetry
-	}
-	if o.telSet {
-		tel = o.tel
-	}
-	elmCfg = elmCfg.withDefaults(ModelELM)
+	tel := o.base.Telemetry
+	elmCfg, lstmCfg := o.base, o.base
 	elmCfg.SharedEngine, elmCfg.Bus = shared, bus
 	elmCfg.Telemetry = tel.Lane("elm")
-	lstmCfg = lstmCfg.withDefaults(ModelLSTM)
 	lstmCfg.SharedEngine, lstmCfg.Bus = shared, bus
 	lstmCfg.Telemetry = tel.Lane("lstm")
 	elmPipe, err := NewPipeline(elmDep, elmCfg)
@@ -218,8 +192,8 @@ func openDual(elmDep, lstmDep *Deployment, o *openConfig) (*Session, error) {
 		sched: sim.NewScheduler(),
 		fan:   &fanSink{pipes: []*Pipeline{elmPipe, lstmPipe}},
 		lanes: []*lane{
-			{dep: elmDep, pipe: elmPipe, cfg: elmCfg},
-			{dep: lstmDep, pipe: lstmPipe, cfg: lstmCfg},
+			{dep: elmDep, pipe: elmPipe},
+			{dep: lstmDep, pipe: lstmPipe},
 		},
 		pool:   lstmDep.Pool,
 		shared: shared,

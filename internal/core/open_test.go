@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"rtad/internal/attack"
 	"rtad/internal/cpu"
 	"rtad/internal/kernels"
 	"rtad/internal/ptm"
@@ -59,31 +60,8 @@ func TestOpenMatchesRunDetection(t *testing.T) {
 	}
 }
 
-// TestOpenBackendOption: WithBackend routes every lane and stays
-// bit-identical to the config-field spelling.
-func TestOpenBackendOption(t *testing.T) {
-	dep := trainLSTMDeployment(t, "458.sjeng")
-	const instr = 2_000_000
-	spec := AttackSpec{BurstLen: 16384, Seed: 3}
-	run := func(opts ...Option) *DetectionResult {
-		s, err := Open(Deployments{dep}, append(opts, WithAttack(spec.Resolve(instr)))...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.Detect(instr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	viaOption := run(WithConfig(PipelineConfig{CUs: 5}), WithBackend(kernels.BackendNative))
-	viaField := run(WithConfig(PipelineConfig{CUs: 5, Backend: kernels.BackendNative}))
-	if viaOption.Latency != viaField.Latency || viaOption.Judged != viaField.Judged {
-		t.Fatalf("WithBackend diverged from PipelineConfig.Backend: %+v vs %+v", viaOption, viaField)
-	}
-}
-
-// TestOpenRejectsBadDeployments covers the arity and dual-lane validation.
+// TestOpenRejectsBadDeployments covers the arity and dual-lane validation,
+// and settings outside their owners' bounds.
 func TestOpenRejectsBadDeployments(t *testing.T) {
 	dep := trainLSTMDeployment(t, "458.sjeng")
 	if _, err := Open(Deployments{}); err == nil {
@@ -92,8 +70,19 @@ func TestOpenRejectsBadDeployments(t *testing.T) {
 	if _, err := Open(Deployments{dep, dep}); err == nil {
 		t.Error("Open accepted LSTM in the ELM lane")
 	}
-	if _, err := Open(Deployments{dep}, WithAttack(AttackSpec{})); err == nil {
-		t.Error("Open accepted an attack with no burst length")
+	for name, opt := range map[string]Option{
+		"an attack with no burst length": WithAttack(AttackSpec{}),
+		"a burst above MaxBurstLen":      WithAttack(AttackSpec{BurstLen: attack.MaxBurstLen + 1}),
+		"CUs above MaxCUs":               WithConfig(PipelineConfig{CUs: MaxCUs + 1}),
+		"negative CUs":                   WithConfig(PipelineConfig{CUs: -1}),
+		"a negative stride":              WithConfig(PipelineConfig{Stride: -1}),
+		"an unknown backend":             WithConfig(PipelineConfig{Backend: "tpu"}),
+		"a negative replay gap":          WithTraceInput(-1),
+		"a gap above MaxReplayGap":       WithTraceInput(MaxReplayGap + 1),
+	} {
+		if _, err := Open(Deployments{dep}, opt); err == nil {
+			t.Errorf("Open accepted %s", name)
+		}
 	}
 }
 

@@ -15,27 +15,30 @@ import (
 	"rtad/internal/tpiu"
 )
 
-// PipelineConfig sizes the runtime system.
+// PipelineConfig sizes the runtime system. Zero fields pick their
+// owner's default; NewPipeline rejects values outside their bounds.
 type PipelineConfig struct {
 	// CUs is the compute-unit count: 1 models the original MIAOW (only a
-	// single CU fits the FPGA), 5 the trimmed ML-MIAOW (§IV-A).
+	// single CU fits the FPGA), 5 the trimmed ML-MIAOW (§IV-A). 0 picks
+	// MaxCUs; counts outside 0..MaxCUs are rejected.
 	CUs int
 	// Stride is the IGM emission stride; 0 picks the deployment default
 	// (every syscall window for ELM, DefaultLSTMStride accepted branches
 	// for the LSTM — tuned so ML-MIAOW's service rate keeps up, §IV-C).
+	// A negative stride is rejected.
 	Stride int
 	// FIFODepth is the MCM vector FIFO capacity.
 	FIFODepth int
-	// DrainThreshold is the PTM formatter hold-back in bytes.
+	// DrainThreshold is the PTM formatter hold-back in bytes; 0 picks
+	// ptm.DefaultDrainThreshold.
 	DrainThreshold int
 	// Backend selects the inference engine implementation
-	// (kernels.BackendGPU, kernels.BackendNative,
-	// kernels.BackendNativeCalibrated); empty picks the cycle-accurate
-	// default. All backends produce bit-identical judgment streams — the
-	// native ones just skip the per-inference GPU interpretation.
+	// (kernels.BackendGPU or kernels.BackendNativeCalibrated); empty picks
+	// kernels.DefaultBackend. Both produce bit-identical judgment streams —
+	// the native one just skips the per-inference GPU interpretation.
 	Backend string
 	// Calibration, when non-nil, is the shared cycle-cost table the native
-	// backends replay WAIT_DONE timing from; passing one table to every
+	// backend replays WAIT_DONE timing from; passing one table to every
 	// pipeline in a run amortises the one-time GPU calibration pass.
 	Calibration *kernels.Calibration
 	// EngineWrap, when non-nil, wraps the constructed inference backend
@@ -69,7 +72,7 @@ type PipelineConfig struct {
 	StagedTrace bool
 }
 
-// Default runtime strides.
+// Default runtime strides and the compute-unit bound.
 const (
 	DefaultELMStride = 1
 	// DefaultLSTMStride paces general-branch vectors so the inference
@@ -77,29 +80,33 @@ const (
 	// benchmarks (471.omnetpp overflows, as in Fig 8's discussion), and
 	// comfortably on ML-MIAOW.
 	DefaultLSTMStride = 3840
-	// DefaultDrainThreshold gives the ~2–3 µs trace-visibility latency of
-	// Fig 7's RTAD step (1) at typical branch rates.
-	DefaultDrainThreshold = 64
+	// MaxCUs bounds PipelineConfig.CUs and is its default: ML-MIAOW's five
+	// compute units (§IV-A). No shipped kernel dispatches more than five
+	// wavefronts (kernels.ELMWaves; the LSTM dispatches one per gate), so
+	// the greedy wavefront scheduler gives any larger count identical
+	// timing, while the device sizes per-dispatch state by it.
+	MaxCUs = 5
 )
 
-func (c PipelineConfig) withDefaults(kind ModelKind) PipelineConfig {
-	if c.CUs <= 0 {
-		c.CUs = 5
+// withDefaults resolves zero fields to their defaults and rejects values
+// outside their bounds. The backend and drain threshold are resolved by
+// the packages that own them (kernels.NewBackend, ptm.NewPort).
+func (c PipelineConfig) withDefaults(kind ModelKind) (PipelineConfig, error) {
+	switch {
+	case c.CUs == 0:
+		c.CUs = MaxCUs
+	case c.CUs < 0 || c.CUs > MaxCUs:
+		return c, fmt.Errorf("core: %d CUs outside 1..%d", c.CUs, MaxCUs)
 	}
-	if c.Stride <= 0 {
-		if kind == ModelELM {
-			c.Stride = DefaultELMStride
-		} else {
-			c.Stride = DefaultLSTMStride
-		}
+	switch {
+	case c.Stride == 0 && kind == ModelELM:
+		c.Stride = DefaultELMStride
+	case c.Stride == 0:
+		c.Stride = DefaultLSTMStride
+	case c.Stride < 0:
+		return c, fmt.Errorf("core: stride must be non-negative, got %d", c.Stride)
 	}
-	if c.DrainThreshold <= 0 {
-		c.DrainThreshold = DefaultDrainThreshold
-	}
-	if c.Backend == "" {
-		c.Backend = kernels.DefaultBackend
-	}
-	return c
+	return c, nil
 }
 
 // Judged is one vector's complete journey through the SoC.
@@ -189,7 +196,10 @@ var JudgmentLatencyBuckets = obs.ExpBuckets(0.5, 2, 14)
 
 // NewPipeline instantiates the SoC for a deployment.
 func NewPipeline(dep *Deployment, cfg PipelineConfig) (*Pipeline, error) {
-	cfg = cfg.withDefaults(dep.Kind)
+	cfg, err := cfg.withDefaults(dep.Kind)
+	if err != nil {
+		return nil, err
+	}
 	var (
 		dev  *gpu.Device
 		spec kernels.Spec
@@ -209,6 +219,7 @@ func NewPipeline(dep *Deployment, cfg PipelineConfig) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
+	cfg.Backend = engine.Name()
 	if cfg.EngineWrap != nil {
 		engine = cfg.EngineWrap(engine)
 	}
@@ -490,9 +501,6 @@ func (p *Pipeline) SettleJudgments() {
 
 // Judged returns every vector that reached a judgment, in order.
 func (p *Pipeline) Judged() []Judged { return p.judged }
-
-// Backend names the inference backend this pipeline runs on.
-func (p *Pipeline) Backend() string { return p.engine.Name() }
 
 // Err returns the first pipeline error, if any.
 func (p *Pipeline) Err() error { return p.err }

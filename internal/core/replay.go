@@ -14,6 +14,12 @@ import (
 // attack injector's default gadget-chain spacing.
 const DefaultReplayGap = 8
 
+// MaxReplayGap bounds the replay pacing at 2^20 cycles per branch event:
+// the replay clock is a picosecond sim.Time, and a client-chosen gap near
+// the int64 range would wrap each event's timestamp to nonsense. At the
+// bound a session still runs about 2×10^9 events before the clock wraps.
+const MaxReplayGap = 1 << 20
+
 // traceFront is the trace-replay front-end: where a live session's victim
 // CPU retires branches into the sink chain, a replay session re-synthesises
 // retirements from a raw PTM byte stream (branch-broadcast capture, the
@@ -34,11 +40,14 @@ type traceFront struct {
 	bytes  int64
 }
 
-func newTraceFront(gap int64) *traceFront {
-	if gap <= 0 {
+func newTraceFront(gap int64) (*traceFront, error) {
+	switch {
+	case gap == 0:
 		gap = DefaultReplayGap
+	case gap < 0 || gap > MaxReplayGap:
+		return nil, fmt.Errorf("core: replay gap %d cycles outside 1..%d", gap, MaxReplayGap)
 	}
-	return &traceFront{dec: ptm.NewStreamDecoder(), gap: gap}
+	return &traceFront{dec: ptm.NewStreamDecoder(), gap: gap}, nil
 }
 
 // ReplayStats reports a trace-replay session's progress: stream bytes

@@ -63,7 +63,6 @@ type Session struct {
 type lane struct {
 	dep     *Deployment
 	pipe    *Pipeline
-	cfg     PipelineConfig // defaults resolved
 	pending []Judged
 	// delivered counts pipeline judgments already scheduled for delivery.
 	delivered int
@@ -125,7 +124,7 @@ func (s *Session) sample() {
 		s.obsCycles.Set(s.front.cycle)
 	}
 	for _, ln := range s.lanes {
-		tel := ln.cfg.Telemetry
+		tel := ln.pipe.cfg.Telemetry
 		if tel == nil {
 			continue
 		}
@@ -277,7 +276,7 @@ func (s *Session) LaneSummary(i int) (*DetectionResult, error) {
 		return nil, fmt.Errorf("core: attack never fired")
 	}
 	ln := s.lanes[i]
-	return summarise(ln.dep, ln.pipe, ln.cfg, sim.CPUClock.Duration(s.inj.InjectedAtCycle))
+	return summarise(ln.dep, ln.pipe, sim.CPUClock.Duration(s.inj.InjectedAtCycle))
 }
 
 // Lanes reports the model-lane count (1, or 2 for dual sessions).

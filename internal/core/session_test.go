@@ -52,7 +52,7 @@ func runDetectionLegacy(dep *Deployment, pcfg PipelineConfig, aspec AttackSpec, 
 	if !inj.Fired() {
 		return nil, nil, 0, fmt.Errorf("core: attack never fired in %d instructions", instr)
 	}
-	res, err := summarise(dep, pipe, pcfg.withDefaults(dep.Kind), sim.CPUClock.Duration(inj.InjectedAtCycle))
+	res, err := summarise(dep, pipe, sim.CPUClock.Duration(inj.InjectedAtCycle))
 	if err != nil {
 		return nil, nil, 0, err
 	}

@@ -36,23 +36,18 @@ func TestReportSchemaStableForDefaultBackend(t *testing.T) {
 }
 
 func TestReportSchemaV2ForNativeBackends(t *testing.T) {
-	for _, backend := range []string{kernels.BackendNative, kernels.BackendNativeCalibrated} {
-		o := quickOpts()
-		o.Backend = backend
-		r := NewReport(o)
-		if r.Schema != ReportSchemaV2 {
-			t.Errorf("backend %s: schema %q, want %q", backend, r.Schema, ReportSchemaV2)
-		}
-		if r.Backend != backend {
-			t.Errorf("backend field %q, want %q", r.Backend, backend)
-		}
+	o := quickOpts()
+	o.Backend = kernels.BackendNativeCalibrated
+	r := NewReport(o)
+	if r.Schema != ReportSchemaV2 {
+		t.Errorf("schema %q, want %q", r.Schema, ReportSchemaV2)
+	}
+	if r.Backend != o.Backend {
+		t.Errorf("backend field %q, want %q", r.Backend, o.Backend)
 	}
 
 	c := kernels.NewCalibration()
 	c.Record(kernels.CalKey{Model: "lstm", Window: 16, CUs: 5}, 777)
-	o := quickOpts()
-	o.Backend = kernels.BackendNativeCalibrated
-	r := NewReport(o)
 	r.RecordCalibration(c)
 	blob, err := json.Marshal(r)
 	if err != nil {
@@ -68,7 +63,7 @@ func TestReportSchemaV2ForNativeBackends(t *testing.T) {
 // TestFig8GridBackendEquivalence is the acceptance check for the backend
 // refactor at grid scale: the full Fig 8 benchmark × model × CU sweep must
 // produce identical rows — latencies, drops, detection verdicts — on the
-// native backends as on the cycle-accurate GPU reference. Every backend
+// native backend as on the cycle-accurate GPU reference. Every backend
 // also runs on the staged byte/word trace path, the fused fast path's
 // oracle: its report must match the fused one byte for byte.
 func TestFig8GridBackendEquivalence(t *testing.T) {
@@ -99,7 +94,7 @@ func TestFig8GridBackendEquivalence(t *testing.T) {
 		return res, blob
 	}
 	ref, refJSON := run(kernels.BackendGPU, false)
-	for _, backend := range []string{kernels.BackendGPU, kernels.BackendNative, kernels.BackendNativeCalibrated} {
+	for _, backend := range []string{kernels.BackendGPU, kernels.BackendNativeCalibrated} {
 		fusedJSON := refJSON
 		if backend != kernels.BackendGPU {
 			var got *Fig8Result
@@ -124,7 +119,7 @@ func TestFig6GridBackendEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	bo := o
-	bo.Backend = kernels.BackendNative
+	bo.Backend = kernels.BackendNativeCalibrated
 	got, err := Fig6(bo)
 	if err != nil {
 		t.Fatal(err)

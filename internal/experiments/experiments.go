@@ -42,15 +42,14 @@ type Options struct {
 	// bit-identical at any width — each cell is an independent session.
 	Workers int
 	// Backend selects the inference backend for the detection pipelines
-	// (Fig 7, Fig 8): kernels.BackendGPU, BackendNative or
-	// BackendNativeCalibrated; empty picks the cycle-accurate default.
-	// Judgment streams — and therefore every reported number — are
-	// bit-identical across backends; only the wall clock changes.
+	// (Fig 7, Fig 8): kernels.BackendGPU or BackendNativeCalibrated; empty
+	// picks kernels.DefaultBackend. Judgment streams — and therefore every
+	// reported number — are bit-identical across backends; only the wall
+	// clock changes.
 	Backend string
-	// Calibration is the shared cycle-cost table for the native backends.
+	// Calibration is the shared cycle-cost table for the native backend.
 	// Nil with BackendNativeCalibrated gets one table created in
-	// withDefaults, shared by every pipeline of the run; nil with
-	// BackendNative lets each pipeline self-calibrate lazily.
+	// withDefaults, shared by every pipeline of the run.
 	Calibration *kernels.Calibration
 	// Telemetry, when non-nil, collects metrics across the grid runs: each
 	// Fig 8 cell records into a private registry and the registries merge

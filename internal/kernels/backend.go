@@ -2,8 +2,6 @@ package kernels
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"rtad/internal/gpu"
 	"rtad/internal/ml"
@@ -13,22 +11,18 @@ import (
 const (
 	// BackendGPU is the cycle-accurate ML-MIAOW simulation: every
 	// inference interprets the kernels wavefront-by-wavefront. Timing and
-	// judgments are the ground truth the other backends are validated
+	// judgments are the ground truth the native backend is validated
 	// against.
 	BackendGPU = "gpu"
-	// BackendNative runs the shared fixed-point forward pass in Go —
-	// bit-identical judgments without interpreting a single GPU
-	// instruction. Cycle costs come from a private calibration table that
-	// self-populates: the first inference of each (model, window, CUs)
-	// shape falls back to the GPU sim and records its cost.
-	BackendNative = "native"
-	// BackendNativeCalibrated is the native backend fed a shared
-	// *Calibration: the factory runs the one-time GPU calibration pass up
-	// front (on a scratch device) for its model shape, so every inference
-	// replays recorded cycles and the GPU sim never runs on the hot path.
+	// BackendNativeCalibrated runs the shared fixed-point forward pass in
+	// Go — bit-identical judgments without interpreting a single GPU
+	// instruction. Its constructor runs the one-time GPU calibration pass
+	// for its (model, window, CUs) shape on a scratch device, recording
+	// into the spec's shared *Calibration when one is given, so every
+	// inference replays the recorded cycle cost and the GPU sim never runs
+	// on the hot path.
 	BackendNativeCalibrated = "native-calibrated"
-	// DefaultBackend preserves the historical behaviour everywhere a
-	// backend is not chosen explicitly.
+	// DefaultBackend is what NewBackend builds for an empty name.
 	DefaultBackend = BackendGPU
 )
 
@@ -38,7 +32,7 @@ const (
 // judgment streams; they may differ only in how the cycle cost is obtained
 // (simulated vs replayed) and how fast the host computes it.
 type Backend interface {
-	// Name is the registry name the backend was built under.
+	// Name is the backend name NewBackend built it under.
 	Name() string
 	// Window is the input-vector length the engine consumes.
 	Window() int
@@ -62,9 +56,10 @@ type Backend interface {
 // WAIT_DONE timeline — and hence FIFO admission of everything behind it —
 // at push time and postpone the arithmetic itself, which is what lets the
 // serving layer coalesce a whole trace chunk into one InferBatch call.
-// Calibrated native backends qualify (deployed kernels cost the same
-// cycles for every input); ok stays false until the shape is calibrated,
-// and for the cycle-accurate GPU sim, which must run to know its timing.
+// The native backend qualifies (deployed kernels cost the same cycles for
+// every input, calibrated at construction); the cycle-accurate GPU sim
+// does not, because it must run to know its timing. Wrappers forward the
+// wrapped engine's answer, so ok is false over an engine without one.
 type FixedCoster interface {
 	FixedCost() (cycles int64, ok bool)
 }
@@ -88,7 +83,7 @@ func InferLoop(b Backend, windows [][]int32) ([]Judgment, []int64, error) {
 	return js, cycles, nil
 }
 
-// Spec carries everything a backend factory needs: the device whose memory
+// Spec carries everything NewBackend needs: the device whose memory
 // holds (or will hold) the quantised model image and scoring state, and
 // exactly one trained model.
 type Spec struct {
@@ -96,7 +91,7 @@ type Spec struct {
 	ELM  *ml.ELM
 	LSTM *ml.LSTM
 	// Calibration, when non-nil, is a shared cycle-cost table for the
-	// calibrated backends; nil lets the backend own a private table.
+	// native backend; nil lets the backend own a private table.
 	Calibration *Calibration
 }
 
@@ -110,63 +105,19 @@ func (s Spec) kind() (model string, window int, err error) {
 	return "", 0, fmt.Errorf("kernels: backend spec must carry exactly one model")
 }
 
-// Factory builds a backend instance for a model spec.
-type Factory func(Spec) (Backend, error)
-
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Factory{}
-)
-
-// Register adds a backend factory under name. It panics on a duplicate or
-// empty name — backend registration is an init-time affair.
-func Register(name string, f Factory) {
-	if name == "" || f == nil {
-		panic("kernels: Register needs a name and a factory")
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic("kernels: backend " + name + " registered twice")
-	}
-	registry[name] = f
-}
-
-// Backends lists the registered backend names, sorted.
-func Backends() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // NewBackend builds the named backend over spec; an empty name picks
-// DefaultBackend.
+// DefaultBackend. It is the one place backend names are checked.
 func NewBackend(name string, spec Spec) (Backend, error) {
 	if name == "" {
 		name = DefaultBackend
 	}
-	regMu.RLock()
-	f, ok := registry[name]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("kernels: unknown backend %q (have %v)", name, Backends())
+	switch name {
+	case BackendGPU:
+		return newGPUBackend(spec)
+	case BackendNativeCalibrated:
+		return newNativeBackend(spec)
 	}
-	return f(spec)
-}
-
-func init() {
-	Register(BackendGPU, newGPUBackend)
-	Register(BackendNative, func(s Spec) (Backend, error) {
-		return newNativeBackend(BackendNative, s)
-	})
-	Register(BackendNativeCalibrated, func(s Spec) (Backend, error) {
-		return newNativeBackend(BackendNativeCalibrated, s)
-	})
+	return nil, fmt.Errorf("kernels: unknown backend %q (want %s or %s)", name, BackendGPU, BackendNativeCalibrated)
 }
 
 func newGPUBackend(s Spec) (Backend, error) {

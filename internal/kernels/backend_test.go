@@ -1,8 +1,6 @@
 package kernels
 
 import (
-	"bytes"
-	"path/filepath"
 	"testing"
 
 	"rtad/internal/gpu"
@@ -44,17 +42,15 @@ func TestNativeBackendsBitIdenticalELM(t *testing.T) {
 	model := trainELM(t)
 	windows := markovWindows(ELMVocab, ELMWindow, 60, 123)
 	for _, cus := range []int{1, 5} {
-		for _, name := range []string{BackendNative, BackendNativeCalibrated} {
-			ref, err := NewBackend(BackendGPU, elmSpec(model, cus, nil))
-			if err != nil {
-				t.Fatal(err)
-			}
-			nat, err := NewBackend(name, elmSpec(model, cus, NewCalibration()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkStreamsIdentical(t, ref, nat, windows)
+		ref, err := NewBackend(BackendGPU, elmSpec(model, cus, nil))
+		if err != nil {
+			t.Fatal(err)
 		}
+		nat, err := NewBackend(BackendNativeCalibrated, elmSpec(model, cus, NewCalibration()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkStreamsIdentical(t, ref, nat, windows)
 	}
 }
 
@@ -62,24 +58,22 @@ func TestNativeBackendsBitIdenticalLSTM(t *testing.T) {
 	model := trainLSTM(t)
 	windows := markovWindows(LSTMVocab, LSTMWindow, 60, 321)
 	for _, cus := range []int{1, 5} {
-		for _, name := range []string{BackendNative, BackendNativeCalibrated} {
-			ref, err := NewBackend(BackendGPU, lstmSpec(model, cus, nil))
-			if err != nil {
-				t.Fatal(err)
-			}
-			nat, err := NewBackend(name, lstmSpec(model, cus, NewCalibration()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkStreamsIdentical(t, ref, nat, windows)
+		ref, err := NewBackend(BackendGPU, lstmSpec(model, cus, nil))
+		if err != nil {
+			t.Fatal(err)
 		}
+		nat, err := NewBackend(BackendNativeCalibrated, lstmSpec(model, cus, NewCalibration()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkStreamsIdentical(t, ref, nat, windows)
 	}
 }
 
 // TestNativeBackendBitIdenticalUnderTrim repeats the cross-validation on
 // coverage-trimmed devices: the native compute path never touches the
-// interpreter, and its GPU fallback must agree with a trimmed reference the
-// same way the untrimmed one does.
+// interpreter, and the cost it calibrated on an untrimmed scratch device
+// must match the trimmed reference's cycles.
 func TestNativeBackendBitIdenticalUnderTrim(t *testing.T) {
 	elm := trainELM(t)
 	lstm := trainLSTM(t)
@@ -103,7 +97,7 @@ func TestNativeBackendBitIdenticalUnderTrim(t *testing.T) {
 	elmKeep := cover(elmSpec(elm, 1, nil), elmWindows)
 	lstmKeep := cover(lstmSpec(lstm, 1, nil), lstmWindows)
 
-	run := func(name string, keep gpu.CoverageSet, spec func(*Calibration) Spec, windows [][]int32) {
+	run := func(keep gpu.CoverageSet, spec func(*Calibration) Spec, windows [][]int32) {
 		refSpec := spec(nil)
 		refSpec.Dev.SetTrim(keep)
 		ref, err := NewBackend(BackendGPU, refSpec)
@@ -112,16 +106,14 @@ func TestNativeBackendBitIdenticalUnderTrim(t *testing.T) {
 		}
 		natSpec := spec(NewCalibration())
 		natSpec.Dev.SetTrim(keep)
-		nat, err := NewBackend(name, natSpec)
+		nat, err := NewBackend(BackendNativeCalibrated, natSpec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		checkStreamsIdentical(t, ref, nat, windows)
 	}
-	for _, name := range []string{BackendNative, BackendNativeCalibrated} {
-		run(name, elmKeep, func(c *Calibration) Spec { return elmSpec(elm, 1, c) }, elmWindows)
-		run(name, lstmKeep, func(c *Calibration) Spec { return lstmSpec(lstm, 1, c) }, lstmWindows)
-	}
+	run(elmKeep, func(c *Calibration) Spec { return elmSpec(elm, 1, c) }, elmWindows)
+	run(lstmKeep, func(c *Calibration) Spec { return lstmSpec(lstm, 1, c) }, lstmWindows)
 }
 
 // TestNativeCalibratedEagerPass pins the calibrated backend's construction
@@ -151,64 +143,9 @@ func TestNativeCalibratedEagerPass(t *testing.T) {
 	}
 }
 
-func TestCalibrationPersistenceRoundTrip(t *testing.T) {
-	c := NewCalibration()
-	c.Record(CalKey{Model: "elm", Window: ELMWindow, CUs: 1}, 12345)
-	c.Record(CalKey{Model: "elm", Window: ELMWindow, CUs: 5}, 4321)
-	c.Record(CalKey{Model: "lstm", Window: LSTMWindow, CUs: 5}, 999)
-
-	var buf bytes.Buffer
-	if err := c.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadCalibration(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := back.Entries(), c.Entries(); len(got) != len(want) {
-		t.Fatalf("round trip lost entries: %d != %d", len(got), len(want))
-	} else {
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("entry %d: %+v != %+v", i, got[i], want[i])
-			}
-		}
-	}
-
-	path := filepath.Join(t.TempDir(), "calib.json")
-	if err := c.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	fromFile, err := LoadCalibrationFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fromFile.Len() != c.Len() {
-		t.Fatalf("file round trip lost entries: %d != %d", fromFile.Len(), c.Len())
-	}
-	if cyc, ok := fromFile.Lookup(CalKey{Model: "elm", Window: ELMWindow, CUs: 5}); !ok || cyc != 4321 {
-		t.Fatalf("lookup after load: %d, %v", cyc, ok)
-	}
-
-	// Schema mismatches are rejected, not silently accepted.
-	if _, err := ReadCalibration(bytes.NewReader([]byte(`{"schema":"bogus/9","entries":[]}`))); err == nil {
-		t.Fatal("bogus schema accepted")
-	}
-}
-
+// TestBackendRegistry pins NewBackend's name table: an empty name builds
+// DefaultBackend, and unknown names and model-less specs are rejected.
 func TestBackendRegistry(t *testing.T) {
-	names := Backends()
-	for _, want := range []string{BackendGPU, BackendNative, BackendNativeCalibrated} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("registry %v missing %s", names, want)
-		}
-	}
 	model := trainELM(t)
 	b, err := NewBackend("", elmSpec(model, 1, nil))
 	if err != nil {
@@ -220,7 +157,7 @@ func TestBackendRegistry(t *testing.T) {
 	if _, err := NewBackend("no-such-backend", elmSpec(model, 1, nil)); err == nil {
 		t.Fatal("unknown backend accepted")
 	}
-	if _, err := NewBackend(BackendNative, Spec{Dev: gpu.NewDevice(ELMMemEnd, 1)}); err == nil {
+	if _, err := NewBackend(BackendNativeCalibrated, Spec{Dev: gpu.NewDevice(ELMMemEnd, 1)}); err == nil {
 		t.Fatal("spec without a model accepted")
 	}
 }

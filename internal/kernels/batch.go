@@ -20,11 +20,11 @@ import (
 // sessions×steps rows with the quantised parameters and matmul scratch hot
 // in cache throughout.
 //
-// Only native backends with a calibrated cycle cost join a group; GPU-sim
-// backends and not-yet-calibrated shapes fall back to their own InferBatch
-// inside the same call, so the caller sees one uniform positional result
-// slice. Cycle charges always come from each member's own calibration
-// entry — members of one group may run at different CU counts.
+// Only native backends join a group; GPU-sim backends fall back to their
+// own InferBatch inside the same call, so the caller sees one uniform
+// positional result slice. Cycle charges always come from each member's
+// own calibrated cost — members of one group may run at different CU
+// counts.
 
 // BatchRequest is one session's pending work: its engine and the
 // consecutive windows of its stream to judge, in order. The windows are
@@ -119,12 +119,6 @@ func (g *GroupRunner) InferGroup(reqs []BatchRequest) []GroupResult {
 		nb, ok := r.Backend.(*nativeBackend)
 		if !ok {
 			res[i].Js, res[i].Cycles, res[i].Err = r.Backend.InferBatch(r.Windows)
-			continue
-		}
-		if _, ok := nb.calCycles(); !ok {
-			// Uncalibrated: one cycle-accurate fallback sequence that
-			// records itself, exactly as the unbatched path would.
-			res[i].Js, res[i].Cycles, res[i].Err = nb.InferBatch(r.Windows)
 			continue
 		}
 		if nb.elm != nil {

@@ -7,6 +7,9 @@ import (
 	"rtad/internal/ml"
 )
 
+// backendNames lists every backend NewBackend builds.
+var backendNames = []string{BackendGPU, BackendNativeCalibrated}
+
 // specFor builds a fresh single-model spec over its own device.
 func specFor(t testing.TB, elm *ml.ELM, lstm *ml.LSTM) Spec {
 	t.Helper()
@@ -34,7 +37,7 @@ func TestInferBatchMatchesInfer(t *testing.T) {
 		{"elm", markovWindows(ELMVocab, ELMWindow, 60, 21), func() Spec { return specFor(t, elm, nil) }},
 		{"lstm", markovWindows(LSTMVocab, LSTMWindow, 60, 23), func() Spec { return specFor(t, nil, lstm) }},
 	} {
-		for _, name := range Backends() {
+		for _, name := range backendNames {
 			seqB, err := NewBackend(name, tc.mk())
 			if err != nil {
 				t.Fatal(err)
@@ -80,15 +83,12 @@ func TestInferBatchMatchesInfer(t *testing.T) {
 // fails the whole batch for every backend.
 func TestInferBatchRejectsBadWindow(t *testing.T) {
 	elm := trainELM(t)
-	for _, name := range Backends() {
+	for _, name := range backendNames {
 		b, err := NewBackend(name, specFor(t, elm, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
 		good := markovWindows(ELMVocab, ELMWindow, 1, 3)[0]
-		if _, _, err := b.Infer(good); err != nil { // calibrate the native path
-			t.Fatal(err)
-		}
 		bad := append([]int32(nil), good...)
 		bad[0] = ELMVocab + 5
 		if _, _, err := b.InferBatch([][]int32{good, bad}); err == nil {
@@ -98,7 +98,7 @@ func TestInferBatchRejectsBadWindow(t *testing.T) {
 }
 
 // TestInferGroupMatchesPerSession drives a mixed fleet — both models,
-// all three backends, several instances each — through the GroupRunner and
+// every backend, several instances each — through the GroupRunner and
 // checks every session's stream against a mirror instance advanced by
 // plain Infer. Requests carry variable-length window chunks, so members of
 // one fused pass drop out at different steps (the active-prefix path).
@@ -114,7 +114,7 @@ func TestInferGroupMatchesPerSession(t *testing.T) {
 	}
 	var sessions []*session
 	seed := int64(100)
-	for _, name := range Backends() {
+	for _, name := range backendNames {
 		for i := 0; i < 3; i++ {
 			live, err := NewBackend(name, specFor(t, elm, nil))
 			if err != nil {
@@ -238,13 +238,8 @@ func benchNativeFleet(b *testing.B, n, k int) ([]Backend, []BatchRequest) {
 	reqs := make([]BatchRequest, n)
 	for i := range backends {
 		wins := markovWindows(LSTMVocab, LSTMWindow, k, 31+int64(i))
-		be, err := NewBackend(BackendNative, specFor(b, nil, lstm))
+		be, err := NewBackend(BackendNativeCalibrated, specFor(b, nil, lstm))
 		if err != nil {
-			b.Fatal(err)
-		}
-		// First call calibrates through the GPU path; keep it out of the
-		// timed loop.
-		if _, _, err := be.Infer(wins[0]); err != nil {
 			b.Fatal(err)
 		}
 		backends[i] = be

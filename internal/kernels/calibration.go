@@ -1,19 +1,12 @@
 package kernels
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"os"
 	"sort"
 	"sync"
 
 	"rtad/internal/gpu"
 	"rtad/internal/ml"
 )
-
-// CalibrationSchema versions the calibration-table JSON layout.
-const CalibrationSchema = "rtad-calibration/1"
 
 // CalKey identifies one calibrated shape. The deployed kernels' cycle
 // counts are input-independent (fixed loop bounds, fixed branch pattern per
@@ -77,7 +70,7 @@ func (c *Calibration) Len() int {
 }
 
 // Entries returns the table sorted by model, window, CUs — the
-// deterministic order used by WriteJSON and embedded reports.
+// deterministic order embedded reports use.
 func (c *Calibration) Entries() []CalEntry {
 	if c == nil {
 		return nil
@@ -137,77 +130,4 @@ func (c *Calibration) CalibrateLSTM(m *ml.LSTM, cus int) error {
 	}
 	c.Record(key, cyc)
 	return nil
-}
-
-// CalibrateSpec runs the pass for a backend spec's model at its device's
-// CU count.
-func (c *Calibration) CalibrateSpec(s Spec) error {
-	model, _, err := s.kind()
-	if err != nil {
-		return err
-	}
-	if s.Dev == nil {
-		return fmt.Errorf("kernels: calibration needs a device to read the CU count from")
-	}
-	if model == "elm" {
-		return c.CalibrateELM(s.ELM, s.Dev.NumCU)
-	}
-	return c.CalibrateLSTM(s.LSTM, s.Dev.NumCU)
-}
-
-type calibrationDoc struct {
-	Schema  string     `json:"schema"`
-	Entries []CalEntry `json:"entries"`
-}
-
-// WriteJSON renders the table as versioned, sorted, indented JSON.
-func (c *Calibration) WriteJSON(w io.Writer) error {
-	blob, err := json.MarshalIndent(calibrationDoc{
-		Schema:  CalibrationSchema,
-		Entries: c.Entries(),
-	}, "", "  ")
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(append(blob, '\n'))
-	return err
-}
-
-// ReadCalibration parses a table written by WriteJSON.
-func ReadCalibration(r io.Reader) (*Calibration, error) {
-	var doc calibrationDoc
-	if err := json.NewDecoder(r).Decode(&doc); err != nil {
-		return nil, fmt.Errorf("kernels: calibration: %w", err)
-	}
-	if doc.Schema != CalibrationSchema {
-		return nil, fmt.Errorf("kernels: calibration schema %q, want %q", doc.Schema, CalibrationSchema)
-	}
-	c := NewCalibration()
-	for _, e := range doc.Entries {
-		c.Record(e.CalKey, e.Cycles)
-	}
-	return c, nil
-}
-
-// SaveFile writes the table to path.
-func (c *Calibration) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := c.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// LoadCalibrationFile reads a table saved by SaveFile.
-func LoadCalibrationFile(path string) (*Calibration, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadCalibration(f)
 }

@@ -10,26 +10,23 @@ import (
 // instead of interpreting the GPU kernels. All model parameters and scoring
 // state stay at the canonical device-memory addresses — the input vector,
 // the recurrent LSTM state, the EWMA word and the Out triple — so a native
-// step and a GPU step are indistinguishable afterwards, which is what lets
-// the calibration fallback interleave the two paths freely.
+// step and a GPU step are indistinguishable afterwards.
 //
 // Timing comes from the calibration table: deployed kernels cost the same
 // cycles for every input (the loop bounds and branch pattern are fixed per
 // wave), so replaying the recorded per-(model, window, CUs) cost keeps the
 // MCM WAIT_DONE timeline — and hence FIFO occupancy, drops and the whole
-// judgment stream — bit-identical to the GPU backend. Shapes missing from
-// the table fall back to one cycle-accurate inference that records itself.
+// judgment stream — bit-identical to the GPU backend. The cost is looked
+// up (calibrating the shape if the table lacks it) once, at construction.
 //
 // The model kind, parameter views and state addresses are explicit fields
 // (rather than closures) so the cross-instance GroupRunner can gather each
 // member's state, run one shared-weight matmul, and scatter results back.
 type nativeBackend struct {
-	name  string
-	key   CalKey
-	calib *Calibration
-	gpu   Backend // cycle-accurate engine over the same device
-	win   int
-	mem   []uint32 // the backend's device memory (params + state)
+	model  string // "elm" | "lstm", for error messages
+	cycles int64  // calibrated per-inference cost
+	win    int
+	mem    []uint32 // the backend's device memory (params + state)
 
 	alphaQ int32
 	thrQ   int32
@@ -37,12 +34,6 @@ type nativeBackend struct {
 	// Exactly one of elm/lstm is non-nil.
 	elm  *elmNative
 	lstm *lstmNative
-
-	// calCycles caches the first successful calibration lookup: the value
-	// is immutable once recorded, and skipping the table's RLock on every
-	// inference matters at serving rates.
-	cycles   int64
-	cyclesOK bool
 
 	inBuf []uint32 // quantised-window scratch, one inference at a time
 }
@@ -58,28 +49,15 @@ type lstmNative struct {
 	h, c   []int32 // single-step scratch mirroring mem[LSTMH/LSTMC]
 }
 
-func (n *nativeBackend) Name() string { return n.name }
+func (n *nativeBackend) Name() string { return BackendNativeCalibrated }
 
 func (n *nativeBackend) Window() int { return n.win }
-
-// calCycles returns the calibrated per-inference cost, caching the table
-// hit so the hot path stops touching the shared table's lock.
-func (n *nativeBackend) calCycles() (int64, bool) {
-	if n.cyclesOK {
-		return n.cycles, true
-	}
-	cyc, ok := n.calib.Lookup(n.key)
-	if ok {
-		n.cycles, n.cyclesOK = cyc, true
-	}
-	return cyc, ok
-}
 
 // quantInto validates and quantises window into dst (win words), the
 // allocation-free core of the engines' InputWords.
 func (n *nativeBackend) quantInto(dst []uint32, window []int32) error {
 	if len(window) != n.win {
-		return fmt.Errorf("kernels: %s window length %d, want %d", n.key.Model, len(window), n.win)
+		return fmt.Errorf("kernels: %s window length %d, want %d", n.model, len(window), n.win)
 	}
 	vocab := int32(ELMVocab)
 	if n.lstm != nil {
@@ -87,7 +65,7 @@ func (n *nativeBackend) quantInto(dst []uint32, window []int32) error {
 	}
 	for i, c := range window {
 		if c < 0 || c >= vocab {
-			return fmt.Errorf("kernels: class %d outside %s vocab", c, n.key.Model)
+			return fmt.Errorf("kernels: class %d outside %s vocab", c, n.model)
 		}
 		dst[i] = uint32(c)
 	}
@@ -125,35 +103,24 @@ func (n *nativeBackend) step(in []uint32) Judgment {
 	return j
 }
 
-// FixedCost implements FixedCoster: once the shape is calibrated every
-// inference replays the same recorded cycle cost.
-func (n *nativeBackend) FixedCost() (int64, bool) { return n.calCycles() }
+// FixedCost implements FixedCoster: every inference replays the cost
+// calibrated at construction.
+func (n *nativeBackend) FixedCost() (int64, bool) { return n.cycles, true }
 
 func (n *nativeBackend) Infer(window []int32) (Judgment, int64, error) {
-	cycles, ok := n.calCycles()
-	if !ok {
-		j, cyc, err := n.gpu.Infer(window)
-		if err == nil {
-			n.calib.Record(n.key, cyc)
-		}
-		return j, cyc, err
-	}
 	if err := n.quantInto(n.inBuf, window); err != nil {
 		return Judgment{}, 0, err
 	}
-	return n.step(n.inBuf), cycles, nil
+	return n.step(n.inBuf), n.cycles, nil
 }
 
 // InferBatch advances this backend's own stream by len(windows) steps. For
 // the ELM the margins are state-independent, so one MarginBatchQ matmul
 // computes them all before the EWMA chain folds them in order; the LSTM's
 // consecutive steps chain through h/c and must run sequentially (the
-// matmul pays off across sessions — see GroupRunner). Uncalibrated shapes
-// loop Infer: the first falls back to the GPU sim and records, the rest
-// run native.
+// matmul pays off across sessions — see GroupRunner).
 func (n *nativeBackend) InferBatch(windows [][]int32) ([]Judgment, []int64, error) {
-	cycles, ok := n.calCycles()
-	if !ok || n.elm == nil {
+	if n.elm == nil {
 		return InferLoop(n, windows)
 	}
 	nw := len(windows)
@@ -174,19 +141,21 @@ func (n *nativeBackend) InferBatch(windows [][]int32) ([]Judgment, []int64, erro
 		mem[ELMEwma] = uint32(ewma)
 		js[i] = Judgment{Anomaly: ewma > n.thrQ, MarginQ: margins[i], EwmaQ: ewma}
 		writeOut(mem[ELMOut:], js[i])
-		costs[i] = cycles
+		costs[i] = n.cycles
 	}
 	return js, costs, nil
 }
 
-func newNativeBackend(name string, s Spec) (Backend, error) {
+func newNativeBackend(s Spec) (Backend, error) {
 	model, win, err := s.kind()
 	if err != nil {
 		return nil, err
 	}
 	if s.Dev == nil {
-		return nil, fmt.Errorf("kernels: %s backend needs a device", name)
+		return nil, fmt.Errorf("kernels: %s backend needs a device", BackendNativeCalibrated)
 	}
+	// The GPU engine constructor writes the quantised model image into the
+	// device memory the native path then reads and updates.
 	eng, err := newGPUBackend(Spec{Dev: s.Dev, ELM: s.ELM, LSTM: s.LSTM})
 	if err != nil {
 		return nil, err
@@ -195,14 +164,22 @@ func newNativeBackend(name string, s Spec) (Backend, error) {
 	if calib == nil {
 		calib = NewCalibration()
 	}
+	// One-time pass on a scratch device: the hot path never simulates.
+	if s.ELM != nil {
+		err = calib.CalibrateELM(s.ELM, s.Dev.NumCU)
+	} else {
+		err = calib.CalibrateLSTM(s.LSTM, s.Dev.NumCU)
+	}
+	if err != nil {
+		return nil, err
+	}
+	cycles, _ := calib.Lookup(CalKey{Model: model, Window: win, CUs: s.Dev.NumCU})
 	n := &nativeBackend{
-		name:  name,
-		key:   CalKey{Model: model, Window: win, CUs: s.Dev.NumCU},
-		calib: calib,
-		gpu:   eng,
-		win:   win,
-		mem:   s.Dev.Mem,
-		inBuf: make([]uint32, win),
+		model:  model,
+		cycles: cycles,
+		win:    win,
+		mem:    s.Dev.Mem,
+		inBuf:  make([]uint32, win),
 	}
 	switch e := eng.(type) {
 	case *ELMEngine:
@@ -215,12 +192,6 @@ func newNativeBackend(name string, s Spec) (Backend, error) {
 			params: LSTMParamsView(n.mem),
 			h:      make([]int32, LSTMHidden),
 			c:      make([]int32, LSTMHidden),
-		}
-	}
-	if name == BackendNativeCalibrated {
-		// One-time pass on a scratch device: the hot path never simulates.
-		if err := calib.CalibrateSpec(s); err != nil {
-			return nil, err
 		}
 	}
 	return n, nil

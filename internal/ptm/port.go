@@ -40,7 +40,9 @@ type PortConfig struct {
 
 // Defaults matching the prototype configuration.
 const (
-	DefaultDrainThreshold = 256
+	// DefaultDrainThreshold gives the ~2–3 µs trace-visibility latency of
+	// Fig 7's RTAD step (1) at typical branch rates.
+	DefaultDrainThreshold = 64
 	DefaultBytesPerCycle  = 4
 	DefaultQueueBytes     = 512
 )

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"rtad/internal/core"
 	"rtad/internal/kernels"
 	"rtad/internal/obs"
 )
@@ -37,13 +38,13 @@ func compareJudgments(t *testing.T, label string, got, want []Judgment) {
 // -race in CI.
 func TestBatchedE2EBitIdentical(t *testing.T) {
 	dep, stream := fixtures(t)
-	backends := []string{kernels.BackendGPU, kernels.BackendNative, kernels.BackendNativeCalibrated}
+	backends := []string{kernels.BackendGPU, kernels.BackendNativeCalibrated}
 
-	// The default traffic (deployment stride, server gap) runs on every
+	// The default traffic (deployment stride, default gap) runs on every
 	// backend. The dense traffic is perfbench's serve-dense-batched one: a
 	// client-chosen stride 8 and a gap of 100000 cycles, which drains the
 	// MCM FIFO between vectors so every strided vector is judged. It runs on
-	// the native backends only: gpu sessions on it take tens of seconds
+	// the native backend only: gpu sessions on it take tens of seconds
 	// under -race.
 	traffics := []struct {
 		stride   int
@@ -166,7 +167,7 @@ func TestBatchedVsUnbatchedSoloClient(t *testing.T) {
 
 	run := func(opts []Option) []Judgment {
 		addr := startServer(t, opts, dep)
-		c, err := Dial(addr, Hello{Benchmark: fixBench, Model: "lstm", Backend: kernels.BackendNative}, nil)
+		c, err := Dial(addr, Hello{Benchmark: fixBench, Model: "lstm", Backend: kernels.BackendNativeCalibrated}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,7 +193,7 @@ func TestBatchedVsUnbatchedSoloClient(t *testing.T) {
 func TestDrainFlushesPartialBatches(t *testing.T) {
 	dep, stream := fixtures(t)
 	short := stream[:len(stream)/8]
-	want, _ := referenceRun(t, dep, kernels.BackendNative, 0, 0, short)
+	want, _ := referenceRun(t, dep, kernels.BackendNativeCalibrated, 0, 0, short)
 
 	tel := obs.NewMetricsOnly()
 	srv := New(nil,
@@ -222,7 +223,7 @@ func TestDrainFlushesPartialBatches(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			c, err := Dial(addr, Hello{
-				Benchmark: fixBench, Model: "lstm", Backend: kernels.BackendNative, Attack: testAttack,
+				Benchmark: fixBench, Model: "lstm", Backend: kernels.BackendNativeCalibrated, Attack: testAttack,
 			}, nil)
 			if err != nil {
 				results[i].err = err
@@ -392,8 +393,10 @@ func TestBatcherProducerExitFlushes(t *testing.T) {
 	b.close()
 }
 
-// TestHelloStride: a client-selected stride is honoured, echoed in the
-// welcome, and denser than the default; a negative stride is rejected.
+// TestHelloStride: the default hello's welcome reports core's resolution
+// (stride, replay gap, backend); a client-selected stride is honoured,
+// echoed in the welcome, and denser than the default; a negative stride is
+// rejected.
 func TestHelloStride(t *testing.T) {
 	dep, stream := fixtures(t)
 	short := stream[:len(stream)/8]
@@ -409,8 +412,11 @@ func TestHelloStride(t *testing.T) {
 		return &w, c.Judgments()
 	}
 	wDefault, jDefault := run(0)
-	if wDefault.Stride == 0 {
-		t.Fatal("welcome did not echo the resolved stride")
+	if wDefault.Stride != core.DefaultLSTMStride || wDefault.GapCycles != core.DefaultReplayGap ||
+		wDefault.Backend != kernels.DefaultBackend {
+		t.Fatalf("default welcome reports stride %d, gap %d, backend %q; want %d, %d, %q",
+			wDefault.Stride, wDefault.GapCycles, wDefault.Backend,
+			core.DefaultLSTMStride, core.DefaultReplayGap, kernels.DefaultBackend)
 	}
 	wDense, jDense := run(wDefault.Stride / 4)
 	if wDense.Stride != wDefault.Stride/4 {

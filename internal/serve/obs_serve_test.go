@@ -40,7 +40,7 @@ func TestObservabilityIsObservationOnly(t *testing.T) {
 		done := make(chan error, 1)
 		go func() { done <- srv.Serve(ln) }()
 		c, err := Dial(ln.Addr().String(), Hello{
-			Benchmark: fixBench, Model: "lstm", Backend: kernels.BackendNative, Attack: testAttack,
+			Benchmark: fixBench, Model: "lstm", Backend: kernels.BackendNativeCalibrated, Attack: testAttack,
 		}, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -143,7 +143,7 @@ func TestDebugEndpointsConcurrentWithDrain(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			c, err := Dial(ln.Addr().String(), Hello{
-				Benchmark: fixBench, Model: "lstm", Backend: kernels.BackendNative,
+				Benchmark: fixBench, Model: "lstm", Backend: kernels.BackendNativeCalibrated,
 			}, nil)
 			if err != nil {
 				errs[i] = err

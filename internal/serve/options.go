@@ -8,8 +8,9 @@ import (
 )
 
 // Option tunes a Server built by New. The zero configuration is usable:
-// unlimited sessions, fleet width GOMAXPROCS, 16-chunk queues, block
-// backpressure, one-minute I/O deadlines, no batching, no telemetry.
+// unlimited sessions, fleet width GOMAXPROCS, one-minute I/O deadlines, no
+// batching, no telemetry. What a session simulates — backend, CUs, stride,
+// replay gap, attack — is the client's hello, resolved and bounded by core.
 type Option func(*config)
 
 // WithMaxSessions bounds concurrently live sessions; a hello beyond the
@@ -21,23 +22,11 @@ func WithMaxSessions(n int) Option { return func(c *config) { c.MaxSessions = n 
 // to GOMAXPROCS.
 func WithWorkers(n int) Option { return func(c *config) { c.Workers = n } }
 
-// WithQueueDepth bounds each session's decoded-chunk queue (0 = 16).
-func WithQueueDepth(n int) Option { return func(c *config) { c.QueueDepth = n } }
-
-// WithShed switches backpressure from block (lossless, TCP holds the
-// client) to shed (drop the newest chunk when a session's queue is full).
-// Shedding changes the judgment stream; lossless replay needs block.
-func WithShed() Option { return func(c *config) { c.Shed = true } }
-
 // WithTimeouts bounds the gap between client frames (read) and one
 // response write (write). 0 keeps the 1-minute default for that side.
 func WithTimeouts(read, write time.Duration) Option {
 	return func(c *config) { c.ReadTimeout, c.WriteTimeout = read, write }
 }
-
-// WithGapCycles sets the replay pacing offered to clients that don't ask
-// for one (0 = core.DefaultReplayGap).
-func WithGapCycles(gap int64) Option { return func(c *config) { c.GapCycles = gap } }
 
 // WithBatching enables cross-session micro-batched inference: pending
 // vectors from all admitted sessions (shadow lanes included) are collected

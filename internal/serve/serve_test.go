@@ -170,9 +170,7 @@ func streamChunks(t *testing.T, c *Client, stream []byte, chunk int) *Summary {
 func TestE2EBitIdenticalAcrossBackends(t *testing.T) {
 	dep, stream := fixtures(t)
 	addr := startServer(t, nil, dep)
-	for _, backend := range []string{
-		kernels.BackendGPU, kernels.BackendNative, kernels.BackendNativeCalibrated,
-	} {
+	for _, backend := range []string{kernels.BackendGPU, kernels.BackendNativeCalibrated} {
 		t.Run(backend, func(t *testing.T) {
 			wantJ, wantRes := referenceRun(t, dep, backend, 0, 0, stream)
 			c, err := Dial(addr, Hello{
@@ -435,10 +433,17 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 }
 
-// TestHelloRejections covers the negotiation error paths.
+// TestHelloRejections covers the negotiation error paths, including
+// numbers beyond their owners' bounds: each would otherwise size an
+// allocation (CUs), pin a fleet worker (burst length) or wrap the replay
+// clock (gap). The server must then still serve a normal session.
 func TestHelloRejections(t *testing.T) {
-	dep, _ := fixtures(t)
+	dep, stream := fixtures(t)
 	addr := startServer(t, nil, dep)
+	lstm := func(h Hello) Hello {
+		h.Benchmark, h.Model = fixBench, "lstm"
+		return h
+	}
 	cases := []struct {
 		name  string
 		hello Hello
@@ -446,10 +451,16 @@ func TestHelloRejections(t *testing.T) {
 	}{
 		{"unknown model", Hello{Benchmark: fixBench, Model: "elm"}, ErrBadHello},
 		{"unknown benchmark", Hello{Benchmark: "no-such", Model: "lstm"}, ErrBadHello},
-		{"bad proto", Hello{Proto: "rtad-wire/99", Benchmark: fixBench, Model: "lstm"}, ErrProto},
-		{"window mismatch", Hello{Benchmark: fixBench, Model: "lstm", Window: 3}, ErrBadHello},
-		{"bad backend", Hello{Benchmark: fixBench, Model: "lstm", Backend: "tpu"}, ErrBadHello},
-		{"bad attack", Hello{Benchmark: fixBench, Model: "lstm", Attack: &AttackSpec{}}, ErrBadHello},
+		{"bad proto", lstm(Hello{Proto: "rtad-wire/99"}), ErrProto},
+		{"window mismatch", lstm(Hello{Window: 3}), ErrBadHello},
+		{"bad backend", lstm(Hello{Backend: "tpu"}), ErrBadHello},
+		{"bad attack", lstm(Hello{Attack: &AttackSpec{}}), ErrBadHello},
+		{"huge cus", lstm(Hello{CUs: 1 << 40}), ErrBadHello},
+		{"cus 6", lstm(Hello{CUs: core.MaxCUs + 1}), ErrBadHello},
+		{"cus -1", lstm(Hello{CUs: -1}), ErrBadHello},
+		{"huge burst", lstm(Hello{Attack: &AttackSpec{BurstLen: 1 << 40}}), ErrBadHello},
+		{"huge gap", lstm(Hello{GapCycles: 1 << 62}), ErrBadHello},
+		{"gap -1", lstm(Hello{GapCycles: -1}), ErrBadHello},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -459,6 +470,14 @@ func TestHelloRejections(t *testing.T) {
 				t.Fatalf("got %v, want %s rejection", err, tc.code)
 			}
 		})
+	}
+	c, err := Dial(addr, lstm(Hello{}), nil)
+	if err != nil {
+		t.Fatalf("normal hello after the rejections: %v", err)
+	}
+	streamChunks(t, c, stream[:len(stream)/16], 8192)
+	if len(c.Judgments()) == 0 {
+		t.Fatal("normal session after the rejections judged nothing")
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"net"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"rtad/internal/core"
@@ -17,8 +16,8 @@ import (
 )
 
 // config sizes and paces a Server; New fills it from Options. The zero
-// value is usable: unlimited sessions, fleet width GOMAXPROCS, 16-chunk
-// queues, block backpressure, one-minute I/O deadlines.
+// value is usable: unlimited sessions, fleet width GOMAXPROCS, one-minute
+// I/O deadlines.
 type config struct {
 	// MaxSessions bounds concurrently live sessions; a hello beyond the
 	// bound is rejected with an explicit ErrBusy frame rather than queued
@@ -28,25 +27,10 @@ type config struct {
 	// GOMAXPROCS. Sessions beyond the width stay admitted but wait for a
 	// worker, buffered by their chunk queues and ultimately TCP.
 	Workers int
-	// QueueDepth bounds each session's decoded-chunk queue (0 = 16 chunks).
-	// The queue decouples the connection reader from the simulation.
-	QueueDepth int
-	// Shed switches the backpressure policy when a session's chunk queue is
-	// full. Default (false) is block: the reader stops reading the socket
-	// and TCP flow control holds the client — lossless, the right choice
-	// when the trace source can pause. Shed (true) drops the newest chunk
-	// and counts it — bounded memory and latency at the cost of trace loss
-	// (decode resynchronises at the next a-sync), for sources that cannot
-	// pause. Shedding changes the judgment stream; lossless replay needs
-	// the block policy.
-	Shed bool
 	// ReadTimeout bounds the gap between client frames; WriteTimeout bounds
 	// one response write. 0 means 1 minute each.
 	ReadTimeout  time.Duration
 	WriteTimeout time.Duration
-	// GapCycles is the replay pacing offered to clients that don't ask for
-	// one (0 = core.DefaultReplayGap).
-	GapCycles int64
 	// BatchWindow enables cross-session micro-batched inference: pending
 	// vectors from all admitted sessions are collected for up to this much
 	// wall time (or until BatchMax of them are waiting) and judged in one
@@ -77,6 +61,13 @@ type config struct {
 	// the protocol, or aborts. Nil records nothing.
 	Flight *obs.FlightRecorder
 }
+
+// queueDepth bounds each session's chunk queue, which decouples the
+// connection reader from the simulation: 16 chunks of at most MaxFrame
+// bytes cap a session's buffered trace at 16 MiB. A full queue blocks the
+// reader, and TCP flow control then holds the client: lossless
+// backpressure.
+const queueDepth = 16
 
 // ServeSecondsBuckets bound the rtad_serve_*_seconds stage-latency
 // histograms: exponential, 1µs .. ~33s. Every serving-plane SLO histogram
@@ -126,7 +117,6 @@ type Server struct {
 	mTotal     *obs.Counter
 	mBusy      *obs.Counter
 	mDraining  *obs.Counter
-	mShed      *obs.Counter
 	mPanics    *obs.Counter
 	mBytes     *obs.Counter
 	mJudgments *obs.Counter
@@ -151,9 +141,6 @@ func New(reg *registry.Registry, opts ...Option) *Server {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 16
-	}
 	if cfg.ReadTimeout <= 0 {
 		cfg.ReadTimeout = time.Minute
 	}
@@ -168,6 +155,7 @@ func New(reg *registry.Registry, opts ...Option) *Server {
 	var batch *batcher
 	if cfg.BatchWindow > 0 {
 		batch = newBatcher(cfg.BatchWindow, cfg.BatchMax, tel, cfg.WallTracer)
+		logger.Info("serve: micro-batching sessions", "window", batch.window, "batch_max", batch.max)
 	}
 	if reg == nil {
 		reg = registry.New()
@@ -188,7 +176,6 @@ func New(reg *registry.Registry, opts ...Option) *Server {
 		mTotal:     tel.Counter("rtad_serve_sessions_total"),
 		mBusy:      tel.Counter("rtad_serve_rejected_busy_total"),
 		mDraining:  tel.Counter("rtad_serve_rejected_draining_total"),
-		mShed:      tel.Counter("rtad_serve_shed_chunks_total"),
 		mPanics:    tel.Counter("rtad_serve_panics_total"),
 		mBytes:     tel.Counter("rtad_serve_bytes_in_total"),
 		mJudgments: tel.Counter("rtad_serve_judgments_total"),
@@ -445,10 +432,9 @@ func (s *Server) handle(conn net.Conn) {
 
 	// The bounded chunk queue between this reader and the runner. The
 	// reader is the only sender and closes it; the runner drains it.
-	q := make(chan inMsg, s.cfg.QueueDepth)
-	var shed atomic.Int64
+	q := make(chan inMsg, queueDepth)
 
-	r := &runner{srv: s, id: id, conn: conn, sess: sess, q: q, shed: &shed,
+	r := &runner{srv: s, id: id, conn: conn, sess: sess, q: q,
 		log: log, state: state, wall: wall,
 		ver: ver, shadowVer: shadowVer, shadow: shadow}
 	s.pool.Go(r.run)
@@ -474,20 +460,9 @@ func (s *Server) handle(conn net.Conn) {
 			state.traceBytes.Add(int64(len(payload)))
 			state.touch()
 			flight.Record(id, "chunk", map[string]any{"bytes": len(payload)})
-			msg := inMsg{data: append([]byte(nil), payload...), at: at}
-			if s.cfg.Shed {
-				select {
-				case q <- msg:
-				default:
-					// Queue full: shed the newest chunk rather than stall
-					// the socket. The decoder resynchronises downstream.
-					s.mShed.Inc()
-					shed.Add(1)
-					flight.Record(id, "shed", map[string]any{"bytes": len(payload)})
-				}
-			} else {
-				q <- msg // block: TCP holds the client until space frees
-			}
+			// Blocks when the queue is full: TCP holds the client until
+			// space frees.
+			q <- inMsg{data: append([]byte(nil), payload...), at: at}
 			s.mQueueMax.Max(int64(len(q)))
 		case FrameEOS:
 			flight.Record(id, "eos", nil)
@@ -537,92 +512,63 @@ func (s *Server) dumpFlight(log *slog.Logger, id string) {
 	log.Error("serve: flight recorder dump", "events", len(events), "ring", json.RawMessage(blob))
 }
 
-// openSession validates the negotiable parts of hello against the admitted
-// version's deployment and opens the trace-replay core session — plus, when
-// the admission fell into the canary slice, a shadow session on the
-// candidate version with the identical configuration (same backend, gap,
-// stride, attack, calibration table, batching wrap), so the two judge
-// exactly the same replayed stream. A shadow that fails to open is logged
-// and dropped (shadow == nil); it never fails the client session.
+// openSession opens the trace-replay core session for hello on the
+// admitted version's deployment — plus, when the admission fell into the
+// canary slice, a shadow session on the candidate version with the
+// identical configuration (same backend, gap, stride, attack, calibration
+// table, batching wrap), so the two judge exactly the same replayed
+// stream. The hello's settings pass through raw: core and the packages
+// below it resolve their defaults and reject values outside their bounds,
+// and the welcome reports what they resolved. A shadow that fails to open
+// is logged and dropped (shadow == nil); it never fails the client
+// session.
 func (s *Server) openSession(id string, ver, shadowVer *registry.Version, hello *Hello) (sess, shadow *core.Session, welcome *Welcome, err error) {
 	dep := ver.Deployment()
-	backend := hello.Backend
-	if backend == "" {
-		backend = kernels.BackendGPU
-	}
-	switch backend {
-	case kernels.BackendGPU, kernels.BackendNative, kernels.BackendNativeCalibrated:
-	default:
-		return nil, nil, nil, fmt.Errorf("unknown backend %q", hello.Backend)
-	}
 	if hello.Window != 0 && hello.Window != dep.Window() {
 		return nil, nil, nil, fmt.Errorf("window mismatch: client expects %d, %s/%s judges %d-windows",
 			hello.Window, hello.Benchmark, hello.Model, dep.Window())
 	}
-	gap := hello.GapCycles
-	if gap <= 0 {
-		gap = s.cfg.GapCycles
+	opts := []core.Option{
+		core.WithConfig(core.PipelineConfig{
+			CUs: hello.CUs, Backend: hello.Backend, Stride: hello.Stride,
+			Calibration: s.calib,
+		}),
+		core.WithTraceInput(hello.GapCycles),
 	}
-	if gap <= 0 {
-		gap = core.DefaultReplayGap
+	if s.batch != nil {
+		opts = append(opts, core.WithEngineWrap(s.batch.wrap))
 	}
-	if hello.Stride < 0 {
-		return nil, nil, nil, fmt.Errorf("stride must be non-negative, got %d", hello.Stride)
+	if a := hello.Attack; a != nil {
+		opts = append(opts, core.WithAttack(core.AttackSpec{
+			TriggerBranch: a.TriggerBranch,
+			BurstLen:      a.BurstLen,
+			Mimicry:       a.Mimicry,
+			Seed:          a.Seed,
+		}))
 	}
-	stride := hello.Stride
-	if stride == 0 {
-		if dep.Kind == core.ModelELM {
-			stride = core.DefaultELMStride
-		} else {
-			stride = core.DefaultLSTMStride
-		}
-	}
-	open := func(d *core.Deployment) (*core.Session, error) {
-		opts := []core.Option{
-			core.WithConfig(core.PipelineConfig{
-				CUs: hello.CUs, Backend: backend, Stride: stride,
-				Calibration: s.calib,
-			}),
-			core.WithTraceInput(gap),
-		}
-		if s.batch != nil {
-			opts = append(opts, core.WithEngineWrap(s.batch.wrap))
-		}
-		if a := hello.Attack; a != nil {
-			if a.BurstLen <= 0 {
-				return nil, fmt.Errorf("attack burst_len must be positive, got %d", a.BurstLen)
-			}
-			opts = append(opts, core.WithAttack(core.AttackSpec{
-				TriggerBranch: a.TriggerBranch,
-				BurstLen:      a.BurstLen,
-				Mimicry:       a.Mimicry,
-				Seed:          a.Seed,
-			}))
-		}
-		return core.Open(core.Deployments{d}, opts...)
-	}
-	sess, err = open(dep)
+	sess, err = core.Open(core.Deployments{dep}, opts...)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	if shadowVer != nil {
-		shadow, err = open(shadowVer.Deployment())
+		shadow, err = core.Open(core.Deployments{shadowVer.Deployment()}, opts...)
 		if err != nil {
 			s.log.Warn("serve: canary shadow failed to open, session proceeds unshadowed",
 				obs.SessionKey, id, "model", ver.Key(), "candidate_version", shadowVer.ID(), "err", err)
 			shadow, err = nil, nil
 		}
 	}
+	cfg, gap := sess.Resolved()
 	welcome = &Welcome{
 		Proto:        Proto,
 		Session:      id,
 		SessionID:    id,
 		Benchmark:    hello.Benchmark,
 		Model:        hello.Model,
-		Backend:      backend,
+		Backend:      cfg.Backend,
 		Window:       dep.Window(),
 		GapCycles:    gap,
-		Stride:       stride,
+		Stride:       cfg.Stride,
 		ModelVersion: ver.ID(),
 	}
 	return sess, shadow, welcome, nil
@@ -666,7 +612,6 @@ type runner struct {
 	conn  net.Conn
 	sess  *core.Session
 	q     <-chan inMsg
-	shed  *atomic.Int64
 	log   *slog.Logger
 	state *sessionState
 	wall  *obs.WallTrack
@@ -692,8 +637,8 @@ func (r *runner) run() error {
 	s := r.srv
 	defer s.endSession(r.id, r.ver, r.shadowVer)
 	defer r.conn.Close()
-	// The reader blocks sending into q when the queue policy is block; keep
-	// draining after exit so it can always make progress to its own close.
+	// The reader blocks sending into a full q; keep draining after exit so
+	// it can always make progress to its own close.
 	defer func() {
 		for range r.q {
 		}
@@ -907,7 +852,6 @@ func (r *runner) summary() *Summary {
 		TraceBytes:   bytes,
 		Events:       events,
 		DecodeErrors: decErrs,
-		ShedChunks:   r.shed.Load(),
 		AttackFired:  r.sess.AttackFired(),
 	}
 	if sum.AttackFired {

@@ -135,25 +135,31 @@ type AttackSpec struct {
 	// TriggerBranch fires the burst after this many taken transfers
 	// (0 = on the very next one, the strict Session.Inject semantics).
 	TriggerBranch int64 `json:"trigger_branch"`
-	// BurstLen is the injected legitimate-event count; must be positive.
+	// BurstLen is the injected legitimate-event count,
+	// 1..attack.MaxBurstLen.
 	BurstLen int   `json:"burst_len"`
 	Mimicry  bool  `json:"mimicry,omitempty"`
 	Seed     int64 `json:"seed,omitempty"`
 }
 
-// Hello is the client's opening negotiation.
+// Hello is the client's opening negotiation. Zero numeric fields and an
+// empty backend pick core's defaults; values outside core's bounds are
+// refused with ErrBadHello, and the welcome reports what was resolved.
 type Hello struct {
 	Proto     string `json:"proto"`
 	Benchmark string `json:"benchmark"`
-	Model     string `json:"model"`             // "elm" | "lstm"
-	Backend   string `json:"backend,omitempty"` // "" = server default (gpu)
-	CUs       int    `json:"cus,omitempty"`     // 0 = 5 (ML-MIAOW)
+	Model     string `json:"model"` // "elm" | "lstm"
+	// Backend names the inference backend (kernels.NewBackend's names);
+	// "" picks kernels.DefaultBackend.
+	Backend string `json:"backend,omitempty"`
+	// CUs is the compute-unit count, 1..core.MaxCUs; 0 picks core.MaxCUs.
+	CUs int `json:"cus,omitempty"`
 	// Window, when non-zero, asserts the input-vector length the client
 	// expects; the server rejects a mismatch rather than silently judging
 	// different features.
 	Window int `json:"window,omitempty"`
 	// GapCycles is the replay pacing (synthesized CPU cycles per branch
-	// event); 0 accepts the server's default.
+	// event), 1..core.MaxReplayGap; 0 picks core's default.
 	GapCycles int64 `json:"gap_cycles,omitempty"`
 	// Stride, when non-zero, overrides the deployment's IGM emission
 	// stride (vectors per accepted branch window). Smaller strides judge
@@ -286,17 +292,14 @@ type Detection struct {
 // Summary closes a session: pipeline counts always, detection figures when
 // an attack was armed and fired.
 type Summary struct {
-	Judged       int   `json:"judged"`
-	Dropped      int64 `json:"dropped"`
-	MaxOccupancy int   `json:"max_occupancy"`
-	TraceBytes   int64 `json:"trace_bytes"`
-	Events       int64 `json:"events"`
-	DecodeErrors int   `json:"decode_errors,omitempty"`
-	// ShedChunks counts trace chunks dropped by the server's shed
-	// backpressure policy (always 0 under the default block policy).
-	ShedChunks  int64      `json:"shed_chunks,omitempty"`
-	AttackFired bool       `json:"attack_fired,omitempty"`
-	Detection   *Detection `json:"detection,omitempty"`
+	Judged       int        `json:"judged"`
+	Dropped      int64      `json:"dropped"`
+	MaxOccupancy int        `json:"max_occupancy"`
+	TraceBytes   int64      `json:"trace_bytes"`
+	Events       int64      `json:"events"`
+	DecodeErrors int        `json:"decode_errors,omitempty"`
+	AttackFired  bool       `json:"attack_fired,omitempty"`
+	Detection    *Detection `json:"detection,omitempty"`
 }
 
 // writeJSON marshals v and writes it as one frame of type t.
