@@ -17,11 +17,13 @@
 package rtad
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"rtad/internal/core"
 	"rtad/internal/cpu"
@@ -524,6 +526,44 @@ func BenchmarkBackendFig8GridSaturated(b *testing.B) {
 			b.ReportMetric(float64(judged), "judged/op")
 		})
 	}
+}
+
+// BenchmarkTrainDeployment trains the 400.perlbench ELM deployment with the
+// evaluation budgets (core.DefaultTrainConfig) and reports what keeping and
+// shipping it costs: what Train allocates, the heap the deployment retains
+// after a collection, its saved size, and the time to load that file back.
+func BenchmarkTrainDeployment(b *testing.B) {
+	p, _ := workload.ByName("400.perlbench")
+	var alloc, retained, size int64
+	var load time.Duration
+	for i := 0; i < b.N; i++ {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		dep, err := core.Train(core.DefaultTrainConfig(p, core.ModelELM))
+		if err != nil {
+			b.Fatal(err)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		alloc = int64(after.TotalAlloc - before.TotalAlloc)
+		retained = int64(after.HeapAlloc) - int64(before.HeapAlloc)
+		var buf bytes.Buffer
+		if err := dep.Save(&buf); err != nil {
+			b.Fatal(err)
+		}
+		size = int64(buf.Len())
+		start := time.Now()
+		if _, err := core.LoadDeployment(&buf); err != nil {
+			b.Fatal(err)
+		}
+		load = time.Since(start)
+		runtime.KeepAlive(dep)
+	}
+	b.ReportMetric(float64(alloc)/1e6, "train_alloc_MB")
+	b.ReportMetric(float64(retained)/1e6, "retained_MB")
+	b.ReportMetric(float64(size)/1e6, "dep_MB")
+	b.ReportMetric(load.Seconds(), "load_s")
 }
 
 func BenchmarkLSTMTrainingStep(b *testing.B) {

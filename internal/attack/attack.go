@@ -31,9 +31,9 @@ type Config struct {
 	// SpacingCycles is the CPU-cycle gap between injected events (the
 	// attacker's gadget chain executes at normal machine speed).
 	SpacingCycles int64
-	// Pool is the legitimate-event reservoir, typically a trace recorded
-	// from an earlier normal run of the same binary.
-	Pool []cpu.BranchEvent
+	// Pool is the legitimate-event reservoir, typically recorded from an
+	// earlier normal run of the same binary.
+	Pool *Pool
 	// Segment replays a contiguous pool segment (mimicry-style replay of
 	// a gadget trace) instead of independently sampled events.
 	Segment bool
@@ -75,7 +75,7 @@ func New(cfg Config, next cpu.Sink) (*Injector, error) {
 	if cfg.BurstLen <= 0 || cfg.BurstLen > MaxBurstLen {
 		return nil, fmt.Errorf("attack: burst length %d outside 1..%d", cfg.BurstLen, MaxBurstLen)
 	}
-	if len(cfg.Pool) == 0 {
+	if cfg.Pool == nil || cfg.Pool.Len() == 0 {
 		return nil, fmt.Errorf("attack: empty legitimate-event pool")
 	}
 	if cfg.SpacingCycles <= 0 {
@@ -119,47 +119,34 @@ func (in *Injector) fire(ev cpu.BranchEvent) {
 	in.inject(ev.Cycle+in.cycleOffset, ev.Seq+in.seqOffset)
 }
 
-// inject replays the burst starting at the given cycle.
+// inject replays the burst starting at the given cycle. Every pool event is
+// a taken transfer, so every injected event is one.
 func (in *Injector) inject(cycle, seq int64) {
+	pool := in.cfg.Pool
+	n := pool.Len()
 	start := 0
 	if in.cfg.Segment {
-		if len(in.cfg.Pool) > in.cfg.BurstLen {
-			start = in.rng.Intn(len(in.cfg.Pool) - in.cfg.BurstLen)
+		if n > in.cfg.BurstLen {
+			start = in.rng.Intn(n - in.cfg.BurstLen)
 		}
 	}
 	for k := 0; k < in.cfg.BurstLen; k++ {
-		var src cpu.BranchEvent
+		var src Entry
 		if in.cfg.Segment {
-			src = in.cfg.Pool[(start+k)%len(in.cfg.Pool)]
+			src = pool.At((start + k) % n)
 		} else {
-			src = in.cfg.Pool[in.rng.Intn(len(in.cfg.Pool))]
+			src = pool.At(in.rng.Intn(n))
 		}
-		ev := cpu.BranchEvent{
+		in.next.BranchRetired(cpu.BranchEvent{
 			Seq:    seq + int64(k),
 			Cycle:  cycle + int64(k)*in.cfg.SpacingCycles,
 			PC:     src.PC,
 			Target: src.Target,
 			Kind:   src.Kind,
-			Taken:  src.Taken,
-		}
-		if ev.Taken {
-			in.InjectedEvents++
-		}
-		in.next.BranchRetired(ev)
+			Taken:  true,
+		})
 	}
+	in.InjectedEvents += int64(in.cfg.BurstLen)
 	in.cycleOffset += int64(in.cfg.BurstLen) * in.cfg.SpacingCycles
 	in.seqOffset += int64(in.cfg.BurstLen)
-}
-
-// RecordPool captures a legitimate-event pool by running profile events
-// through a collector; callers typically pass the events of a prior normal
-// run. Only taken transfers are useful as replay material.
-func RecordPool(events []cpu.BranchEvent) []cpu.BranchEvent {
-	var pool []cpu.BranchEvent
-	for _, ev := range events {
-		if ev.Taken {
-			pool = append(pool, ev)
-		}
-	}
-	return pool
 }

@@ -7,15 +7,24 @@ import (
 	"rtad/internal/workload"
 )
 
-func makePool(n int) []cpu.BranchEvent {
-	pool := make([]cpu.BranchEvent, n)
-	for i := range pool {
-		pool[i] = cpu.BranchEvent{
+// recordPool records events into a new pool.
+func recordPool(events ...cpu.BranchEvent) *Pool {
+	p := &Pool{}
+	for _, ev := range events {
+		p.BranchRetired(ev)
+	}
+	return p
+}
+
+func makePool(n int) *Pool {
+	evs := make([]cpu.BranchEvent, n)
+	for i := range evs {
+		evs[i] = cpu.BranchEvent{
 			Cycle: int64(i * 10), PC: 0x8000 + uint32(i)*4,
 			Target: 0x9000 + uint32(i%32)*4, Kind: cpu.KindDirect, Taken: true,
 		}
 	}
-	return pool
+	return recordPool(evs...)
 }
 
 func victimEvents(n int) []cpu.BranchEvent {
@@ -68,8 +77,8 @@ func TestInjectionSplicesBurst(t *testing.T) {
 func TestInjectedEventsAreLegitimate(t *testing.T) {
 	pool := makePool(16)
 	legit := map[uint32]bool{}
-	for _, ev := range pool {
-		legit[ev.Target] = true
+	for i := 0; i < pool.Len(); i++ {
+		legit[pool.At(i).Target] = true
 	}
 	var burst []cpu.BranchEvent
 	sink := cpu.SinkFunc(func(ev cpu.BranchEvent) int64 {
@@ -144,9 +153,9 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestRecordPoolFiltersNotTaken(t *testing.T) {
-	evs := []cpu.BranchEvent{{Taken: true}, {Taken: false}, {Taken: true}}
-	if got := RecordPool(evs); len(got) != 2 {
-		t.Errorf("RecordPool kept %d events, want 2", len(got))
+	got := recordPool(cpu.BranchEvent{Taken: true}, cpu.BranchEvent{Taken: false}, cpu.BranchEvent{Taken: true})
+	if got.Len() != 2 {
+		t.Errorf("pool kept %d events, want 2", got.Len())
 	}
 }
 
@@ -157,14 +166,13 @@ func TestInjectionIntoRealWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Record a legitimate pool from a normal run.
-	rec := &cpu.CollectSink{TakenOnly: true}
-	c := cpu.New(prog, cpu.Config{Mode: cpu.ModeRTAD, Sink: rec})
+	pool := &Pool{}
+	c := cpu.New(prog, cpu.Config{Mode: cpu.ModeRTAD, Sink: pool})
 	if _, err := c.Run(100_000); err != nil {
 		t.Fatal(err)
 	}
-	pool := RecordPool(rec.Events)
-	if len(pool) < 1000 {
-		t.Fatalf("pool too small: %d", len(pool))
+	if pool.Len() < 1000 {
+		t.Fatalf("pool too small: %d", pool.Len())
 	}
 	// Victim run with injection.
 	out := &cpu.CollectSink{}

@@ -69,7 +69,7 @@ func TestTrainLSTMDeployment(t *testing.T) {
 	if dep.LSTM.Threshold <= 0 {
 		t.Errorf("threshold %g not calibrated", dep.LSTM.Threshold)
 	}
-	if len(dep.Pool) == 0 {
+	if dep.Pool.Len() == 0 {
 		t.Error("no legitimate-event pool recorded")
 	}
 }

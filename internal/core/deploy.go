@@ -12,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"rtad/internal/attack"
 	"rtad/internal/cpu"
 	"rtad/internal/igm"
 	"rtad/internal/isa"
@@ -85,7 +86,9 @@ type Deployment struct {
 	Translate func(int32) int32
 	ELM       *ml.ELM
 	LSTM      *ml.LSTM
-	Pool      []cpu.BranchEvent
+	// Pool holds every taken transfer of the training run, the legitimate
+	// events the attack emulation replays.
+	Pool *attack.Pool
 	// TrainWindows reports how many windows the model was fitted on.
 	TrainWindows int
 
@@ -182,26 +185,36 @@ func (d *Deployment) Window() int {
 	return kernels.LSTMWindow
 }
 
-// collectWindows filters a retired-event stream through the mapper exactly
-// as the IGM would, translating classes into the model alphabet, and slices
-// it into windows at the given stride. This is the offline training path:
-// it sees the same data the hardware pipeline delivers, without paying for
-// packet encode/decode on tens of millions of instructions.
-func collectWindows(events []cpu.BranchEvent, mapper *igm.AddressMap,
-	translate func(int32) int32, window, stride int) [][]int32 {
-	var classes []int32
-	for _, ev := range events {
-		if !ev.Taken {
-			continue
-		}
-		c, ok := mapper.Lookup(ev.Target)
-		if !ok {
-			continue
-		}
-		if translate != nil {
+// entryClasses resolves every pool table entry through the mapper once,
+// exactly as the IGM resolves a branch target, translated into the model
+// alphabet. ok[k] is false where the IGM drops entry k.
+func entryClasses(table []attack.Entry, mapper *igm.AddressMap,
+	translate func(int32) int32) (classes []int32, ok []bool) {
+	classes, ok = make([]int32, len(table)), make([]bool, len(table))
+	for k, e := range table {
+		c, mapped := mapper.Lookup(e.Target)
+		if mapped && translate != nil {
 			c = translate(c)
 		}
-		classes = append(classes, c)
+		classes[k], ok[k] = c, mapped
+	}
+	return classes, ok
+}
+
+// collectWindows filters the training run's taken transfers through the
+// mapper exactly as the IGM would, translating classes into the model
+// alphabet, and slices the result into windows at the given stride. This is
+// the offline training path: it sees the same data the hardware pipeline
+// delivers, without paying for packet encode/decode on tens of millions of
+// instructions.
+func collectWindows(pool *attack.Pool, mapper *igm.AddressMap,
+	translate func(int32) int32, window, stride int) [][]int32 {
+	entry, ok := entryClasses(pool.Table(), mapper, translate)
+	var classes []int32
+	for _, k := range pool.Index() {
+		if ok[k] {
+			classes = append(classes, entry[k])
+		}
 	}
 	var out [][]int32
 	for i := window; i <= len(classes); i += stride {
@@ -219,14 +232,20 @@ func Train(cfg TrainConfig) (*Deployment, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Normal-trace collection run.
-	rec := &cpu.CollectSink{TakenOnly: true}
-	c := cpu.New(prog, cpu.Config{Mode: cpu.ModeRTAD, Sink: rec})
-	if _, err := c.Run(cfg.TrainInstr); err != nil {
-		return nil, fmt.Errorf("core: trace collection: %w", err)
+	// Normal-trace collection run, recorded straight into the pool.
+	pool := &attack.Pool{}
+	c := cpu.New(prog, cpu.Config{Mode: cpu.ModeRTAD, Sink: pool})
+	collect := func() error {
+		if _, err := c.Run(cfg.TrainInstr); err != nil {
+			return fmt.Errorf("core: trace collection: %w", err)
+		}
+		return pool.Err()
+	}
+	if err := collect(); err != nil {
+		return nil, err
 	}
 
-	dep := &Deployment{Profile: cfg.Profile, Kind: cfg.Kind, Pool: rec.Events}
+	dep := &Deployment{Profile: cfg.Profile, Kind: cfg.Kind, Pool: pool}
 	switch cfg.Kind {
 	case ModelELM:
 		dep.Mapper = igm.NewAddressMap()
@@ -234,19 +253,27 @@ func Train(cfg TrainConfig) (*Deployment, error) {
 		dep.Translate = elmTranslate
 		// Syscall density varies an order of magnitude across the suite;
 		// extend the collection run until the ridge solve has enough
-		// windows (or the hard cap is hit).
+		// windows (or the hard cap is hit). Windows are counted as events
+		// arrive: each round classifies only the events the last run added.
 		need := int(float64(ml.DefaultELMConfig().Hidden)/(1-cfg.CalibFraction)) + 40
 		const collectCap = int64(90_000_000) // extra-instruction hard cap
+		counted, mapped := 0, 0
 		for extra := int64(0); extra < collectCap; extra += cfg.TrainInstr {
-			if len(collectWindows(rec.Events, dep.Mapper, dep.Translate, kernels.ELMWindow, 1)) >= need {
+			_, ok := entryClasses(pool.Table(), dep.Mapper, dep.Translate)
+			for _, k := range pool.Index()[counted:] {
+				if ok[k] {
+					mapped++
+				}
+			}
+			counted = pool.Len()
+			if mapped-kernels.ELMWindow+1 >= need { // windows at stride 1
 				break
 			}
-			if _, err := c.Run(cfg.TrainInstr); err != nil {
-				return nil, fmt.Errorf("core: extended trace collection: %w", err)
+			if err := collect(); err != nil {
+				return nil, err
 			}
-			dep.Pool = rec.Events
 		}
-		windows := collectWindows(rec.Events, dep.Mapper, dep.Translate, kernels.ELMWindow, 1)
+		windows := collectWindows(pool, dep.Mapper, dep.Translate, kernels.ELMWindow, 1)
 		train, calib := splitWindows(windows, cfg.CalibFraction)
 		dep.TrainWindows = len(train)
 		model, err := ml.TrainELM(ml.DefaultELMConfig(), train)
@@ -261,13 +288,13 @@ func Train(cfg TrainConfig) (*Deployment, error) {
 		dep.ELM = model
 
 	case ModelLSTM:
-		dep.Mapper = buildBranchVocab(rec.Events, kernels.LSTMVocab)
+		dep.Mapper = buildBranchVocab(pool, kernels.LSTMVocab)
 		dep.Translate = nil // vocabulary classes are already 0..Vocab-1
 		stride := cfg.TrainStride
 		if stride <= 0 {
 			stride = 64
 		}
-		windows := collectWindows(rec.Events, dep.Mapper, nil, kernels.LSTMWindow, stride)
+		windows := collectWindows(pool, dep.Mapper, nil, kernels.LSTMWindow, stride)
 		train, calib := splitWindows(windows, cfg.CalibFraction)
 		dep.TrainWindows = len(train)
 		model, err := ml.TrainLSTM(ml.DefaultLSTMConfig(), train)
@@ -322,12 +349,14 @@ func splitWindows(windows [][]int32, calibFraction float64) (train, calib [][]in
 // branch targets of the normal trace — the user-configured "branches
 // related to their ML models" of §III-A. Class IDs are assigned in
 // frequency order, so they double as the model alphabet.
-func buildBranchVocab(events []cpu.BranchEvent, vocab int) *igm.AddressMap {
+func buildBranchVocab(pool *attack.Pool, vocab int) *igm.AddressMap {
+	perEntry := make([]int64, len(pool.Table()))
+	for _, k := range pool.Index() {
+		perEntry[k]++
+	}
 	counts := map[uint32]int64{}
-	for _, ev := range events {
-		if ev.Taken {
-			counts[ev.Target]++
-		}
+	for k, e := range pool.Table() {
+		counts[e.Target] += perEntry[k]
 	}
 	type tc struct {
 		target uint32

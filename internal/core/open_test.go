@@ -7,14 +7,18 @@ import (
 	"rtad/internal/cpu"
 	"rtad/internal/kernels"
 	"rtad/internal/ptm"
+	"rtad/internal/workload"
 )
 
 // captureStream records a benchmark run as the raw branch-broadcast PTM
 // byte stream, the input of trace-replay sessions.
-func captureStream(t *testing.T, bench string, instr int64) []byte {
+func captureStream(t testing.TB, bench string, instr int64) []byte {
 	t.Helper()
-	dep := trainLSTMDeployment(t, bench) // profile lookup is validated here
-	prog, err := dep.Profile.Generate()
+	p, ok := workload.ByName(bench)
+	if !ok {
+		t.Fatalf("unknown benchmark %s", bench)
+	}
+	prog, err := p.Generate()
 	if err != nil {
 		t.Fatal(err)
 	}

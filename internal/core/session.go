@@ -35,7 +35,7 @@ type Session struct {
 	lanes []*lane
 	// pool is the legitimate-event reservoir Inject draws from (the lone
 	// deployment's pool, or the LSTM's for dual sessions).
-	pool []cpu.BranchEvent
+	pool *attack.Pool
 	inj  *attack.Injector
 	// shared is the engine token multiplexing the lanes' MCMs on one
 	// ML-MIAOW (nil for single-lane sessions).

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -456,5 +457,78 @@ func TestModelsAdminEndToEnd(t *testing.T) {
 		"model": {key}, "version": {"99"}, "fraction": {"0.5"},
 	}); status != http.StatusBadRequest {
 		t.Fatalf("canarying an unknown version: status %d, want 400", status)
+	}
+}
+
+// TestOpenPanicConfinedToAdmission: a deployment whose sessions panic in
+// core.Open (an LSTM with OutB cut to 3 entries, deployed in process so
+// LoadDeployment's checks never ran) costs only the admissions that open
+// it. As the active version its hello gets an internal error frame; as a
+// full-slice canary its shadow is dropped and the session is served on the
+// good active version. Either way every registry hold is released.
+func TestOpenPanicConfinedToAdmission(t *testing.T) {
+	dep, stream := fixtures(t)
+	broken := *dep.LSTM
+	broken.OutB = broken.OutB[:3]
+	bad := &core.Deployment{Profile: dep.Profile, Kind: dep.Kind, Mapper: dep.Mapper,
+		LSTM: &broken, Pool: dep.Pool, TrainWindows: dep.TrainWindows}
+	tel := obs.NewMetricsOnly()
+	srv := New(nil, WithTelemetry(tel))
+	srv.Deploy(bad)
+	addr := serveLoopback(t, srv)
+	reg := srv.Registry()
+	key := registry.Key(dep)
+	hello := Hello{Benchmark: fixBench, Model: "lstm"}
+
+	_, err := Dial(addr, hello, nil)
+	var em *ErrorMsg
+	if !errors.As(err, &em) || em.Code != ErrInternal {
+		t.Fatalf("hello on the panicking deployment: got %v, want an internal error frame", err)
+	}
+
+	// Promoting the good deployment retires v1, which leaves the registry
+	// once the refused admission has released its hold.
+	srv.Deploy(dep)
+	deadline := time.Now().Add(5 * time.Second)
+	for vi, held := lookupVersion(reg, key, 1); held; vi, held = lookupVersion(reg, key, 1) {
+		if time.Now().After(deadline) {
+			t.Fatalf("refused admission still holds v1: %+v", vi)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	canary, err := reg.Register(bad, registry.Meta{Origin: "test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.StartCanary(key, canary.ID(), 1.0); err != nil {
+		t.Fatal(err)
+	}
+
+	c, err := Dial(addr, hello, nil)
+	if err != nil {
+		t.Fatalf("session on the good deployment refused: %v", err)
+	}
+	if err := c.Send(stream[:len(stream)/8]); err != nil {
+		t.Fatal(err)
+	}
+	sum, err := c.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Judged == 0 {
+		t.Error("session on the good deployment judged nothing")
+	}
+	deadline = time.Now().Add(5 * time.Second)
+	for vi := findVersion(t, reg, key, canary.ID()); vi.Refs != 0; vi = findVersion(t, reg, key, canary.ID()) {
+		if time.Now().After(deadline) {
+			t.Fatalf("dropped shadow still holds the canary: %+v", vi)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if vi := findVersion(t, reg, key, canary.ID()); vi.ShadowJudged != 0 {
+		t.Errorf("the panicking canary shadow-judged %d vectors", vi.ShadowJudged)
+	}
+	if n := tel.Reg.Counter("rtad_serve_panics_total").Value(); n != 2 {
+		t.Errorf("panic counter = %d, want 2 (one primary, one shadow open)", n)
 	}
 }

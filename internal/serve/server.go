@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net"
@@ -383,7 +384,11 @@ func (s *Server) handle(conn net.Conn) {
 
 	sess, shadow, welcome, err := s.openSession(id, ver, shadowVer, hello)
 	if err != nil {
-		s.refuse(conn, ErrBadHello, err.Error())
+		code := ErrBadHello
+		if errors.Is(err, errOpenPanic) {
+			code = ErrInternal
+		}
+		s.refuse(conn, code, err.Error())
 		return
 	}
 	if shadow == nil && shadowVer != nil {
@@ -546,12 +551,12 @@ func (s *Server) openSession(id string, ver, shadowVer *registry.Version, hello 
 			Seed:          a.Seed,
 		}))
 	}
-	sess, err = core.Open(core.Deployments{dep}, opts...)
+	sess, err = s.openCore(id, dep, opts)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	if shadowVer != nil {
-		shadow, err = core.Open(core.Deployments{shadowVer.Deployment()}, opts...)
+		shadow, err = s.openCore(id, shadowVer.Deployment(), opts)
 		if err != nil {
 			s.log.Warn("serve: canary shadow failed to open, session proceeds unshadowed",
 				obs.SessionKey, id, "model", ver.Key(), "candidate_version", shadowVer.ID(), "err", err)
@@ -574,8 +579,27 @@ func (s *Server) openSession(id string, ver, shadowVer *registry.Version, hello 
 	return sess, shadow, welcome, nil
 }
 
+// errOpenPanic marks an admission that failed because core.Open panicked.
+var errOpenPanic = errors.New("session open panic")
+
+// openCore opens one core session with any panic confined to it: a
+// deployment that breaks core.Open (an in-process one that never passed
+// LoadDeployment's checks) costs its admission an error, not the daemon
+// its life. The panic is counted and recorded like a session panic.
+func (s *Server) openCore(id string, dep *core.Deployment, opts []core.Option) (sess *core.Session, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			s.mPanics.Inc()
+			s.cfg.Flight.Record(id, "panic", map[string]any{"stage": "open", "value": fmt.Sprint(p)})
+			s.log.Error("serve: session open panic", obs.SessionKey, id, "panic", p)
+			sess, err = nil, fmt.Errorf("%w: %v", errOpenPanic, p)
+		}
+	}()
+	return core.Open(core.Deployments{dep}, opts...)
+}
+
 // refuse writes one error frame and closes the connection — the pre-session
-// exit path (bad hello, busy, draining).
+// exit path (bad hello, busy, draining, a panicking open).
 func (s *Server) refuse(conn net.Conn, code, msg string) {
 	s.writeFrame(conn, FrameError, &ErrorMsg{Code: code, Msg: msg})
 	conn.Close()
