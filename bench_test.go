@@ -235,17 +235,14 @@ func BenchmarkAblationDrainThreshold(b *testing.B) {
 // paths.
 func BenchmarkFleetDetectionGrid(b *testing.B) {
 	dep := lstmDeployment(b)
-	var jobs []core.Job
+	var cfgs []core.PipelineConfig
 	for _, cus := range []int{1, 5} {
 		for _, stride := range []int{512, 1024, 3840} {
-			jobs = append(jobs, core.Job{
-				Dep:    dep,
-				Config: core.PipelineConfig{CUs: cus, Stride: stride},
-				Attack: core.AttackSpec{Seed: 3},
-				Instr:  2_000_000,
-			})
+			cfgs = append(cfgs, core.PipelineConfig{CUs: cus, Stride: stride})
 		}
 	}
+	const instr = 2_000_000
+	attack := core.AttackSpec{Seed: 3}.Resolve(instr)
 	widths := []int{1, runtime.GOMAXPROCS(0)}
 	if widths[1] == 1 {
 		widths = widths[:1] // single-CPU host: widths coincide
@@ -253,16 +250,29 @@ func BenchmarkFleetDetectionGrid(b *testing.B) {
 	for _, workers := range widths {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			fleet := core.NewFleet(workers)
+			defer fleet.Close()
+			results := make([]*core.DetectionResult, len(cfgs))
 			for i := 0; i < b.N; i++ {
-				results, err := fleet.Detect(jobs)
+				clear(results)
+				err := fleet.Run(len(cfgs), func(j int) error {
+					s, err := core.Open(core.Deployments{dep},
+						core.WithConfig(cfgs[j]), core.WithAttack(attack))
+					if err != nil {
+						return err
+					}
+					results[j], err = s.Detect(instr)
+					return err
+				})
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(results) != len(jobs) {
-					b.Fatalf("got %d results for %d jobs", len(results), len(jobs))
+				for j, res := range results {
+					if res == nil {
+						b.Fatalf("job %d produced no result", j)
+					}
 				}
 			}
-			b.ReportMetric(float64(len(jobs)), "jobs/op")
+			b.ReportMetric(float64(len(cfgs)), "jobs/op")
 		})
 	}
 }

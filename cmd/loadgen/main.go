@@ -29,7 +29,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"runtime/pprof"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -38,6 +37,7 @@ import (
 
 	"rtad/internal/cpu"
 	"rtad/internal/obs"
+	"rtad/internal/prof"
 	"rtad/internal/ptm"
 	"rtad/internal/serve"
 	"rtad/internal/workload"
@@ -58,18 +58,15 @@ func main() {
 		metricsAdr = flag.String("metrics-addr", "", "scrape this rtadd metrics address after the pass for the server-side SLO snapshot")
 	)
 	flag.Parse()
-	if *profile != "" {
-		f, err := os.Create(*profile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		pprof.StartCPUProfile(f)
-		defer pprof.StopCPUProfile()
-	}
-	if err := run(*addr, *bench, *backend, *clients, *probes, *stride, *gap, *chunk, *traceInstr, *metricsAdr); err != nil {
+	ps, err := prof.Start(*profile, "")
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
+	}
+	defer ps.Stop()
+	if err := run(*addr, *bench, *backend, *clients, *probes, *stride, *gap, *chunk, *traceInstr, *metricsAdr); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		prof.Exit(ps, 1)
 	}
 }
 

@@ -121,7 +121,7 @@ func main() {
 	if err := loadDeployments(srv, logger, *load, *bench, *models); err != nil {
 		fatal(err)
 	}
-	keys := srv.Models()
+	keys := srv.Registry().ActiveKeys()
 	if len(keys) == 0 && *watchDir == "" {
 		fatal(fmt.Errorf("no deployments: give -bench (train at startup), -load (saved files), or -watch (a model directory)"))
 	}
@@ -136,7 +136,7 @@ func main() {
 		go w.run(*watchInterval, watchStop)
 		logger.Info("watching for model versions", "dir", *watchDir,
 			"interval", *watchInterval, "canary_fraction", *canaryFraction)
-		keys = srv.Models()
+		keys = srv.Registry().ActiveKeys()
 	}
 	logger.Info("serving deployments", "count", len(keys), "models", strings.Join(keys, ", "))
 

@@ -132,7 +132,8 @@ func main() {
 	fmt.Printf("running detection (%d instructions, %d CUs, burst %d)...\n", detInstr, *cus, *burst)
 	spec := core.AttackSpec{BurstLen: *burst, Seed: *seed, Mimicry: *mimic}
 	sess, err := core.Open(core.Deployments{dep},
-		core.WithConfig(core.PipelineConfig{CUs: *cus, Telemetry: tel, Backend: *backend}),
+		core.WithConfig(core.PipelineConfig{CUs: *cus, Backend: *backend}),
+		core.WithTelemetry(tel),
 		core.WithAttack(spec.Resolve(detInstr)))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

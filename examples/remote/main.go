@@ -82,7 +82,7 @@ func main() {
 	}
 	w := cl.Welcome()
 	fmt.Printf("session %s: %s/%s backend=%s window=%d gap=%d model_version=%d\n",
-		w.Session, w.Benchmark, w.Model, w.Backend, w.Window, w.GapCycles, cl.ModelVersion())
+		w.SessionID, w.Benchmark, w.Model, w.Backend, w.Window, w.GapCycles, cl.ModelVersion())
 
 	for off := 0; off < len(stream); off += *chunk {
 		end := off + *chunk

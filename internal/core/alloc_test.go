@@ -64,9 +64,7 @@ func TestTelemetryOffJudgmentPathAllocs(t *testing.T) {
 	dep := trainELMDeployment(t, "400.perlbench")
 
 	build := func(tel *obs.Telemetry) *Pipeline {
-		p, err := NewPipeline(dep, PipelineConfig{
-			CUs: 5, Backend: "native-calibrated", Telemetry: tel,
-		})
+		p, err := newPipeline(dep, PipelineConfig{CUs: 5, Backend: "native-calibrated"}, wiring{tel: tel})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -42,17 +42,23 @@ func trainELMDeployment(t *testing.T, bench string) *Deployment {
 
 // detect runs one single-lane detection experiment to completion: the
 // attack armed at open with the classic defaults, then Detect.
-func detect(t *testing.T, dep *Deployment, cfg PipelineConfig, spec AttackSpec, instr int64) *DetectionResult {
+func detect(t *testing.T, dep *Deployment, cfg PipelineConfig, spec AttackSpec, instr int64, opts ...Option) *DetectionResult {
 	t.Helper()
-	s, err := Open(Deployments{dep}, WithConfig(cfg), WithAttack(spec.Resolve(instr)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Detect(instr)
+	res, err := runDetect(dep, cfg, spec, instr, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
+}
+
+// runDetect is detect reporting its error, for fleet jobs that must not
+// fail the test from a worker goroutine.
+func runDetect(dep *Deployment, cfg PipelineConfig, spec AttackSpec, instr int64, opts ...Option) (*DetectionResult, error) {
+	s, err := Open(Deployments{dep}, append([]Option{WithConfig(cfg), WithAttack(spec.Resolve(instr))}, opts...)...)
+	if err != nil {
+		return nil, err
+	}
+	return s.Detect(instr)
 }
 
 func TestTrainLSTMDeployment(t *testing.T) {

@@ -1,11 +1,8 @@
 package core
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
-
-	"rtad/internal/obs"
 )
 
 // Fleet runs independent detection sessions concurrently. Each session owns
@@ -15,7 +12,6 @@ import (
 // and the -race fleet test enforces).
 type Fleet struct {
 	workers int
-	tel     *obs.Telemetry
 
 	// The persistent submission path (Go/Wait). Workers start lazily on
 	// the first Go and live until Close, so long-lived servers (rtadd) and
@@ -41,14 +37,6 @@ func NewFleet(workers int) *Fleet {
 
 // Workers reports the pool width.
 func (f *Fleet) Workers() int { return f.workers }
-
-// Observe attaches a telemetry bundle to the fleet. Detect then gives each
-// job a private metrics-only registry and merges them into tel's registry
-// serially in job order after the pool drains — counter and histogram totals
-// are therefore bit-identical at any worker count. Per-job traces are not
-// recorded (concurrent sessions would interleave one tracer); use a
-// single-session run for tracing.
-func (f *Fleet) Observe(tel *obs.Telemetry) { f.tel = tel }
 
 // Go submits one job to the worker pool, starting the workers on first
 // use. Jobs run concurrently up to the fleet width; a submission beyond
@@ -127,65 +115,4 @@ func (f *Fleet) Run(n int, fn func(i int) error) error {
 		f.Go(func() error { return fn(i) })
 	}
 	return f.Wait()
-}
-
-// Job is one detection run for Detect: a trained deployment (shared
-// read-only across jobs), the pipeline sizing, the attack, and the
-// instruction budget.
-type Job struct {
-	Dep    *Deployment
-	Config PipelineConfig
-	Attack AttackSpec
-	Instr  int64
-}
-
-// Detect fans the jobs over the pool and returns results in job order. With
-// an Observe'd telemetry bundle, every job records into its own registry;
-// the registries are merged into the bundle serially in job order once the
-// pool drains, so the aggregate is independent of scheduling.
-func (f *Fleet) Detect(jobs []Job) ([]*DetectionResult, error) {
-	out := make([]*DetectionResult, len(jobs))
-	var regs []*obs.Registry
-	observed := f.tel != nil && f.tel.Reg != nil
-	if observed {
-		regs = make([]*obs.Registry, len(jobs))
-	}
-	jobsDone := f.tel.Counter("rtad_fleet_jobs_done_total")
-	jobsFailed := f.tel.Counter("rtad_fleet_jobs_failed_total")
-	f.tel.Gauge("rtad_fleet_workers").Set(int64(f.workers))
-	f.tel.Gauge("rtad_fleet_jobs").Set(int64(len(jobs)))
-	err := f.Run(len(jobs), func(i int) error {
-		cfg := jobs[i].Config
-		if observed && cfg.Telemetry == nil {
-			jt := obs.NewMetricsOnly()
-			regs[i] = jt.Reg
-			cfg.Telemetry = jt
-		}
-		res, err := func() (*DetectionResult, error) {
-			s, err := Open(Deployments{jobs[i].Dep}, WithConfig(cfg),
-				WithAttack(jobs[i].Attack.Resolve(jobs[i].Instr)))
-			if err != nil {
-				return nil, err
-			}
-			return s.Detect(jobs[i].Instr)
-		}()
-		if err != nil {
-			jobsFailed.Inc()
-			return fmt.Errorf("core: fleet job %d (%s): %w", i, jobs[i].Dep.Profile.Name, err)
-		}
-		jobsDone.Inc()
-		out[i] = res
-		return nil
-	})
-	if observed {
-		for _, r := range regs {
-			if r != nil {
-				f.tel.Reg.Merge(r)
-			}
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

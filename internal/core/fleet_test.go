@@ -16,20 +16,18 @@ import (
 // data race or a diverging result.
 func TestFleetParallelSessionsShareDeployment(t *testing.T) {
 	dep := trainLSTMDeployment(t, "458.sjeng")
-	job := Job{
-		Dep:    dep,
-		Config: PipelineConfig{CUs: 5, Stride: 512},
-		Attack: AttackSpec{Seed: 3},
-		Instr:  1_500_000,
-	}
-	serial := detect(t, job.Dep, job.Config, job.Attack, job.Instr)
+	cfg := PipelineConfig{CUs: 5, Stride: 512}
+	spec := AttackSpec{Seed: 3}
+	const instr = 1_500_000
+	serial := detect(t, dep, cfg, spec, instr)
 
 	const parallel = 8
-	jobs := make([]Job, parallel)
-	for i := range jobs {
-		jobs[i] = job
-	}
-	results, err := NewFleet(parallel).Detect(jobs)
+	results := make([]*DetectionResult, parallel)
+	err := NewFleet(parallel).Run(parallel, func(i int) error {
+		var err error
+		results[i], err = runDetect(dep, cfg, spec, instr)
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,11 +42,13 @@ func TestFleetParallelSessionsShareDeployment(t *testing.T) {
 // jobs and deterministic (lowest-index) error reporting.
 func TestFleetMixedJobsOrderAndErrors(t *testing.T) {
 	dep := trainLSTMDeployment(t, "401.bzip2")
-	jobs := []Job{
-		{Dep: dep, Config: PipelineConfig{CUs: 1, Stride: 256}, Attack: AttackSpec{Seed: 1}, Instr: 1_200_000},
-		{Dep: dep, Config: PipelineConfig{CUs: 5, Stride: 256}, Attack: AttackSpec{Seed: 1}, Instr: 1_200_000},
-	}
-	results, err := NewFleet(2).Detect(jobs)
+	cfgs := []PipelineConfig{{CUs: 1, Stride: 256}, {CUs: 5, Stride: 256}}
+	results := make([]*DetectionResult, len(cfgs))
+	err := NewFleet(2).Run(len(cfgs), func(i int) error {
+		var err error
+		results[i], err = runDetect(dep, cfgs[i], AttackSpec{Seed: 1}, 1_200_000)
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,8 +23,7 @@ type Option func(*openConfig)
 
 type openConfig struct {
 	base   PipelineConfig
-	tel    *obs.Telemetry
-	telSet bool
+	wire   wiring
 	attack *AttackSpec
 	replay bool
 	gap    int64
@@ -35,19 +34,22 @@ func WithConfig(cfg PipelineConfig) Option {
 	return func(o *openConfig) { o.base = cfg }
 }
 
-// WithEngineWrap installs an inference-engine interceptor on every lane
-// (PipelineConfig.EngineWrap); it applies on top of WithConfig. The serving
-// layer uses this to route each session's Infer calls through a
-// cross-session batching coordinator without the session noticing.
+// WithEngineWrap installs an inference-engine interceptor on every lane:
+// wrap receives each lane's constructed backend and returns the engine the
+// MCM drives. The serving layer uses this to route each session's Infer
+// calls through a cross-session batching coordinator without the session
+// noticing. Wrappers must preserve the Backend contract — same judgments,
+// cycles and errors as the wrapped engine would produce on the same stream.
 func WithEngineWrap(wrap func(kernels.Backend) kernels.Backend) Option {
-	return func(o *openConfig) { o.base.EngineWrap = wrap }
+	return func(o *openConfig) { o.wire.wrap = wrap }
 }
 
 // WithTelemetry attaches the observability bundle to the session: scheduler
 // and victim gauges, per-stage spans and queue counters, and the judgment
-// latency histogram. It overrides any Telemetry set on the pipeline configs.
+// latency histogram. Nil (the default) leaves the session un-instrumented,
+// with outputs bit-identical to an instrumented run.
 func WithTelemetry(tel *obs.Telemetry) Option {
-	return func(o *openConfig) { o.tel = tel; o.telSet = true }
+	return func(o *openConfig) { o.wire.tel = tel }
 }
 
 // WithAttack arms the attack at open, exactly as Session.Inject would before
@@ -86,9 +88,6 @@ func Open(deps Deployments, opts ...Option) (*Session, error) {
 	var o openConfig
 	for _, opt := range opts {
 		opt(&o)
-	}
-	if o.telSet {
-		o.base.Telemetry = o.tel
 	}
 	var (
 		s   *Session
@@ -142,7 +141,7 @@ func (s *Session) frontEnd(dep *Deployment, o *openConfig) error {
 }
 
 func openSingle(dep *Deployment, o *openConfig) (*Session, error) {
-	pipe, err := NewPipeline(dep, o.base)
+	pipe, err := newPipeline(dep, o.base, o.wire)
 	if err != nil {
 		return nil, err
 	}
@@ -156,7 +155,7 @@ func openSingle(dep *Deployment, o *openConfig) (*Session, error) {
 	if err := s.frontEnd(dep, o); err != nil {
 		return nil, err
 	}
-	s.observe(o.base.Telemetry)
+	s.observe(o.wire.tel)
 	return s, nil
 }
 
@@ -172,19 +171,17 @@ func openDual(elmDep, lstmDep *Deployment, o *openConfig) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Both lanes' MCMs contend for one compute engine and one switch.
 	shared := mcm.NewSharedEngine()
-
-	tel := o.base.Telemetry
-	elmCfg, lstmCfg := o.base, o.base
-	elmCfg.SharedEngine, elmCfg.Bus = shared, bus
-	elmCfg.Telemetry = tel.Lane("elm")
-	lstmCfg.SharedEngine, lstmCfg.Bus = shared, bus
-	lstmCfg.Telemetry = tel.Lane("lstm")
-	elmPipe, err := NewPipeline(elmDep, elmCfg)
+	tel := o.wire.tel
+	elmWire, lstmWire := o.wire, o.wire
+	elmWire.shared, elmWire.bus, elmWire.tel = shared, bus, tel.Lane("elm")
+	lstmWire.shared, lstmWire.bus, lstmWire.tel = shared, bus, tel.Lane("lstm")
+	elmPipe, err := newPipeline(elmDep, o.base, elmWire)
 	if err != nil {
 		return nil, err
 	}
-	lstmPipe, err := NewPipeline(lstmDep, lstmCfg)
+	lstmPipe, err := newPipeline(lstmDep, o.base, lstmWire)
 	if err != nil {
 		return nil, err
 	}

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"rtad/internal/attack"
 	"rtad/internal/cpu"
 	"rtad/internal/kernels"
+	"rtad/internal/obs"
 	"rtad/internal/ptm"
 	"rtad/internal/workload"
 )
@@ -214,13 +216,16 @@ func (c *countingEngine) Infer(w []int32) (kernels.Judgment, int64, error) {
 	return c.Backend.Infer(w)
 }
 
-// TestOpenEngineWrap: WithEngineWrap intercepts every lane's Infer calls
-// and a contract-preserving wrapper leaves the judgment stream untouched.
+// TestOpenEngineWrap: WithEngineWrap intercepts every lane's Infer calls,
+// a contract-preserving wrapper leaves the judgment stream untouched, and
+// Open's options compose in any order — WithConfig keeps the wrapper and
+// the telemetry bundle whether it comes before, between or after them.
 func TestOpenEngineWrap(t *testing.T) {
 	dep := trainLSTMDeployment(t, "458.sjeng")
 	stream := captureStream(t, "458.sjeng", 600_000)
 
-	run := func(opts ...Option) []Judged {
+	run := func(t *testing.T, opts ...Option) ([]Judged, PipelineConfig, int64) {
+		t.Helper()
 		s, err := Open(Deployments{dep}, append([]Option{WithTraceInput(0)}, opts...)...)
 		if err != nil {
 			t.Fatal(err)
@@ -231,26 +236,47 @@ func TestOpenEngineWrap(t *testing.T) {
 		if err := s.Drain(); err != nil {
 			t.Fatal(err)
 		}
-		return s.Results()
+		cfg, gap := s.Resolved()
+		return s.Results(), cfg, gap
 	}
-	want := run()
-	var wrapped *countingEngine
-	got := run(WithEngineWrap(func(b kernels.Backend) kernels.Backend {
-		wrapped = &countingEngine{Backend: b}
-		return wrapped
-	}))
-	if wrapped == nil || wrapped.calls == 0 {
-		t.Fatal("EngineWrap wrapper never saw an Infer call")
+	config := WithConfig(PipelineConfig{CUs: 5, Stride: 512})
+	want, wantCfg, wantGap := run(t, config)
+	if len(want) == 0 {
+		t.Fatal("reference session judged nothing")
 	}
-	if len(got) != len(want) {
-		t.Fatalf("wrapped session judged %d vectors, unwrapped %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i].Rec.Judgment != want[i].Rec.Judgment || got[i].Rec.Done != want[i].Rec.Done {
-			t.Fatalf("judgment %d diverged under EngineWrap: %+v vs %+v", i, got[i].Rec, want[i].Rec)
-		}
-	}
-	if wrapped.calls != len(got) {
-		t.Fatalf("wrapper saw %d Infer calls for %d judgments", wrapped.calls, len(got))
+
+	for _, tc := range []struct {
+		name  string
+		order func(config, wrap, tel Option) []Option
+	}{
+		{"config first", func(c, w, tel Option) []Option { return []Option{c, w, tel} }},
+		{"config between wrap and telemetry", func(c, w, tel Option) []Option { return []Option{w, c, tel} }},
+		{"config between telemetry and wrap", func(c, w, tel Option) []Option { return []Option{tel, c, w} }},
+		{"config last", func(c, w, tel Option) []Option { return []Option{w, tel, c} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var wrapped *countingEngine
+			wrap := WithEngineWrap(func(b kernels.Backend) kernels.Backend {
+				wrapped = &countingEngine{Backend: b}
+				return wrapped
+			})
+			tel := obs.NewMetricsOnly()
+			got, gotCfg, gotGap := run(t, tc.order(config, wrap, WithTelemetry(tel))...)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("judgment stream diverged: %d judgments, want %d", len(got), len(want))
+			}
+			if gotCfg != wantCfg || gotGap != wantGap {
+				t.Errorf("Resolved() = %+v, %d; want %+v, %d", gotCfg, gotGap, wantCfg, wantGap)
+			}
+			if wrapped == nil {
+				t.Fatal("EngineWrap wrapper never built")
+			}
+			if wrapped.calls != len(got) {
+				t.Errorf("wrapper saw %d Infer calls for %d judgments", wrapped.calls, len(got))
+			}
+			if n := tel.Reg.Counter("rtad_judgments_total").Value(); n != int64(len(got)) {
+				t.Errorf("rtad_judgments_total = %d, want %d", n, len(got))
+			}
+		})
 	}
 }

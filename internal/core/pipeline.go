@@ -41,26 +41,6 @@ type PipelineConfig struct {
 	// backend replays WAIT_DONE timing from; passing one table to every
 	// pipeline in a run amortises the one-time GPU calibration pass.
 	Calibration *kernels.Calibration
-	// EngineWrap, when non-nil, wraps the constructed inference backend
-	// before the MCM sees it. This is the serving layer's interception
-	// point: a cross-session batching coordinator substitutes an engine
-	// whose Infer parks the vector in a shared micro-batch. Wrappers must
-	// preserve the Backend contract — same judgments, cycles and errors as
-	// the wrapped engine would produce on the same stream.
-	EngineWrap func(kernels.Backend) kernels.Backend
-	// SharedEngine and Bus support multi-model deployments: pass the same
-	// token/interconnect to several pipelines so their MCMs contend for
-	// one compute engine and one switch (Open wires this for dual
-	// deployments).
-	SharedEngine *mcm.SharedEngine
-	Bus          *axi.Interconnect
-	// Telemetry, when non-nil, threads the observability layer through
-	// every stage of this pipeline (and, via Session, the scheduler and
-	// victim CPU): stage spans and queue counters on the tracer, plus the
-	// branch-retire -> judgment latency histogram — the Fig 8 quantity.
-	// Nil (the default) keeps the whole chain a no-op and the run's
-	// outputs bit-identical to an un-instrumented build.
-	Telemetry *obs.Telemetry
 	// StagedTrace selects the staged byte/word trace-delivery reference
 	// path: every PTM byte is materialised as a TimedByte, pushed through
 	// the TPIU formatter one call each, framed into TimedWords, deframed,
@@ -70,6 +50,25 @@ type PipelineConfig struct {
 	// release schedules — bit-identical judgments, stats, and stage
 	// snapshots (see DESIGN §13), at a fraction of the per-branch cost.
 	StagedTrace bool
+}
+
+// wiring is what Open threads into a pipeline beside its config, set only
+// through Open's options: the telemetry bundle (WithTelemetry), the
+// inference-engine interceptor (WithEngineWrap), and, for dual sessions,
+// the engine token and interconnect both lanes' MCMs contend for.
+type wiring struct {
+	// tel, when non-nil, threads the observability layer through every
+	// stage of this pipeline (and, via Session, the scheduler and victim
+	// CPU): stage spans and queue counters on the tracer, plus the
+	// branch-retire -> judgment latency histogram — the Fig 8 quantity.
+	// Nil keeps the whole chain a no-op and the run's outputs
+	// bit-identical to an un-instrumented build.
+	tel *obs.Telemetry
+	// wrap, when non-nil, wraps the constructed inference backend before
+	// the MCM sees it: the serving layer's batching interception point.
+	wrap   func(kernels.Backend) kernels.Backend
+	shared *mcm.SharedEngine
+	bus    *axi.Interconnect
 }
 
 // Default runtime strides and the compute-unit bound.
@@ -126,6 +125,7 @@ func (j Judged) JudgmentLatency() sim.Time { return j.Rec.Done - j.FinalRetire }
 type Pipeline struct {
 	dep *Deployment
 	cfg PipelineConfig
+	tel *obs.Telemetry
 
 	dev    *gpu.Device
 	engine mcm.Engine
@@ -196,6 +196,10 @@ var JudgmentLatencyBuckets = obs.ExpBuckets(0.5, 2, 14)
 
 // NewPipeline instantiates the SoC for a deployment.
 func NewPipeline(dep *Deployment, cfg PipelineConfig) (*Pipeline, error) {
+	return newPipeline(dep, cfg, wiring{})
+}
+
+func newPipeline(dep *Deployment, cfg PipelineConfig, w wiring) (*Pipeline, error) {
 	cfg, err := cfg.withDefaults(dep.Kind)
 	if err != nil {
 		return nil, err
@@ -220,39 +224,40 @@ func NewPipeline(dep *Deployment, cfg PipelineConfig) (*Pipeline, error) {
 		return nil, err
 	}
 	cfg.Backend = engine.Name()
-	if cfg.EngineWrap != nil {
-		engine = cfg.EngineWrap(engine)
+	if w.wrap != nil {
+		engine = w.wrap(engine)
 	}
 	mod, err := mcm.New(mcm.Config{
 		Engine:    engine,
 		Translate: dep.Translate,
 		FIFODepth: cfg.FIFODepth,
-		Bus:       cfg.Bus,
-		Shared:    cfg.SharedEngine,
-		Telemetry: cfg.Telemetry,
+		Bus:       w.bus,
+		Shared:    w.shared,
+		Telemetry: w.tel,
 	})
 	if err != nil {
 		return nil, err
 	}
-	dev.Observe(cfg.Telemetry)
+	dev.Observe(w.tel)
 	p := &Pipeline{
 		dep:    dep,
 		cfg:    cfg,
+		tel:    w.tel,
 		dev:    dev,
 		engine: engine,
 		enc:    ptm.NewEncoder(ptm.Config{BranchBroadcast: true}),
-		port:   ptm.NewPort(ptm.PortConfig{DrainThreshold: cfg.DrainThreshold, Telemetry: cfg.Telemetry}),
-		fmtr:   tpiu.NewFormatter(tpiu.Config{Telemetry: cfg.Telemetry}),
+		port:   ptm.NewPort(ptm.PortConfig{DrainThreshold: cfg.DrainThreshold, Telemetry: w.tel}),
+		fmtr:   tpiu.NewFormatter(tpiu.Config{Telemetry: w.tel}),
 		ig: igm.New(igm.Config{
 			Mapper:    dep.Mapper,
 			Window:    dep.Window(),
 			Stride:    cfg.Stride,
-			Telemetry: cfg.Telemetry,
+			Telemetry: w.tel,
 		}),
 		mod:    mod,
 		staged: cfg.StagedTrace,
 	}
-	if tel := cfg.Telemetry; tel != nil {
+	if tel := w.tel; tel != nil {
 		p.latHist = tel.Histogram("rtad_judgment_latency_us", JudgmentLatencyBuckets)
 		p.obsJudgments = tel.Counter("rtad_judgments_total")
 		p.judgTrack = tel.Track("fabric", "judgments")

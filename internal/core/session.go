@@ -124,7 +124,7 @@ func (s *Session) sample() {
 		s.obsCycles.Set(s.front.cycle)
 	}
 	for _, ln := range s.lanes {
-		tel := ln.pipe.cfg.Telemetry
+		tel := ln.pipe.tel
 		if tel == nil {
 			continue
 		}
@@ -294,10 +294,6 @@ func (s *Session) LaneStages(i int) []StageSnapshot {
 // delivered judgment (which can run past the victim's last cycle while the
 // inference tail completes).
 func (s *Session) Now() sim.Time { return s.sched.Now() }
-
-// Scheduler exposes the session's private event scheduler, for callers
-// that want to co-schedule their own observation events.
-func (s *Session) Scheduler() *sim.Scheduler { return s.sched }
 
 // Cycles is the victim's elapsed cycle count: executed cycles for a live
 // CPU, the synthesized replay clock for a trace-input session.

@@ -20,7 +20,7 @@ func TestTelemetryObservationOnly(t *testing.T) {
 
 	plain := detect(t, dep, PipelineConfig{CUs: 5, Stride: 512}, aspec, instr)
 	tel := obs.New()
-	observed := detect(t, dep, PipelineConfig{CUs: 5, Stride: 512, Telemetry: tel}, aspec, instr)
+	observed := detect(t, dep, PipelineConfig{CUs: 5, Stride: 512}, aspec, instr, WithTelemetry(tel))
 	if !reflect.DeepEqual(plain, observed) {
 		t.Errorf("telemetry perturbed the run:\nplain    %+v\nobserved %+v", plain, observed)
 	}
@@ -64,7 +64,7 @@ func TestTraceStepSlicingInvariance(t *testing.T) {
 		t.Helper()
 		tel := obs.New()
 		s, err := Open(Deployments{dep},
-			WithConfig(PipelineConfig{CUs: 5, Stride: 512, Telemetry: tel}), WithAttack(aspec))
+			WithConfig(PipelineConfig{CUs: 5, Stride: 512}), WithTelemetry(tel), WithAttack(aspec))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,51 +105,6 @@ func TestTraceStepSlicingInvariance(t *testing.T) {
 	}
 }
 
-// TestFleetTelemetryWorkerInvariance checks the serial-merge contract: the
-// fleet's aggregate registry is bit-identical at any worker count (the
-// rtad_fleet_workers gauge line is the one legitimate difference).
-func TestFleetTelemetryWorkerInvariance(t *testing.T) {
-	dep := trainLSTMDeployment(t, "458.sjeng")
-	jobs := []Job{
-		{Dep: dep, Config: PipelineConfig{CUs: 5, Stride: 512}, Attack: AttackSpec{Seed: 7}, Instr: 1_500_000},
-		{Dep: dep, Config: PipelineConfig{CUs: 1, Stride: 512}, Attack: AttackSpec{Seed: 9}, Instr: 1_500_000},
-	}
-
-	expose := func(workers int) string {
-		t.Helper()
-		tel := obs.NewMetricsOnly()
-		f := NewFleet(workers)
-		f.Observe(tel)
-		if _, err := f.Detect(jobs); err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := tel.Reg.WritePrometheus(&buf); err != nil {
-			t.Fatal(err)
-		}
-		var keep []string
-		for _, line := range strings.Split(buf.String(), "\n") {
-			if strings.Contains(line, "rtad_fleet_workers") {
-				continue
-			}
-			keep = append(keep, line)
-		}
-		return strings.Join(keep, "\n")
-	}
-
-	serial := expose(1)
-	wide := expose(4)
-	if serial != wide {
-		t.Errorf("fleet metrics depend on worker count:\n--- 1 worker\n%s\n--- 4 workers\n%s", serial, wide)
-	}
-	if !strings.Contains(serial, "rtad_judgment_latency_us_bucket") {
-		t.Error("fleet aggregate missing the judgment latency histogram")
-	}
-	if !strings.Contains(serial, "rtad_fleet_jobs_done_total 2") {
-		t.Error("fleet aggregate missing job completion counter")
-	}
-}
-
 // TestDualSessionLaneTelemetry checks the per-lane namespacing: a dual
 // ELM+LSTM session registers lane-suffixed metrics and lane-prefixed tracks
 // over one shared registry and tracer.
@@ -157,7 +112,7 @@ func TestDualSessionLaneTelemetry(t *testing.T) {
 	elm := trainELMDeployment(t, "458.sjeng")
 	lstm := trainLSTMDeployment(t, "458.sjeng")
 	tel := obs.New()
-	s, err := Open(Deployments{elm, lstm}, WithConfig(PipelineConfig{CUs: 5, Telemetry: tel}))
+	s, err := Open(Deployments{elm, lstm}, WithConfig(PipelineConfig{CUs: 5}), WithTelemetry(tel))
 	if err != nil {
 		t.Fatal(err)
 	}

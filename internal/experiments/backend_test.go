@@ -10,54 +10,68 @@ import (
 	"rtad/internal/kernels"
 )
 
-// TestReportSchemaStableForDefaultBackend pins the compatibility contract:
-// a default-backend report keeps schema v1 and never grows the backend or
-// calibration keys, so its JSON stays byte-identical to older builds.
-func TestReportSchemaStableForDefaultBackend(t *testing.T) {
-	for _, backend := range []string{"", kernels.BackendGPU} {
+// reportSchemaCase is one backend's expected report header.
+type reportSchemaCase struct {
+	backend, want string
+	costs         bool // record a non-empty calibration table
+}
+
+// checkReportSchema pins the report header: every report is ReportSchema
+// and names the resolved backend, and calibration appears only when a
+// non-empty cycle-cost table was recorded.
+func checkReportSchema(t *testing.T, cases []reportSchemaCase) {
+	t.Helper()
+	for _, tc := range cases {
 		o := quickOpts()
-		o.Backend = backend
+		o.Backend = tc.backend
 		r := NewReport(o)
-		if r.Schema != ReportSchema {
-			t.Errorf("backend %q: schema %q, want %q", backend, r.Schema, ReportSchema)
-		}
 		r.RecordCalibration(nil)                      // nil table: no-op
 		r.RecordCalibration(kernels.NewCalibration()) // empty table: no-op
+		if tc.costs {
+			c := kernels.NewCalibration()
+			c.Record(kernels.CalKey{Model: "lstm", Window: 16, CUs: 5}, 777)
+			r.RecordCalibration(c)
+		}
 		blob, err := json.Marshal(r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, key := range []string{`"backend"`, `"calibration"`} {
-			if strings.Contains(string(blob), key) {
-				t.Errorf("backend %q: default report JSON contains %s: %s", backend, key, blob)
-			}
+		var doc struct {
+			Schema  string `json:"schema"`
+			Backend string `json:"backend"`
+		}
+		if err := json.Unmarshal(blob, &doc); err != nil {
+			t.Fatal(err)
+		}
+		if doc.Schema != ReportSchema || doc.Backend != tc.want {
+			t.Errorf("backend %q: schema %q backend %q, want %q %q",
+				tc.backend, doc.Schema, doc.Backend, ReportSchema, tc.want)
+		}
+		if got := strings.Contains(string(blob), `"calibration"`); got != tc.costs {
+			t.Errorf("backend %q: calibration key present %v, want %v: %s", tc.backend, got, tc.costs, blob)
+		}
+		if tc.costs && !strings.Contains(string(blob), `"cycles":777`) {
+			t.Errorf("backend %q: recorded costs missing: %s", tc.backend, blob)
 		}
 	}
 }
 
-func TestReportSchemaV2ForNativeBackends(t *testing.T) {
-	o := quickOpts()
-	o.Backend = kernels.BackendNativeCalibrated
-	r := NewReport(o)
-	if r.Schema != ReportSchemaV2 {
-		t.Errorf("schema %q, want %q", r.Schema, ReportSchemaV2)
-	}
-	if r.Backend != o.Backend {
-		t.Errorf("backend field %q, want %q", r.Backend, o.Backend)
-	}
+// TestReportSchemaStableForDefaultBackend: an unnamed backend resolves to
+// kernels.DefaultBackend and records it, like an explicit gpu one, and an
+// empty calibration table adds no key.
+func TestReportSchemaStableForDefaultBackend(t *testing.T) {
+	checkReportSchema(t, []reportSchemaCase{
+		{"", kernels.DefaultBackend, false},
+		{kernels.BackendGPU, kernels.BackendGPU, false},
+	})
+}
 
-	c := kernels.NewCalibration()
-	c.Record(kernels.CalKey{Model: "lstm", Window: 16, CUs: 5}, 777)
-	r.RecordCalibration(c)
-	blob, err := json.Marshal(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, frag := range []string{ReportSchemaV2, `"backend":"native-calibrated"`, `"cycles":777`} {
-		if !strings.Contains(string(blob), frag) {
-			t.Errorf("v2 report JSON missing %s: %s", frag, blob)
-		}
-	}
+// TestReportSchemaV2ForNativeBackends: a native-calibrated report carries
+// the same schema as the default one, plus the recorded cycle costs.
+func TestReportSchemaV2ForNativeBackends(t *testing.T) {
+	checkReportSchema(t, []reportSchemaCase{
+		{kernels.BackendNativeCalibrated, kernels.BackendNativeCalibrated, true},
+	})
 }
 
 // TestFig8GridBackendEquivalence is the acceptance check for the backend

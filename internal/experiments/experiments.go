@@ -98,10 +98,9 @@ func (o Options) withDefaults() Options {
 
 // pipelineConfig builds a detection-pipeline config carrying the options'
 // backend choice.
-func (o Options) pipelineConfig(cus int, tel *obs.Telemetry) core.PipelineConfig {
+func (o Options) pipelineConfig(cus int) core.PipelineConfig {
 	return core.PipelineConfig{
 		CUs:         cus,
-		Telemetry:   tel,
 		Backend:     o.Backend,
 		Calibration: o.Calibration,
 		StagedTrace: o.stagedTrace,
@@ -295,7 +294,7 @@ func Fig7(o Options, bench string) (*Fig7Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	pcfg := o.pipelineConfig(5, nil)
+	pcfg := o.pipelineConfig(5)
 	pcfg.Stride = 64
 	rtad, n, err := core.MeasureRTADTransfer(dep, pcfg, o.OverheadInstr)
 	if err != nil {
@@ -402,7 +401,7 @@ func Fig8(o Options) (*Fig8Result, error) {
 		}
 		detect := func(cus int, tel *obs.Telemetry) (*core.DetectionResult, error) {
 			s, err := core.Open(core.Deployments{dep},
-				core.WithConfig(o.pipelineConfig(cus, tel)),
+				core.WithConfig(o.pipelineConfig(cus)), core.WithTelemetry(tel),
 				core.WithAttack(aspec.Resolve(detInstr)))
 			if err != nil {
 				return nil, err

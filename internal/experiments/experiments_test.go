@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
 	"rtad/internal/core"
 	"rtad/internal/cpu"
+	"rtad/internal/obs"
 	"rtad/internal/sim"
 )
 
@@ -123,6 +125,41 @@ func TestFig8ExperimentQuick(t *testing.T) {
 	}
 	if core.ModelELM.String() != "ELM" {
 		t.Error("sanity")
+	}
+}
+
+// TestFig8TelemetryWorkerInvariance checks the serial-merge contract behind
+// cmd/experiments -metrics: Fig8 gives every cell a private registry and
+// merges them in cell order, so the aggregate exposition is bit-identical
+// at any worker count.
+func TestFig8TelemetryWorkerInvariance(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fig8 is the heaviest experiment")
+	}
+	expose := func(workers int) string {
+		t.Helper()
+		o := quickOpts()
+		o.Benchmarks = []string{"458.sjeng", "456.hmmer"}
+		o.Workers = workers
+		o.Telemetry = obs.NewMetricsOnly()
+		if _, err := Fig8(o); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := o.Telemetry.Reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+
+	serial, wide := expose(1), expose(4)
+	if serial != wide {
+		t.Errorf("fig8 metrics depend on worker count:\n--- 1 worker\n%s\n--- 4 workers\n%s", serial, wide)
+	}
+	for _, lane := range []string{"miaow", "mlmiaow"} {
+		if want := "rtad_judgment_latency_us_" + lane + "_bucket"; !strings.Contains(serial, want) {
+			t.Errorf("fig8 aggregate missing %s", want)
+		}
 	}
 }
 

@@ -11,26 +11,22 @@ import (
 	"rtad/internal/sim"
 )
 
-// ReportSchema versions the JSON layout.
-const ReportSchema = "rtad-experiments/1"
-
-// ReportSchemaV2 adds the backend and calibration fields. It is emitted
-// only when a non-default inference backend ran; default-backend reports
-// keep ReportSchema and stay byte-identical to older builds.
-const ReportSchemaV2 = "rtad-experiments/2"
+// ReportSchema versions the JSON layout. Version 2 records the inference
+// backend in every report, and the calibration table when one was shared.
+const ReportSchema = "rtad-experiments/2"
 
 // Report is one cmd/experiments run.
 type Report struct {
 	Schema     string   `json:"schema"`
 	Benchmarks []string `json:"benchmarks,omitempty"` // empty = all 12
 	Workers    int      `json:"workers"`              // fleet width used
-	// Backend names the inference backend the detection pipelines ran on
-	// (schema v2); omitted for the default cycle-accurate GPU backend.
-	Backend string `json:"backend,omitempty"`
+	// Backend names the inference backend the detection pipelines ran on,
+	// resolved: an empty Options.Backend records kernels.DefaultBackend.
+	Backend string `json:"backend"`
 	// Calibration embeds the recorded per-shape cycle costs the native
-	// backends replayed (schema v2); omitted unless a calibration table
-	// was shared across the run. Populate via RecordCalibration after the
-	// experiments finish.
+	// backends replayed; omitted unless a calibration table was shared
+	// across the run. Populate via RecordCalibration after the experiments
+	// finish.
 	Calibration []kernels.CalEntry `json:"calibration,omitempty"`
 	// WallSeconds records each experiment's wall-clock time, keyed by the
 	// same names the JSON payload uses (table1, fig6, ...). With Workers
@@ -55,18 +51,17 @@ func NewReport(o Options) *Report {
 		Schema:      ReportSchema,
 		Benchmarks:  o.Benchmarks,
 		Workers:     o.fleet().Workers(),
+		Backend:     o.Backend,
 		WallSeconds: map[string]float64{},
 	}
-	if o.Backend != "" && o.Backend != kernels.DefaultBackend {
-		r.Schema = ReportSchemaV2
-		r.Backend = o.Backend
+	if r.Backend == "" {
+		r.Backend = kernels.DefaultBackend
 	}
 	return r
 }
 
 // RecordCalibration embeds the shared cycle-cost table's entries (sorted,
-// deterministic). A nil or empty table leaves the report untouched, so
-// default-backend reports remain byte-identical to schema v1.
+// deterministic). A nil or empty table leaves the report untouched.
 func (r *Report) RecordCalibration(c *kernels.Calibration) {
 	if c.Len() == 0 {
 		return

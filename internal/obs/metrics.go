@@ -250,9 +250,9 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 }
 
 // Merge folds src into r: counters and histograms add, gauges take src's
-// value (last merge wins). Fleet runs give every session its own registry
-// and merge them serially in job order, which keeps aggregate metrics
-// bit-identical no matter how many workers ran the jobs. Histograms merge
+// value (last merge wins). The Fig 8 grid gives every cell its own registry
+// and merges them serially in cell order, which keeps aggregate metrics
+// bit-identical no matter how many workers ran the cells. Histograms merge
 // by bucket only when the bounds match; mismatched bounds fold into the
 // destination's buckets via per-bucket re-observation at the bound value.
 func (r *Registry) Merge(src *Registry) {

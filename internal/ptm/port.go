@@ -106,9 +106,6 @@ type Release struct {
 	Step  sim.Time
 }
 
-// ByteAt is the departure instant of the release's j-th byte (0-based).
-func (r Release) ByteAt(j int) sim.Time { return r.Start + sim.Time(j/r.Group)*r.Step }
-
 // NewPort returns a port with cfg applied (zero fields take defaults).
 func NewPort(cfg PortConfig) *Port {
 	p := &Port{cfg: cfg.withDefaults()}

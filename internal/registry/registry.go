@@ -414,18 +414,6 @@ func (r *Registry) Acquire(key string) (active, canary *Version, err error) {
 	return v, canary, nil
 }
 
-// Keys lists the registered benchmark/model keys, sorted.
-func (r *Registry) Keys() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.keys))
-	for k := range r.keys {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // ActiveKeys lists the keys that currently have an active version — the
 // set a server can admit sessions on.
 func (r *Registry) ActiveKeys() []string {

@@ -484,7 +484,7 @@ func TestClientOpTimeout(t *testing.T) {
 		if _, _, _, err := ReadFrame(conn, buf); err != nil { // hello
 			return
 		}
-		writeJSON(conn, FrameWelcome, &Welcome{Proto: Proto, Session: "s-silent"})
+		writeJSON(conn, FrameWelcome, &Welcome{Proto: Proto, SessionID: "s-silent"})
 		time.Sleep(time.Minute) // never answer again
 	}()
 

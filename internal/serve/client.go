@@ -150,14 +150,8 @@ func (c *Client) Welcome() Welcome { return c.welcome }
 
 // SessionID returns the server-minted session identifier — the value to
 // correlate with the server's structured logs, wall-trace spans and
-// /debug/sessions rows. Falls back to the legacy Session field when the
-// server predates SessionID.
-func (c *Client) SessionID() string {
-	if c.welcome.SessionID != "" {
-		return c.welcome.SessionID
-	}
-	return c.welcome.Session
-}
+// /debug/sessions rows.
+func (c *Client) SessionID() string { return c.welcome.SessionID }
 
 // ModelVersion returns the registry version id of the model this session
 // judges on — fixed at admission for the session's whole life, so a client

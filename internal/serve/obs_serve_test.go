@@ -7,6 +7,8 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -233,46 +235,81 @@ func TestDebugEndpointsConcurrentWithDrain(t *testing.T) {
 	}
 }
 
-// TestWelcomeSessionIDBackCompat pins the wire shape: the welcome frame
-// carries the new session_id field alongside the legacy session field with
-// the same value, and Client.SessionID prefers the new one — old servers
-// (no session_id) fall back to the legacy field.
-func TestWelcomeSessionIDBackCompat(t *testing.T) {
-	dep, stream := fixtures(t)
-	addr := startServer(t, nil, dep)
-	c, err := Dial(addr, Hello{Benchmark: fixBench, Model: "lstm"}, nil)
+// TestWelcomeRoundTrip pins the welcome frame's wire shape: every field
+// survives a pack/unpack through the frame codec, the session id travels
+// under session_id and no other key, and a live client's SessionID is the
+// id of its /debug/sessions row.
+func TestWelcomeRoundTrip(t *testing.T) {
+	original := Welcome{
+		Proto: Proto, SessionID: "s-9", Benchmark: fixBench, Model: "lstm",
+		Backend: kernels.BackendNativeCalibrated, Window: 16, GapCycles: 100_000,
+		Stride: 512, ModelVersion: 3,
+	}
+	v := reflect.ValueOf(original)
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).IsZero() {
+			t.Fatalf("fixture leaves Welcome.%s zero; set it so the round trip covers it", v.Type().Field(i).Name)
+		}
+	}
+	var buf bytes.Buffer
+	if err := writeJSON(&buf, FrameWelcome, &original); err != nil {
+		t.Fatal(err)
+	}
+	ft, payload, _, err := ReadFrame(&buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := c.Welcome()
-	if w.SessionID == "" {
-		t.Fatal("welcome frame missing session_id")
+	if ft != FrameWelcome {
+		t.Fatalf("frame type %v, want welcome", ft)
 	}
-	if w.Session != w.SessionID {
-		t.Errorf("legacy session %q != session_id %q", w.Session, w.SessionID)
+	var got Welcome
+	if err := unmarshalFrame(payload, &got); err != nil {
+		t.Fatal(err)
 	}
-	if got := c.SessionID(); got != w.SessionID {
-		t.Errorf("Client.SessionID = %q, want %q", got, w.SessionID)
+	if got != original {
+		t.Errorf("welcome round trip:\n got  %+v\n want %+v", got, original)
+	}
+	var raw map[string]any
+	if err := json.Unmarshal(payload, &raw); err != nil {
+		t.Fatal(err)
+	}
+	if raw["session_id"] != "s-9" {
+		t.Errorf("welcome JSON session_id = %v, want s-9: %s", raw["session_id"], payload)
+	}
+	if _, ok := raw["session"]; ok {
+		t.Errorf("welcome JSON carries the legacy session key: %s", payload)
+	}
+
+	dep, stream := fixtures(t)
+	srv := New(nil)
+	srv.Deploy(dep)
+	c, err := Dial(serveLoopback(t, srv), Hello{Benchmark: fixBench, Model: "lstm"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.SessionID() == "" {
+		t.Fatal("live welcome carries no session_id")
+	}
+	// The server registers the session's row just after writing the
+	// welcome, so poll for it.
+	var rows []SessionInfo
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		rec := httptest.NewRecorder()
+		srv.SessionsHandler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/sessions", nil))
+		var doc struct {
+			Sessions []SessionInfo `json:"sessions"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+			t.Fatalf("malformed /debug/sessions: %v", err)
+		}
+		if rows = doc.Sessions; len(rows) > 0 || time.Now().After(deadline) {
+			break
+		}
+	}
+	if len(rows) != 1 || rows[0].ID != c.SessionID() {
+		t.Errorf("/debug/sessions rows %+v, want one with id %q", rows, c.SessionID())
 	}
 	streamChunks(t, c, stream[:len(stream)/16], 8192)
-
-	// A server that predates session_id: the accessor falls back.
-	legacy := Client{welcome: Welcome{Session: "s-old"}}
-	if got := legacy.SessionID(); got != "s-old" {
-		t.Errorf("legacy fallback SessionID = %q, want s-old", got)
-	}
-
-	var raw map[string]any
-	blob, err := json.Marshal(Welcome{Session: "s-9", SessionID: "s-9"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(blob, &raw); err != nil {
-		t.Fatal(err)
-	}
-	if raw["session"] != "s-9" || raw["session_id"] != "s-9" {
-		t.Errorf("welcome JSON = %v, want both session and session_id", raw)
-	}
 }
 
 // TestFlightRecorderDumpsOnProtocolError drives a session into a protocol

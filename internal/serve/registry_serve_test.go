@@ -291,21 +291,21 @@ func TestCanaryShadowNeverLeaks(t *testing.T) {
 	streamChunks(t, c2, short[:len(short)/4], 8192)
 }
 
-// TestWelcomeModelVersionBackCompat pins the wire shape of the new field
-// the same way session_id was pinned: it is JSON-additive (omitted when
+// TestWelcomeModelVersionBackCompat pins the wire shape of the new field:
+// it is JSON-additive (omitted when
 // zero, so pre-registry servers and golden payloads are unchanged), and a
 // client of an old server reads version 0, never an error.
 func TestWelcomeModelVersionBackCompat(t *testing.T) {
 	// A welcome from a pre-registry server: no model_version key at all.
 	legacy := Client{}
-	if err := json.Unmarshal([]byte(`{"proto":"rtad-wire/1","session":"s-old"}`), &legacy.welcome); err != nil {
+	if err := json.Unmarshal([]byte(`{"proto":"rtad-wire/1","session_id":"s-old"}`), &legacy.welcome); err != nil {
 		t.Fatal(err)
 	}
 	if got := legacy.ModelVersion(); got != 0 {
 		t.Errorf("legacy ModelVersion = %d, want 0", got)
 	}
 
-	blob, err := json.Marshal(Welcome{Proto: Proto, Session: "s-9"})
+	blob, err := json.Marshal(Welcome{Proto: Proto, SessionID: "s-9"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestWelcomeModelVersionBackCompat(t *testing.T) {
 		t.Errorf("zero model_version serialised: %s — breaks byte-stable golden payloads", blob)
 	}
 	var raw map[string]any
-	blob, err = json.Marshal(Welcome{Proto: Proto, Session: "s-9", ModelVersion: 3})
+	blob, err = json.Marshal(Welcome{Proto: Proto, SessionID: "s-9", ModelVersion: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -210,10 +210,6 @@ func (s *Server) Deploy(dep *core.Deployment) {
 // use to load, canary, promote and retire versions while the server runs.
 func (s *Server) Registry() *registry.Registry { return s.reg }
 
-// Models lists the benchmark/model keys with an active version — the set a
-// hello can currently be admitted on — sorted lexically.
-func (s *Server) Models() []string { return s.reg.ActiveKeys() }
-
 func depKey(bench, model string) string { return bench + "/" + model }
 
 // Serve accepts connections on ln until Shutdown (or a fatal listener
@@ -566,7 +562,6 @@ func (s *Server) openSession(id string, ver, shadowVer *registry.Version, hello 
 	cfg, gap := sess.Resolved()
 	welcome = &Welcome{
 		Proto:        Proto,
-		Session:      id,
 		SessionID:    id,
 		Benchmark:    hello.Benchmark,
 		Model:        hello.Model,

@@ -171,14 +171,11 @@ type Hello struct {
 
 // Welcome is the server's negotiation result.
 type Welcome struct {
-	Proto   string `json:"proto"`
-	Session string `json:"session"`
-	// SessionID duplicates Session under the key the observability plane
-	// uses everywhere else — log lines, wall-trace span args, flight
-	// recorder, /debug/sessions. A pure JSON addition: old clients ignore
-	// it, old servers omit it, no wire version bump. New code should read
-	// SessionID (via Client.SessionID, which falls back to Session).
-	SessionID string `json:"session_id,omitempty"`
+	Proto string `json:"proto"`
+	// SessionID is the server-minted session identifier, under the key the
+	// observability plane uses everywhere else — log lines, wall-trace
+	// span args, flight recorder, /debug/sessions.
+	SessionID string `json:"session_id"`
 	Benchmark string `json:"benchmark"`
 	Model     string `json:"model"`
 	Backend   string `json:"backend"`
@@ -188,10 +185,10 @@ type Welcome struct {
 	// ModelVersion is the registry version id of the deployment this
 	// session was admitted on. The session judges on exactly this version
 	// for its whole life, hot-swaps notwithstanding — the field is how a
-	// client proves which weights judged its stream. Another pure JSON
-	// addition (like SessionID): old clients ignore it, pre-registry
-	// servers omit it, no wire version bump. Read it via
-	// Client.ModelVersion, which reports 0 for old servers.
+	// client proves which weights judged its stream. A pure JSON addition:
+	// old clients ignore it, pre-registry servers omit it, no wire version
+	// bump. Read it via Client.ModelVersion, which reports 0 for old
+	// servers.
 	ModelVersion int64 `json:"model_version,omitempty"`
 }
 

@@ -12,10 +12,7 @@
 // coarser translation, as they are in any pre-synthesis estimate.
 package synth
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Kind classifies a primitive.
 type Kind uint8
@@ -127,15 +124,4 @@ func GPUGates(luts, ffs, brams int) int {
 	return int(float64(luts)*gpuGatePerLUT +
 		float64(ffs)*gpuGatePerFF +
 		float64(brams*BRAMBits)*gpuGatePerBRAMBit)
-}
-
-// Describe renders the netlist's primitive inventory, one line per entry,
-// for the synthesis report's transparency view.
-func (n *Netlist) Describe() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s:\n", n.Name)
-	for _, p := range n.Prims {
-		fmt.Fprintf(&b, "  %-7s %5d x %4d bits\n", p.Kind, p.Count, p.Bits)
-	}
-	return b.String()
 }

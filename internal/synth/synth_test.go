@@ -172,10 +172,3 @@ func TestKindString(t *testing.T) {
 		}
 	}
 }
-
-func TestNetlistDescribe(t *testing.T) {
-	s := P2S().Describe()
-	if !strings.Contains(s, "P2S") || !strings.Contains(s, "reg") {
-		t.Errorf("Describe output incomplete: %q", s)
-	}
-}
