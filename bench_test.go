@@ -295,44 +295,6 @@ func BenchmarkCPUSimulation(b *testing.B) {
 	b.ReportMetric(1000, "instrs/op")
 }
 
-func BenchmarkPTMEncode(b *testing.B) {
-	enc := ptm.NewEncoder(ptm.Config{BranchBroadcast: true})
-	rng := rand.New(rand.NewSource(1))
-	evs := make([]cpu.BranchEvent, 1024)
-	for i := range evs {
-		evs[i] = cpu.BranchEvent{
-			Cycle: int64(i * 10), PC: 0x8000,
-			Target: 0x8000 + uint32(rng.Intn(1<<12))&^3,
-			Kind:   cpu.KindDirect, Taken: rng.Intn(4) != 0,
-		}
-	}
-	var buf []byte
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = enc.EncodeInto(buf[:0], evs[i%len(evs)])
-	}
-}
-
-func BenchmarkPTMDecode(b *testing.B) {
-	enc := ptm.NewEncoder(ptm.Config{BranchBroadcast: true})
-	var stream []byte
-	stream = append(stream, enc.Start(0x8000)...)
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 4096; i++ {
-		stream = enc.EncodeInto(stream, cpu.BranchEvent{
-			Target: 0x8000 + uint32(rng.Intn(1<<12))&^3, Kind: cpu.KindDirect, Taken: true,
-		})
-	}
-	b.SetBytes(int64(len(stream)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dec := ptm.NewStreamDecoder()
-		for _, by := range stream {
-			dec.Feed(by)
-		}
-	}
-}
-
 var (
 	benchELM     *ml.ELM
 	benchELMOnce sync.Once

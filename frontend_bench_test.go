@@ -25,28 +25,62 @@ func assertZeroAlloc(b *testing.B, what string, fn func()) {
 	}
 }
 
-// BenchmarkFrontendEncode measures the PTM packetisation hot path:
-// EncodeInto with a recycled buffer, branch-broadcast configuration,
-// crossing periodic-sync boundaries.
+// cycleTargets walks from base flipping one address bit per step, in
+// address chunks 0–4 in turn and twice over, so it ends back at base and
+// consecutive branch packets to its targets carry 1, 2, 3, 4 and 5 address
+// bytes.
+func cycleTargets(base uint32) []uint32 {
+	var out []uint32
+	t := base
+	for range 2 {
+		for _, bit := range []uint{2, 8, 15, 22, 29} {
+			t ^= 1 << bit
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+// BenchmarkFrontendEncode measures PTM packetisation in both forms on the
+// same events (branch-broadcast configuration, every compressed length,
+// crossing periodic-sync boundaries): bytes is EncodeInto with a recycled
+// buffer, counted is EncodeCounted with a recycled mark slice, the form the
+// fused trace path uses.
 func BenchmarkFrontendEncode(b *testing.B) {
-	e := ptm.NewEncoder(ptm.Config{BranchBroadcast: true})
-	var buf []byte
-	var cycle int64
-	next := func() cpu.BranchEvent {
-		cycle += 10
-		return cpu.BranchEvent{
-			PC: 0x8000, Target: 0x8000 + uint32(cycle%64)*4,
-			Kind: cpu.KindDirect, Taken: true, Cycle: cycle,
+	b.Run("bytes", func(b *testing.B) {
+		e := ptm.NewEncoder(ptm.Config{BranchBroadcast: true})
+		var buf []byte
+		benchEncode(b, "EncodeInto", func(ev cpu.BranchEvent) { buf = e.EncodeInto(buf[:0], ev) })
+	})
+	b.Run("counted", func(b *testing.B) {
+		e := ptm.NewEncoder(ptm.Config{BranchBroadcast: true})
+		var marks []ptm.PacketMark
+		benchEncode(b, "EncodeCounted", func(ev cpu.BranchEvent) { marks, _ = e.EncodeCounted(marks[:0], ev) })
+	})
+}
+
+// benchEncode feeds encode taken branches to cycleTargets(0x8000): it warms
+// up, asserts encode allocates nothing, then times it.
+func benchEncode(b *testing.B, what string, encode func(cpu.BranchEvent)) {
+	var evs []cpu.BranchEvent
+	for _, t := range cycleTargets(0x8000) {
+		evs = append(evs, cpu.BranchEvent{PC: 0x8000, Target: t, Kind: cpu.KindDirect, Taken: true})
+	}
+	next := 0
+	step := func() {
+		encode(evs[next])
+		if next++; next == len(evs) {
+			next = 0
 		}
 	}
 	for i := 0; i < 4096; i++ { // warm-up: settle buffer capacity
-		buf = e.EncodeInto(buf[:0], next())
+		step()
 	}
-	assertZeroAlloc(b, "EncodeInto", func() { buf = e.EncodeInto(buf[:0], next()) })
+	assertZeroAlloc(b, what, step)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = e.EncodeInto(buf[:0], next())
+		step()
 	}
 }
 

@@ -158,15 +158,16 @@ type Pipeline struct {
 	twScratch  []tpiu.TimedWord
 	vecScratch []igm.Vector
 
-	// Fused fast-path state (cfg.StagedTrace == false). The encoder reports
-	// packet boundaries as byte offsets; pend holds them (with the class
-	// resolved at retire time) until the frame carrying a packet's last
-	// byte emits, at which point the packet is handed straight to the IGM.
+	// Fused fast-path state (cfg.StagedTrace == false). The counted encoder
+	// appends a mark per packet to pend, and verdicts holds each queued
+	// branch packet's mapper class, resolved at retire time. A packet is
+	// handed straight to the IGM once the frame carrying its last byte
+	// emits.
 	staged    bool
-	markBuf   []ptm.PacketMark
-	pend      []pendPkt
+	pend      []ptm.PacketMark
 	pendHd    int
-	encBase   int64 // trace bytes encoded so far (global stream offset)
+	verdicts  []verdict
+	verdHd    int
 	fedBytes  int64 // payload bytes delivered to the IGM via emitted frames
 	feScratch []tpiu.FrameEmit
 
@@ -178,14 +179,10 @@ type Pipeline struct {
 	judgTrack    *obs.Track
 }
 
-// pendPkt is one encoded-but-undelivered trace packet on the fused fast
-// path: it completes at any decoder once the byte just before end has been
-// carried by an emitted frame.
-type pendPkt struct {
-	end      int64  // global stream offset just past the packet's last byte
-	addr     uint32 // decoded branch target (branch packets only)
-	class    int32  // mapper class, resolved once at retire time
-	branch   bool
+// verdict is the mapper's answer for one queued branch packet on the fused
+// fast path.
+type verdict struct {
+	class    int32
 	accepted bool
 }
 
@@ -274,13 +271,11 @@ func (p *Pipeline) BranchRetired(ev cpu.BranchEvent) int64 {
 	at := sim.CPUClock.Duration(ev.Cycle)
 	// Single mapper lookup per taken branch: the class the IGM will need is
 	// resolved here (on the wire-decoded even address — the encoding drops
-	// bit 0) and threaded through the pending-packet queue.
-	var (
-		class    int32
-		accepted bool
-	)
+	// bit 0) and queued beside the packet marks. The broadcast encoder
+	// emits exactly one branch packet per taken branch, so verdicts pair
+	// with branch marks in order.
 	if ev.Taken {
-		class, accepted = p.dep.Mapper.Lookup(ev.Target &^ 1)
+		class, accepted := p.dep.Mapper.Lookup(ev.Target &^ 1)
 		if ev.Target&1 != 0 {
 			// Odd target: the retire-time record keys the raw address (the
 			// staged path's semantics), which may resolve differently from
@@ -291,10 +286,11 @@ func (p *Pipeline) BranchRetired(ev cpu.BranchEvent) int64 {
 		} else if accepted {
 			p.acceptedRetire = append(p.acceptedRetire, at)
 		}
+		p.verdicts = append(p.verdicts, verdict{class, accepted})
 	}
-	p.encBuf, p.markBuf = p.enc.EncodeMarked(p.encBuf[:0], p.markBuf[:0], ev)
-	p.queueMarks(class, accepted)
-	rel, stall := p.port.PushCounted(at, len(p.encBuf))
+	var n int
+	p.pend, n = p.enc.EncodeCounted(p.pend, ev)
+	rel, stall := p.port.PushCounted(at, n)
 	p.feedRelease(rel)
 	p.drainVectors()
 	return sim.CPUClock.CyclesCeil(stall)
@@ -312,22 +308,6 @@ func (p *Pipeline) branchRetiredStaged(ev cpu.BranchEvent) int64 {
 	stall := p.port.Push(at, p.encBuf)
 	p.drain()
 	return sim.CPUClock.CyclesCeil(stall)
-}
-
-// queueMarks appends the packets just encoded into encBuf to the pending
-// queue at their global stream offsets. class/accepted apply to the branch
-// packet the event may have produced (an event encodes at most one).
-func (p *Pipeline) queueMarks(class int32, accepted bool) {
-	for _, mk := range p.markBuf {
-		p.pend = append(p.pend, pendPkt{
-			end:      p.encBase + int64(mk.End),
-			addr:     mk.Addr,
-			class:    class,
-			branch:   mk.Branch,
-			accepted: accepted,
-		})
-	}
-	p.encBase += int64(len(p.encBuf))
 }
 
 // feedRelease advances the formatter by one port release schedule and
@@ -349,22 +329,29 @@ func (p *Pipeline) feedRelease(rel ptm.Release) {
 func (p *Pipeline) deliverFrame(fe tpiu.FrameEmit) {
 	decodeAt := p.ig.FrameArrived(fe.LastWordAt)
 	p.fedBytes += int64(fe.Payload)
-	for p.pendHd < len(p.pend) && p.pend[p.pendHd].end <= p.fedBytes {
-		pk := p.pend[p.pendHd]
-		p.pendHd++
-		if pk.branch {
-			p.ig.BranchDecoded(decodeAt, pk.addr, pk.class, pk.accepted)
-		} else {
+	for ; p.pendHd < len(p.pend) && p.pend[p.pendHd].End <= p.fedBytes; p.pendHd++ {
+		pk := &p.pend[p.pendHd]
+		if !pk.Branch {
 			p.ig.PacketDecoded()
+			continue
 		}
+		v := p.verdicts[p.verdHd]
+		p.verdHd++
+		p.ig.BranchDecoded(decodeAt, pk.Addr, v.class, v.accepted)
 	}
-	// Amortised compaction of the consumed prefix keeps pend bounded by the
-	// drain threshold's worth of in-flight packets.
-	if p.pendHd >= 64 && p.pendHd*2 >= len(p.pend) {
-		n := copy(p.pend, p.pend[p.pendHd:])
-		p.pend = p.pend[:n]
-		p.pendHd = 0
+	// Amortised compaction of the consumed prefixes keeps both queues
+	// bounded by the drain threshold's worth of in-flight packets.
+	p.pend, p.pendHd = compactQueue(p.pend, p.pendHd)
+	p.verdicts, p.verdHd = compactQueue(p.verdicts, p.verdHd)
+}
+
+// compactQueue drops a queue's consumed prefix q[:hd] once it is at least
+// 64 entries and half the slice, so the copy is amortised over the pops.
+func compactQueue[T any](q []T, hd int) ([]T, int) {
+	if hd < 64 || hd*2 < len(q) {
+		return q, hd
 	}
+	return q[:copy(q, q[hd:])], 0
 }
 
 // drain moves whatever each stage has produced into the next stage (staged
@@ -467,9 +454,9 @@ func (p *Pipeline) Flush(at sim.Time) {
 		p.drain()
 		return
 	}
-	p.encBuf, p.markBuf = p.enc.FlushMarked(p.encBuf[:0], p.markBuf[:0])
-	p.queueMarks(0, false)
-	rel, _ := p.port.PushCounted(at, len(p.encBuf))
+	var n int
+	p.pend, n = p.enc.FlushCounted(p.pend)
+	rel, _ := p.port.PushCounted(at, n)
 	p.feedRelease(rel)
 	p.feedRelease(p.port.FlushCounted(at))
 	// Drain at the same two points as the staged Flush (after the port

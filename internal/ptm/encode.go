@@ -1,6 +1,10 @@
 package ptm
 
-import "rtad/internal/cpu"
+import (
+	"math/bits"
+
+	"rtad/internal/cpu"
+)
 
 // Config parameterises the trace unit.
 type Config struct {
@@ -25,34 +29,37 @@ const DefaultSyncEvery = 256
 // is a pure codec — FIFO capacity and drain timing live in Port so the same
 // compression logic serves both the overhead study (Fig 6) and the latency
 // pipeline (Figs 7–8).
+//
+// Like Port, the encoder runs in one of two forms, chosen by which call
+// family the caller uses. The byte form (StartInto/EncodeInto/FlushInto)
+// appends the packet bytes. The counted form (EncodeCounted/FlushCounted)
+// writes no bytes: it advances the same compression, atom and sync state
+// and reports each completed packet as a PacketMark. One encoder instance
+// must stay in one form.
 type Encoder struct {
 	cfg Config
 
-	started    bool
-	lastChunks [numChunks]uint32
-	havePrev   bool
-	atomBuf    []bool
-	sinceSync  int
-	syncs      int64
-
-	// markBuf collects a PacketMark per completed packet while marking is
-	// set (only during EncodeMarked/FlushMarked; the slice is held by value
-	// so mark collection never forces a caller slice header to escape).
-	markBuf []PacketMark
-	marking bool
+	started   bool
+	prev      uint32 // addr>>1 of the last branch packet (compression baseline)
+	havePrev  bool
+	atoms     uint8 // buffered atoms, oldest in bit 0 (1 = taken)
+	nAtoms    uint8
+	sinceSync int
+	syncs     int64
+	end       int64 // counted form: stream bytes so far
 }
 
-// PacketMark records one completed packet in the encoded byte stream: the
-// offset just past its last byte (the byte whose arrival completes the
-// packet at any conforming decoder) and, for branch-address packets, the
-// address a decoder reconstructs. The fused trace-delivery fast path uses
-// marks to skip re-decoding the stream the encoder just produced: packet
-// boundaries plus the staged path's timing algebra determine exactly when
-// each packet becomes visible to the IGM.
+// PacketMark records one packet completed by the counted form: where it
+// ends in the stream and, for branch-address packets, the address a
+// decoder reconstructs. The fused trace-delivery fast path needs nothing
+// else: packet ends plus the port's and formatter's release schedules
+// determine exactly when each packet becomes visible to the IGM, so the
+// bytes are never written or re-decoded.
 type PacketMark struct {
-	// End is the offset just past the packet's last byte, within the slice
-	// returned by the marked encode call.
-	End int
+	// End is the stream offset just past the packet's last byte (the byte
+	// whose arrival completes the packet at any conforming decoder),
+	// counted from the encoder's first byte.
+	End int64
 	// Branch reports a branch-address packet — the only packet type the
 	// IGM acts on; every other mark only advances the decode-packet count.
 	Branch bool
@@ -62,12 +69,11 @@ type PacketMark struct {
 	Addr uint32
 }
 
-// mark records one completed packet when mark collection is enabled.
-func (e *Encoder) mark(end int, branch bool, addr uint32) {
-	if e.marking {
-		e.markBuf = append(e.markBuf, PacketMark{End: end, Branch: branch, Addr: addr})
-	}
-}
+// Stream lengths of the fixed-size packets, for the counted form.
+const (
+	asyncLen = asyncZeroCount + 1 // zeros plus terminator
+	isyncLen = 6                  // header, 4 address bytes, info byte
+)
 
 // Syncs reports how many a-sync/i-sync pairs the encoder has emitted
 // (stream starts plus periodic synchronisation).
@@ -78,7 +84,77 @@ func NewEncoder(cfg Config) *Encoder {
 	if cfg.SyncEvery <= 0 {
 		cfg.SyncEvery = DefaultSyncEvery
 	}
-	return &Encoder{cfg: cfg, atomBuf: make([]bool, 0, maxAtomsPerByte)}
+	return &Encoder{cfg: cfg}
+}
+
+// The state transitions below are shared by both forms, so the byte and
+// counted streams cannot disagree on a packet's size or order.
+
+// start records a stream (re)start: the a-sync/i-sync prologue resets the
+// compression baseline and the periodic-sync count.
+func (e *Encoder) start() {
+	e.started = true
+	e.havePrev = false
+	e.sinceSync = 0
+	e.syncs++
+}
+
+// emitsAddr reports whether ev produces a branch-address packet; every
+// other event buffers an atom (taken direct without broadcast, or not
+// taken).
+func (e *Encoder) emitsAddr(ev cpu.BranchEvent) bool {
+	return ev.Taken && (e.cfg.BranchBroadcast || ev.Kind.IsIndirectKind())
+}
+
+// pushAtom buffers one atom and reports whether the atom byte is now full.
+func (e *Encoder) pushAtom(taken bool) bool {
+	if taken {
+		e.atoms |= 1 << e.nAtoms
+	}
+	e.nAtoms++
+	return e.nAtoms == maxAtomsPerByte
+}
+
+// takeAtoms returns the buffered atoms as one atom packet byte and clears
+// the buffer; ok is false when no atom is buffered. Each atom byte is one
+// complete packet at the decoder.
+func (e *Encoder) takeAtoms() (b byte, ok bool) {
+	if e.nAtoms == 0 {
+		return 0, false
+	}
+	b = atomMarker | (e.nAtoms-1)<<2 | e.atoms<<4
+	e.atoms, e.nAtoms = 0, 0
+	return b, true
+}
+
+// branchLen returns how many address bytes (1–5) a branch packet to addr
+// carries, and makes addr the compression baseline. The decoder inherits
+// every chunk above the highest bit of addr>>1 that differs from the
+// baseline, so the packet must carry the chunks up to the one holding that
+// bit. With chunk widths 5, 7, 7, 7, 5, chunk k ends at bit 5+7k, which
+// gives 1+(hi+1)/7 chunks for hi = bits.Len32(prev ^ addr>>1).
+func (e *Encoder) branchLen(addr uint32) int {
+	v := addr >> 1
+	n := numChunks
+	if e.havePrev {
+		n = 1 + (bits.Len32(e.prev^v)+1)/7
+	}
+	e.prev, e.havePrev = v, true
+	return n
+}
+
+// syncDue counts one branch packet toward the periodic sync and reports
+// whether an a-sync/i-sync pair follows it; the pair resets the compression
+// baseline.
+func (e *Encoder) syncDue() bool {
+	e.sinceSync++
+	if e.sinceSync < e.cfg.SyncEvery {
+		return false
+	}
+	e.sinceSync = 0
+	e.syncs++
+	e.havePrev = false
+	return true
 }
 
 // appendASync emits the alignment-synchronisation sequence.
@@ -96,64 +172,33 @@ func appendISync(dst []byte, addr uint32, info byte) []byte {
 	return append(dst, info)
 }
 
-// flushAtoms drains the pending atom buffer into dst, preserving program
-// order ahead of any subsequent address packet. Each emitted atom byte is
-// one complete packet at the decoder.
-func (e *Encoder) flushAtoms(dst []byte) []byte {
-	for len(e.atomBuf) > 0 {
-		n := len(e.atomBuf)
-		if n > maxAtomsPerByte {
-			n = maxAtomsPerByte
-		}
-		b := byte(atomMarker) | byte(n-1)<<2
-		for i := 0; i < n; i++ {
-			if e.atomBuf[i] {
-				b |= 1 << (4 + i)
-			}
-		}
+// appendAtoms drains the buffered atoms into dst, preserving program order
+// ahead of any subsequent address packet.
+func (e *Encoder) appendAtoms(dst []byte) []byte {
+	if b, ok := e.takeAtoms(); ok {
 		dst = append(dst, b)
-		e.mark(len(dst), false, 0)
-		e.atomBuf = e.atomBuf[:copy(e.atomBuf, e.atomBuf[n:])]
 	}
 	return dst
 }
 
 // appendBranch emits a prefix-compressed branch-address packet.
 func (e *Encoder) appendBranch(dst []byte, addr uint32, exc bool, kind cpu.Kind) []byte {
-	chunks := addrToChunks(addr)
-	// How many low chunks must be sent so the receiver reconstructs addr?
-	need := 1
-	if e.havePrev {
-		for i := numChunks - 1; i >= 1; i-- {
-			if chunks[i] != e.lastChunks[i] {
-				need = i + 1
-				break
-			}
-		}
-	} else {
-		need = numChunks
+	n := e.branchLen(addr)
+	v := addr >> 1
+	b := branchMarkerBit | byte(v&0x1f)<<2 // 5-bit first chunk
+	if exc {
+		b |= branchExcBit
 	}
-	for i := 0; i < need; i++ {
-		var b byte
-		if i == 0 {
-			b = branchMarkerBit | byte(chunks[0])<<2
-			if exc {
-				b |= branchExcBit
-			}
-		} else {
-			b = byte(chunks[i])
-		}
-		if i < need-1 {
-			b |= continuationBit
-		}
-		dst = append(dst, b)
+	v >>= 5
+	for i := 1; i < n; i++ {
+		dst = append(dst, b|continuationBit)
+		b = byte(v & 0x7f)
+		v >>= 7
 	}
+	dst = append(dst, b)
 	if exc {
 		dst = append(dst, excByteBase|byte(kind)&0x0f)
 	}
-	e.lastChunks = chunks
-	e.havePrev = true
-	e.mark(len(dst), true, addr&^1)
 	return dst
 }
 
@@ -164,15 +209,8 @@ func (e *Encoder) Start(addr uint32) []byte { return e.StartInto(nil, addr) }
 // StartInto appends the stream prologue to dst and returns the extended
 // slice, the allocation-free form of Start.
 func (e *Encoder) StartInto(dst []byte, addr uint32) []byte {
-	e.started = true
-	e.havePrev = false
-	e.sinceSync = 0
-	e.syncs++
-	dst = appendASync(dst)
-	e.mark(len(dst), false, 0)
-	dst = appendISync(dst, addr, 0)
-	e.mark(len(dst), false, 0)
-	return dst
+	e.start()
+	return appendISync(appendASync(dst), addr, 0)
 }
 
 // Overflow emits the marker the PTM inserts after its internal FIFO dropped
@@ -180,13 +218,13 @@ func (e *Encoder) StartInto(dst []byte, addr uint32) []byte {
 // context.
 func (e *Encoder) Overflow() []byte {
 	e.havePrev = false
-	e.atomBuf = e.atomBuf[:0]
+	e.atoms, e.nAtoms = 0, 0
 	return []byte{hdrOverflow}
 }
 
 // Timestamp emits a timestamp packet with the low 32 bits of cycles.
 func (e *Encoder) Timestamp(cycles uint32) []byte {
-	dst := e.flushAtoms(nil)
+	dst := e.appendAtoms(nil)
 	return append(dst, hdrTimestamp, byte(cycles), byte(cycles>>8), byte(cycles>>16), byte(cycles>>24))
 }
 
@@ -198,58 +236,80 @@ func (e *Encoder) EncodeInto(dst []byte, ev cpu.BranchEvent) []byte {
 	if !e.started {
 		// Lazily start the stream at the first event's source address.
 		dst = e.StartInto(dst, ev.PC)
-		return e.EncodeInto(dst, ev)
 	}
-
-	emitAddr := ev.Taken && (e.cfg.BranchBroadcast || ev.Kind.IsIndirectKind())
-	switch {
-	case emitAddr:
-		dst = e.flushAtoms(dst)
-		exc := ev.Kind == cpu.KindSyscall
-		dst = e.appendBranch(dst, ev.Target, exc, ev.Kind)
-		e.sinceSync++
-		if e.sinceSync >= e.cfg.SyncEvery {
-			e.sinceSync = 0
-			e.syncs++
-			dst = appendASync(dst)
-			e.mark(len(dst), false, 0)
-			dst = appendISync(dst, ev.Target, 0)
-			e.mark(len(dst), false, 0)
-			e.havePrev = false
+	if !e.emitsAddr(ev) {
+		if e.pushAtom(ev.Taken) {
+			dst = e.appendAtoms(dst)
 		}
-	default:
-		// Atom: taken (direct, non-broadcast) or not-taken waypoint.
-		e.atomBuf = append(e.atomBuf, ev.Taken)
-		if len(e.atomBuf) >= maxAtomsPerByte {
-			dst = e.flushAtoms(dst)
-		}
+		return dst
+	}
+	dst = e.appendAtoms(dst)
+	dst = e.appendBranch(dst, ev.Target, ev.Kind == cpu.KindSyscall, ev.Kind)
+	if e.syncDue() {
+		dst = appendISync(appendASync(dst), ev.Target, 0)
 	}
 	return dst
 }
 
 // Flush drains any buffered atoms (used at end of trace windows).
-func (e *Encoder) Flush() []byte { return e.flushAtoms(nil) }
+func (e *Encoder) Flush() []byte { return e.appendAtoms(nil) }
 
 // FlushInto is the allocation-free form of Flush: buffered atoms append to
 // dst and the extended slice is returned.
-func (e *Encoder) FlushInto(dst []byte) []byte { return e.flushAtoms(dst) }
+func (e *Encoder) FlushInto(dst []byte) []byte { return e.appendAtoms(dst) }
 
-// EncodeMarked is EncodeInto with packet-boundary reporting: every packet
-// completed by this event appends a PacketMark to marks (offsets are into
-// the returned byte slice). A caller recycling both slices encodes with
-// zero steady-state allocations. The byte stream is byte-identical to
-// EncodeInto's — marks are bookkeeping, not wire data.
-func (e *Encoder) EncodeMarked(dst []byte, marks []PacketMark, ev cpu.BranchEvent) ([]byte, []PacketMark) {
-	e.markBuf, e.marking = marks, true
-	dst = e.EncodeInto(dst, ev)
-	marks, e.markBuf, e.marking = e.markBuf, nil, false
-	return dst, marks
+// countPacket accounts one n-byte packet in the counted stream.
+func (e *Encoder) countPacket(marks []PacketMark, n int, branch bool, addr uint32) []PacketMark {
+	e.end += int64(n)
+	return append(marks, PacketMark{End: e.end, Branch: branch, Addr: addr})
 }
 
-// FlushMarked is FlushInto with packet-boundary reporting (see EncodeMarked).
-func (e *Encoder) FlushMarked(dst []byte, marks []PacketMark) ([]byte, []PacketMark) {
-	e.markBuf, e.marking = marks, true
-	dst = e.flushAtoms(dst)
-	marks, e.markBuf, e.marking = e.markBuf, nil, false
-	return dst, marks
+// countSync accounts an a-sync/i-sync pair.
+func (e *Encoder) countSync(marks []PacketMark) []PacketMark {
+	return e.countPacket(e.countPacket(marks, asyncLen, false, 0), isyncLen, false, 0)
+}
+
+// countAtoms accounts the buffered atoms' packet, if any.
+func (e *Encoder) countAtoms(marks []PacketMark) []PacketMark {
+	if _, ok := e.takeAtoms(); ok {
+		marks = e.countPacket(marks, 1, false, 0)
+	}
+	return marks
+}
+
+// EncodeCounted is the counted form of EncodeInto: it advances the same
+// state and writes no bytes. It appends a PacketMark for every packet the
+// event completes to marks and returns the extended slice with the number
+// of bytes EncodeInto would have appended. A caller that recycles marks,
+// or consumes it as a queue, encodes with zero steady-state allocations.
+func (e *Encoder) EncodeCounted(marks []PacketMark, ev cpu.BranchEvent) ([]PacketMark, int) {
+	from := e.end
+	if !e.started {
+		e.start()
+		marks = e.countSync(marks)
+	}
+	if !e.emitsAddr(ev) {
+		if e.pushAtom(ev.Taken) {
+			marks = e.countAtoms(marks)
+		}
+		return marks, int(e.end - from)
+	}
+	marks = e.countAtoms(marks)
+	n := e.branchLen(ev.Target)
+	if ev.Kind == cpu.KindSyscall {
+		n++ // exception byte
+	}
+	marks = e.countPacket(marks, n, true, ev.Target&^1)
+	if e.syncDue() {
+		marks = e.countSync(marks)
+	}
+	return marks, int(e.end - from)
+}
+
+// FlushCounted is the counted form of FlushInto: the buffered atoms'
+// packet, if any, appends its mark, and the byte count is returned.
+func (e *Encoder) FlushCounted(marks []PacketMark) ([]PacketMark, int) {
+	from := e.end
+	marks = e.countAtoms(marks)
+	return marks, int(e.end - from)
 }

@@ -85,21 +85,11 @@ type Packet struct {
 	Info  byte     // PktISync info byte
 }
 
-// addrChunks splits v = addr>>1 into the on-wire chunk widths: 5 bits in the
+// A branch packet carries v = addr>>1 in chunks, low first: 5 bits in the
 // first byte, then 7-bit groups. 5+7+7+7+5 covers the 31-bit value.
 const numChunks = 5
 
 var chunkWidth = [numChunks]uint{5, 7, 7, 7, 5}
-
-func addrToChunks(addr uint32) [numChunks]uint32 {
-	v := addr >> 1
-	var out [numChunks]uint32
-	for i := 0; i < numChunks; i++ {
-		out[i] = v & (1<<chunkWidth[i] - 1)
-		v >>= chunkWidth[i]
-	}
-	return out
-}
 
 func chunksToAddr(ch [numChunks]uint32) uint32 {
 	var v uint32

@@ -10,6 +10,18 @@ import (
 	"rtad/internal/workload"
 )
 
+// addrToChunks splits addr>>1 into its on-wire chunks, the inverse of
+// chunksToAddr.
+func addrToChunks(addr uint32) [numChunks]uint32 {
+	v := addr >> 1
+	var out [numChunks]uint32
+	for i := 0; i < numChunks; i++ {
+		out[i] = v & (1<<chunkWidth[i] - 1)
+		v >>= chunkWidth[i]
+	}
+	return out
+}
+
 func TestAddrChunksRoundTrip(t *testing.T) {
 	prop := func(raw uint32) bool {
 		addr := raw &^ 1 // addresses are at least halfword aligned
@@ -339,7 +351,8 @@ func TestRandomEventsRoundTrip(t *testing.T) {
 		stream = append(stream, enc.Start(0x8000)...)
 		for i := 0; i < 200; i++ {
 			taken := r.Intn(4) != 0
-			target := (uint32(r.Intn(1<<20)) &^ 3) + 0x8000
+			// Any magnitude, so successive targets differ in any chunk.
+			target := r.Uint32() >> uint(r.Intn(32)) &^ 3
 			kind := cpu.KindDirect
 			if r.Intn(10) == 0 {
 				kind = cpu.KindSyscall

@@ -185,6 +185,13 @@ func (c *Client) Send(data []byte) error {
 // Finish signals end-of-stream, waits for the remaining judgments and the
 // summary, and closes the connection.
 func (c *Client) Finish() (*Summary, error) {
+	if err := c.ctx.Err(); err != nil {
+		// Already cancelled: the watcher may not have closed the
+		// connection yet, and a fast server could still deliver the
+		// summary, so abort rather than race it.
+		c.Close()
+		return nil, fmt.Errorf("serve: session cancelled: %w", err)
+	}
 	c.conn.SetWriteDeadline(time.Now().Add(c.timeout))
 	if err := WriteFrame(c.conn, FrameEOS, nil); err != nil {
 		if rerr := c.waitReader(time.Second); rerr != nil {

@@ -104,7 +104,8 @@ func BenchmarkTracePipelineIGM(b *testing.B) {
 
 // chainBench drives core.Pipeline.BranchRetired with mapper-filtered targets
 // (the common case) on one trace path, asserting the per-branch zero-alloc
-// contract before timing.
+// contract before timing. The targets cycle through every compressed
+// branch-packet length, 1 to 5 address bytes.
 func chainBench(b *testing.B, staged bool) {
 	dep := lstmDeployment(b)
 	p, err := core.NewPipeline(dep, core.PipelineConfig{
@@ -113,13 +114,21 @@ func chainBench(b *testing.B, staged bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	const filtered = 0xDEAD0000
-	var cycle int64
+	filtered := cycleTargets(0xDEAD0000)
+	for _, t := range filtered {
+		if _, ok := dep.Mapper.Lookup(t); ok {
+			b.Fatalf("benchmark target %#x is mapped", t)
+		}
+	}
+	ev := cpu.BranchEvent{PC: 0x8000, Kind: cpu.KindDirect, Taken: true}
+	next := 0
 	branch := func() {
-		cycle += 20
-		p.BranchRetired(cpu.BranchEvent{
-			PC: 0x8000, Target: filtered, Kind: cpu.KindDirect, Taken: true, Cycle: cycle,
-		})
+		ev.Cycle += 20
+		ev.Target = filtered[next]
+		if next++; next == len(filtered) {
+			next = 0
+		}
+		p.BranchRetired(ev)
 	}
 	for i := 0; i < 20000; i++ { // warm-up: settle every stage buffer
 		branch()
@@ -136,7 +145,7 @@ func chainBench(b *testing.B, staged bool) {
 }
 
 // BenchmarkTracePipelineChainFused is the whole per-branch front-end on the
-// fused analytic path (the default): encode with packet marks → counted port
+// fused analytic path (the default): counted encoder → counted port
 // → counted formatter → IGM direct delivery.
 func BenchmarkTracePipelineChainFused(b *testing.B) { chainBench(b, false) }
 
