@@ -118,28 +118,6 @@ func BenchmarkFrontendDecode(b *testing.B) {
 	b.SetBytes(1)
 }
 
-// BenchmarkFrontendScheduler measures the dominant scheduling pattern —
-// post at now+Δ, pop immediately — which stays entirely in the scheduler's
-// monotone fast lane.
-func BenchmarkFrontendScheduler(b *testing.B) {
-	s := sim.NewScheduler()
-	nop := func() {}
-	for i := 0; i < 4096; i++ { // warm-up: settle lane capacity
-		s.After(8, nop)
-		s.Step()
-	}
-	assertZeroAlloc(b, "schedule+step", func() {
-		s.After(8, nop)
-		s.Step()
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.After(8, nop)
-		s.Step()
-	}
-}
-
 // BenchmarkFrontendFormatter measures TPIU frame packing plus the word
 // hand-off through a recycled TakeInto buffer.
 func BenchmarkFrontendFormatter(b *testing.B) {

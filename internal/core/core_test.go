@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"rtad/internal/cpu"
+	"rtad/internal/kernels"
 	"rtad/internal/sim"
 	"rtad/internal/workload"
 )
@@ -112,7 +113,7 @@ func TestLSTMPipelineEndToEnd(t *testing.T) {
 	if err := pipe.Err(); err != nil {
 		t.Fatal(err)
 	}
-	judged := pipe.Judged()
+	judged := pipe.TakeJudged(nil)
 	if len(judged) < 5 {
 		t.Fatalf("only %d judged vectors", len(judged))
 	}
@@ -284,53 +285,65 @@ func TestDualModelDeployment(t *testing.T) {
 	}
 }
 
-// TestPipelineCausalInvariants replays a full detection run's events
-// through the discrete-event scheduler and checks the SoC's causal
-// ordering: engine service is serialised (Started/Done monotone), every
-// judgment postdates its branch retirement and its vector emission, and
-// IRQs delivered through the scheduler arrive in timestamp order.
+// TestPipelineCausalInvariants checks the SoC's causal ordering on every
+// lane of a single-lane session and of a dual ELM+LSTM session (one shared
+// engine), on both backends: engine service is serialised (each vector
+// starts at or after the previous one's Done), every judgment postdates its
+// branch retirement and its vector emission, and so Rec.Done strictly
+// increases within a lane. Session delivery rests on that last property: it
+// appends each lane's judgments in push order, which is then time order.
 func TestPipelineCausalInvariants(t *testing.T) {
-	dep := trainLSTMDeployment(t, "445.gobmk")
-	detect(t, dep, PipelineConfig{CUs: 5, Stride: 512}, AttackSpec{Seed: 6}, 1_500_000)
-
-	pipe, err := NewPipeline(dep, PipelineConfig{CUs: 5, Stride: 512})
-	if err != nil {
-		t.Fatal(err)
+	lstm := trainLSTMDeployment(t, "445.gobmk")
+	elm := trainELMDeployment(t, "445.gobmk")
+	detect(t, lstm, PipelineConfig{CUs: 5, Stride: 512}, AttackSpec{Seed: 6}, 1_500_000)
+	cases := []struct {
+		name  string
+		deps  Deployments
+		cfg   PipelineConfig
+		instr int64
+	}{
+		{"single", Deployments{lstm}, PipelineConfig{CUs: 5, Stride: 512}, 1_500_000},
+		{"dual", Deployments{elm, lstm}, PipelineConfig{CUs: 5}, 6_000_000},
 	}
-	prog, _ := dep.Profile.Generate()
-	c := cpu.New(prog, cpu.Config{Mode: cpu.ModeRTAD, Sink: pipe})
-	if _, err := c.Run(1_500_000); err != nil {
-		t.Fatal(err)
-	}
-	pipe.Flush(sim.CPUClock.Duration(c.Cycles()))
-	judged := pipe.Judged()
-	if len(judged) < 10 {
-		t.Fatalf("only %d judged vectors", len(judged))
-	}
-
-	sched := sim.NewScheduler()
-	var delivered []sim.Time
-	for i := 1; i < len(judged); i++ {
-		prev, cur := judged[i-1], judged[i]
-		if cur.Rec.Started < prev.Rec.Done {
-			t.Fatalf("vector %d started (%v) before %d finished (%v): engine overlap",
-				i, cur.Rec.Started, i-1, prev.Rec.Done)
-		}
-		if cur.Rec.Done <= cur.Vector.At || cur.Rec.Done <= cur.FinalRetire {
-			t.Fatalf("vector %d judged before its inputs existed", i)
-		}
-	}
-	for _, j := range judged {
-		at := j.Rec.Done
-		sched.At(at, func() { delivered = append(delivered, sched.Now()) })
-	}
-	sched.Run()
-	if len(delivered) != len(judged) {
-		t.Fatalf("scheduler delivered %d of %d events", len(delivered), len(judged))
-	}
-	for i := 1; i < len(delivered); i++ {
-		if delivered[i] < delivered[i-1] {
-			t.Fatal("scheduler delivery out of order")
+	for _, backend := range []string{kernels.BackendGPU, kernels.BackendNativeCalibrated} {
+		for _, tc := range cases {
+			t.Run(tc.name+"/"+backend, func(t *testing.T) {
+				cfg := tc.cfg
+				cfg.Backend = backend
+				s, err := Open(tc.deps, WithConfig(cfg))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.Step(tc.instr); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Drain(); err != nil {
+					t.Fatal(err)
+				}
+				for lane := 0; lane < s.Lanes(); lane++ {
+					judged := s.LaneResults(lane)
+					if len(judged) < 10 {
+						t.Fatalf("lane %d: only %d judged vectors", lane, len(judged))
+					}
+					for i, cur := range judged {
+						if cur.Rec.Done <= cur.Vector.At || cur.Rec.Done <= cur.FinalRetire {
+							t.Fatalf("lane %d: vector %d judged before its inputs existed", lane, i)
+						}
+						if i == 0 {
+							continue
+						}
+						prev := judged[i-1]
+						if cur.Rec.Started < prev.Rec.Done {
+							t.Fatalf("lane %d: vector %d started (%v) before %d finished (%v): engine overlap",
+								lane, i, cur.Rec.Started, i-1, prev.Rec.Done)
+						}
+						if cur.Rec.Done <= prev.Rec.Done {
+							t.Fatalf("lane %d: vector %d done at %v, not after %d (%v)",
+								lane, i, cur.Rec.Done, i-1, prev.Rec.Done)
+						}
+					}
+				}
+			})
 		}
 	}
 }

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"rtad/internal/sim"
-)
+import "rtad/internal/sim"
 
 // Dual-model deployment: §II claims RTAD "is able to support many different
 // ML models whereas others support fixed models... users may realize and
@@ -24,45 +20,4 @@ type DualResult struct {
 	// Contention is the extra engine wait the busier model imposed on the
 	// other, visible as elevated latencies relative to solo runs.
 	SharedBusyAt sim.Time
-}
-
-// summarise builds a DetectionResult from a finished pipeline.
-func summarise(dep *Deployment, pipe *Pipeline, injectTime sim.Time) (*DetectionResult, error) {
-	res := &DetectionResult{
-		Benchmark:  dep.Profile.Name,
-		Kind:       dep.Kind,
-		CUs:        pipe.cfg.CUs,
-		InjectTime: injectTime,
-		Judged:     len(pipe.Judged()),
-		Dropped:    pipe.MCMStats().Dropped,
-		MaxOcc:     pipe.MCMStats().MaxOccupancy,
-		Stages:     SnapshotStages(pipe.Stages()),
-	}
-	var latSum sim.Time
-	var latN int64
-	for i := range pipe.judged {
-		j := &pipe.judged[i]
-		if j.FinalRetire < injectTime {
-			continue
-		}
-		if res.First == nil {
-			res.First = j
-			res.Latency = j.JudgmentLatency()
-		}
-		latSum += j.JudgmentLatency()
-		latN++
-		if j.Rec.Judgment.Anomaly {
-			res.Detected = true
-			if res.IRQTime == 0 {
-				res.IRQTime = j.Rec.IRQAt
-			}
-		}
-	}
-	if latN > 0 {
-		res.MeanLatency = latSum / sim.Time(latN)
-	}
-	if res.First == nil {
-		return nil, fmt.Errorf("no post-injection vector judged on %s", dep.Profile.Name)
-	}
-	return res, nil
 }

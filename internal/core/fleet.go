@@ -6,10 +6,10 @@ import (
 )
 
 // Fleet runs independent detection sessions concurrently. Each session owns
-// its scheduler, CPU and pipeline, so runs stay bit-deterministic no matter
-// how they interleave; trained Deployments are read-only during inference
-// and safely shared across every worker (the contract DESIGN.md §4 states
-// and the -race fleet test enforces).
+// its CPU and pipelines, so runs stay bit-deterministic no matter how they
+// interleave; trained Deployments are read-only during inference and safely
+// shared across every worker (the contract DESIGN.md §4 states and the
+// -race fleet test enforces).
 type Fleet struct {
 	workers int
 

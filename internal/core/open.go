@@ -8,7 +8,6 @@ import (
 	"rtad/internal/kernels"
 	"rtad/internal/mcm"
 	"rtad/internal/obs"
-	"rtad/internal/sim"
 )
 
 // Deployments names the model set a session deploys against one victim:
@@ -44,7 +43,7 @@ func WithEngineWrap(wrap func(kernels.Backend) kernels.Backend) Option {
 	return func(o *openConfig) { o.wire.wrap = wrap }
 }
 
-// WithTelemetry attaches the observability bundle to the session: scheduler
+// WithTelemetry attaches the observability bundle to the session: delivery
 // and victim gauges, per-stage spans and queue counters, and the judgment
 // latency histogram. Nil (the default) leaves the session un-instrumented,
 // with outputs bit-identical to an instrumented run.
@@ -146,7 +145,6 @@ func openSingle(dep *Deployment, o *openConfig) (*Session, error) {
 		return nil, err
 	}
 	s := &Session{
-		sched: sim.NewScheduler(),
 		fan:   &fanSink{pipes: []*Pipeline{pipe}},
 		lanes: []*lane{{dep: dep, pipe: pipe}},
 		pool:  dep.Pool,
@@ -186,8 +184,7 @@ func openDual(elmDep, lstmDep *Deployment, o *openConfig) (*Session, error) {
 		return nil, err
 	}
 	s := &Session{
-		sched: sim.NewScheduler(),
-		fan:   &fanSink{pipes: []*Pipeline{elmPipe, lstmPipe}},
+		fan: &fanSink{pipes: []*Pipeline{elmPipe, lstmPipe}},
 		lanes: []*lane{
 			{dep: elmDep, pipe: elmPipe},
 			{dep: lstmDep, pipe: lstmPipe},

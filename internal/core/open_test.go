@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"rtad/internal/attack"
@@ -9,6 +11,7 @@ import (
 	"rtad/internal/kernels"
 	"rtad/internal/obs"
 	"rtad/internal/ptm"
+	"rtad/internal/sim"
 	"rtad/internal/workload"
 )
 
@@ -202,6 +205,54 @@ func TestReplayAttackInjection(t *testing.T) {
 	}
 	if s.MCMStats().Accepted == 0 {
 		t.Fatal("MCMStats reports nothing accepted")
+	}
+}
+
+// TestReplayClockBound: a trace-replay session ends with
+// ErrReplayClockExhausted before it synthesizes a branch event past
+// MaxReplayCycles, delivers what it judged up to there with unwrapped
+// times, and refuses every later feed and the drain. The clock starts just
+// below the bound instead of being streamed there.
+func TestReplayClockBound(t *testing.T) {
+	dep := trainLSTMDeployment(t, "458.sjeng")
+	stream := captureStream(t, "458.sjeng", 400_000)
+	s, err := Open(Deployments{dep}, WithConfig(PipelineConfig{Stride: 8}), WithTraceInput(MaxReplayGap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const room = 1000 // events of MaxReplayGap cycles left before the bound
+	start := int64(MaxReplayCycles - room*MaxReplayGap)
+	s.front.cycle = start
+
+	err = s.FeedTrace(stream)
+	if !errors.Is(err, ErrReplayClockExhausted) {
+		t.Fatalf("FeedTrace past the bound returned %v, want ErrReplayClockExhausted", err)
+	}
+	if !strings.Contains(err.Error(), "MaxReplayCycles") {
+		t.Errorf("error %q does not name the bound", err)
+	}
+	if _, events, _ := s.ReplayStats(); events < 1 || events > room+1 {
+		t.Errorf("%d events synthesized in %d gaps before the bound", events, room)
+	}
+	if s.front.cycle <= MaxReplayCycles {
+		t.Errorf("stopped at cycle %d, before the bound %d", s.front.cycle, int64(MaxReplayCycles))
+	}
+	judged := s.Results()
+	if len(judged) == 0 {
+		t.Fatal("nothing judged before the bound")
+	}
+	lo, hi := sim.CPUClock.Duration(start), sim.CPUClock.Duration(MaxReplayCycles)
+	for i, j := range judged {
+		if j.FinalRetire < lo || j.FinalRetire > hi || j.Rec.Done <= j.FinalRetire {
+			t.Fatalf("judgment %d: retire %d, done %d outside the clock's last stretch [%d, %d]",
+				i, j.FinalRetire, j.Rec.Done, lo, hi)
+		}
+	}
+	if err := s.FeedTrace(stream[:64]); !errors.Is(err, ErrReplayClockExhausted) {
+		t.Errorf("a feed after the end returned %v", err)
+	}
+	if err := s.Drain(); !errors.Is(err, ErrReplayClockExhausted) {
+		t.Errorf("Drain after the end returned %v", err)
 	}
 }
 

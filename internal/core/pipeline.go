@@ -58,8 +58,8 @@ type PipelineConfig struct {
 // the engine token and interconnect both lanes' MCMs contend for.
 type wiring struct {
 	// tel, when non-nil, threads the observability layer through every
-	// stage of this pipeline (and, via Session, the scheduler and victim
-	// CPU): stage spans and queue counters on the tracer, plus the
+	// stage of this pipeline (and, via Session, judgment delivery and the
+	// victim CPU): stage spans and queue counters on the tracer, plus the
 	// branch-retire -> judgment latency histogram — the Fig 8 quantity.
 	// Nil keeps the whole chain a no-op and the run's outputs
 	// bit-identical to an un-instrumented build.
@@ -143,12 +143,12 @@ type Pipeline struct {
 	// by the stride gap instead of growing for the life of the session.
 	acceptedRetire []sim.Time
 	retireBase     int64
-	judged         []Judged
-	// pendIdx indexes the judged entries whose Rec.Pending is set: vectors
-	// the MCM has fully timed but not yet judged (deferred judgment). They
-	// resolve in one fused engine call at SettleJudgments.
-	pendIdx []int
-	err     error
+	// judged holds the judgments not yet handed over by TakeJudged, in push
+	// order. Records the MCM has fully timed but not yet judged (deferred
+	// judgment, Rec.Pending) can only sit here, and TakeJudged resolves
+	// them in one fused engine call before they leave.
+	judged []Judged
+	err    error
 
 	// Per-branch scratch buffers: BranchRetired and drain run once per
 	// retired branch, so every stage hand-off reuses these instead of
@@ -401,9 +401,6 @@ func (p *Pipeline) drainVectors() {
 		// recycled — ownership transfers to the judgment record.
 		j := Judged{Vector: v, Rec: rec, FinalRetire: retire}
 		p.judged = append(p.judged, j)
-		if rec.Pending {
-			p.pendIdx = append(p.pendIdx, len(p.judged)-1)
-		}
 		if p.obsJudgments != nil {
 			p.obsJudgments.Inc()
 			latUS := float64(j.JudgmentLatency()) / float64(sim.Microsecond)
@@ -469,30 +466,28 @@ func (p *Pipeline) Flush(at sim.Time) {
 	p.drainVectors()
 }
 
-// SettleJudgments resolves every deferred judgment in one fused engine
-// call (a no-op when nothing is pending). Callers must settle before
-// reading Judged entries appended since the last settle — Session.deliver
-// does, so streaming consumers never see a pending record.
-func (p *Pipeline) SettleJudgments() {
-	if len(p.pendIdx) == 0 {
-		return
-	}
+// TakeJudged appends every judgment made since the last call to dst, in
+// push order, and forgets them: the pipeline keeps no judgment history.
+// Deferred records are settled first, in one fused engine call, so none
+// leaves pending unless that call fails (reported by Err).
+func (p *Pipeline) TakeJudged(dst []Judged) []Judged {
 	js, err := p.mod.Settle()
-	if err != nil {
-		if p.err == nil {
-			p.err = err
+	if err != nil && p.err == nil {
+		p.err = err
+	}
+	// The pending records are this tail's deferred pushes, and Settle
+	// judged them in push order.
+	for i := 0; len(js) > 0; i++ {
+		if rec := &p.judged[i].Rec; rec.Pending {
+			p.mod.Complete(rec, js[0])
+			js = js[1:]
 		}
-		p.pendIdx = p.pendIdx[:0]
-		return
 	}
-	for k, idx := range p.pendIdx {
-		p.mod.Complete(&p.judged[idx].Rec, js[k])
-	}
-	p.pendIdx = p.pendIdx[:0]
+	dst = append(dst, p.judged...)
+	clear(p.judged)
+	p.judged = p.judged[:0]
+	return dst
 }
-
-// Judged returns every vector that reached a judgment, in order.
-func (p *Pipeline) Judged() []Judged { return p.judged }
 
 // Err returns the first pipeline error, if any.
 func (p *Pipeline) Err() error { return p.err }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"rtad/internal/cpu"
@@ -17,8 +18,29 @@ const DefaultReplayGap = 8
 // MaxReplayGap bounds the replay pacing at 2^20 cycles per branch event:
 // the replay clock is a picosecond sim.Time, and a client-chosen gap near
 // the int64 range would wrap each event's timestamp to nonsense. At the
-// bound a session still runs about 2×10^9 events before the clock wraps.
+// bound a session reaches MaxReplayCycles after about 10^9 events.
 const MaxReplayGap = 1 << 20
+
+// MaxReplayCycles is where a trace-replay session's synthesized clock ends:
+// FeedTrace refuses to synthesize a branch event at a later cycle.
+//
+// Derivation: every stage turns the replay cycle into a picosecond
+// sim.Time at the CPU clock's 4000 ps per cycle, so the int64 time base
+// holds 2^63 / 4000 ≈ 2.3×10^15 cycles (about 107 days). The bound is
+// 2^50 ≈ 1.13×10^15 cycles, 52 days of simulated time, which leaves just
+// over half the time base, 4.7×10^18 ps, as headroom for what lands after
+// the last synthesized event: the attack burst's cycle offset (at most
+// attack.MaxBurstLen events 8 cycles apart, 34 ms) and the judgment tail
+// through the port, formatter, IGM, MCM queue and inference, which is
+// microseconds to milliseconds. A session reaches the bound after about
+// 1.4×10^14 events at DefaultReplayGap and 1.07×10^9 at MaxReplayGap.
+const MaxReplayCycles = 1 << 50
+
+// ErrReplayClockExhausted is the error FeedTrace returns, wrapped, once the
+// stream would take the replay clock past MaxReplayCycles. The judgments
+// made up to that point are delivered, and every later FeedTrace or Drain
+// returns the same error.
+var ErrReplayClockExhausted = errors.New("core: replay clock exhausted")
 
 // traceFront is the trace-replay front-end: where a live session's victim
 // CPU retires branches into the sink chain, a replay session re-synthesises
@@ -65,7 +87,9 @@ func (s *Session) ReplayStats() (bytes, events int64, decodeErrors int) {
 // and the two front-ends are mutually exclusive. Chunking is free: feeding
 // a stream byte-by-byte or in one call yields bit-identical judgments,
 // because every synthesized time depends only on the decoded event sequence.
-// Judgments completed so far are delivered to Results after each call.
+// Judgments completed so far are delivered to Results after each call. A
+// stream that would run the replay clock past MaxReplayCycles ends the
+// session with ErrReplayClockExhausted.
 func (s *Session) FeedTrace(data []byte) error {
 	if s.front == nil {
 		return fmt.Errorf("core: session has a live CPU front-end (open with WithTraceInput to feed traces)")
@@ -77,6 +101,7 @@ func (s *Session) FeedTrace(data []byte) error {
 		return s.err
 	}
 	f := s.front
+	var end error
 	for _, b := range data {
 		f.bytes++
 		pkt, ok := f.dec.FeedByte(b)
@@ -85,6 +110,11 @@ func (s *Session) FeedTrace(data []byte) error {
 			// events; the IGM's own decoder sees them again after
 			// re-encoding, so nothing is lost by skipping them here.
 			continue
+		}
+		if f.cycle > MaxReplayCycles {
+			end = fmt.Errorf("%w: branch event %d would retire at cycle %d, past MaxReplayCycles (%d)",
+				ErrReplayClockExhausted, f.events, f.cycle, int64(MaxReplayCycles))
+			break
 		}
 		kind := cpu.KindDirect
 		if pkt.Exc {
@@ -104,6 +134,9 @@ func (s *Session) FeedTrace(data []byte) error {
 	}
 	s.deliver()
 	s.sample()
+	if s.err == nil {
+		s.err = end
+	}
 	return s.err
 }
 

@@ -19,13 +19,16 @@ import (
 // (the CPU, trace chain and MCM models are untouched; slicing only changes
 // who calls them and when).
 //
-// Each session owns a private deterministic sim.Scheduler that delivers
-// completed judgments in time order, and shares nothing mutable with other
-// sessions: a trained Deployment is read-only during inference, so any
-// number of sessions may run concurrently over one deployment (see Fleet).
-// A session itself is not goroutine-safe — one timeline, one goroutine.
+// Each lane's judgments complete in time order, so a session hands them
+// over in the order its pipeline made them, and keeps only a running
+// tally of each lane for Summary. A session shares nothing mutable with
+// other sessions: a trained Deployment is read-only during inference, so
+// any number of sessions may run concurrently over one deployment (see
+// Fleet). A session itself is not goroutine-safe — one timeline, one
+// goroutine.
 type Session struct {
-	sched *sim.Scheduler
+	// now is the ready time of the latest delivered judgment.
+	now sim.Time
 	// Exactly one front-end drives the sink chain: cpu executes the victim
 	// program (Step), front replays a raw PTM byte stream (FeedTrace).
 	cpu   *cpu.CPU
@@ -50,6 +53,8 @@ type Session struct {
 	// events are recorded only where sim times are produced, so the trace
 	// bytes are invariant to slicing.
 	tel         *obs.Telemetry
+	obsEvents   *obs.Counter
+	obsNow      *obs.Gauge
 	obsCycles   *obs.Gauge
 	obsInstret  *obs.Gauge
 	obsStall    *obs.Gauge
@@ -58,14 +63,49 @@ type Session struct {
 	attackNoted bool
 }
 
-// lane is one model's view of the shared victim: its pipeline plus the
-// judgments delivered to — but not yet consumed by — the caller.
+// lane is one model's view of the shared victim: its pipeline, the
+// judgments delivered to — but not yet consumed by — the caller, and the
+// tally of everything delivered so far.
 type lane struct {
 	dep     *Deployment
 	pipe    *Pipeline
 	pending []Judged
-	// delivered counts pipeline judgments already scheduled for delivery.
-	delivered int
+	tally   tally
+}
+
+// tally is a lane's running detection summary, folded in judgment by
+// judgment as deliver hands them over, so LaneSummary needs no history.
+type tally struct {
+	judged int
+	// first is the first judgment completed by a branch at or after the
+	// injection; latN > 0 once it is set.
+	first    Judged
+	latSum   sim.Time
+	latN     int64
+	irq      sim.Time
+	detected bool
+}
+
+// add folds one delivered judgment into the tally. Before the attack fires
+// the injection time is unknown, but nothing delivered then counts: its
+// vector was completed by a branch that retired before the trigger branch,
+// so it precedes the injection.
+func (t *tally) add(j *Judged, fired bool, inject sim.Time) {
+	t.judged++
+	if !fired || j.FinalRetire < inject {
+		return
+	}
+	if t.latN == 0 {
+		t.first = *j
+	}
+	t.latSum += j.JudgmentLatency()
+	t.latN++
+	if j.Rec.Judgment.Anomaly {
+		t.detected = true
+		if t.irq == 0 {
+			t.irq = j.Rec.IRQAt
+		}
+	}
 }
 
 // swapSink is the replaceable head of the CPU's sink chain. cpu.Config.Sink
@@ -96,11 +136,12 @@ func (f *fanSink) BranchRetired(ev cpu.BranchEvent) int64 {
 	return max
 }
 
-// observe attaches the telemetry bundle to the session-level pieces (the
-// scheduler and victim-CPU gauges). Safe with a nil bundle.
+// observe attaches the telemetry bundle to the session-level pieces
+// (judgment delivery and victim-CPU gauges). Safe with a nil bundle.
 func (s *Session) observe(tel *obs.Telemetry) {
 	s.tel = tel
-	s.sched.Observe(tel)
+	s.obsEvents = tel.Counter("rtad_sim_events_total")
+	s.obsNow = tel.Gauge("rtad_sim_now_ps")
 	s.obsCycles = tel.Gauge("rtad_cpu_cycles")
 	s.obsInstret = tel.Gauge("rtad_cpu_instret")
 	s.obsStall = tel.Gauge("rtad_cpu_stall_cycles")
@@ -222,34 +263,33 @@ func (s *Session) Drain() error {
 	return s.err
 }
 
-// deliver schedules each lane's newly judged vectors on the session
-// scheduler at their judgment-ready times and runs it, moving them into the
-// lanes' pending queues in deterministic time order. Judgment Done times are
-// monotone per engine, so the clamp to Now only guards the cross-lane case
-// where one lane's inference tail has already advanced the timeline.
+// deliver moves each lane's new judgments onto its pending queue and into
+// its tally. Within a lane, Done strictly increases — every vector starts
+// on its MCM at or after the previous one's Done, the dual session's
+// shared engine included — so the pipeline's push order is time order.
+// rtad_sim_events_total counts delivered judgments and rtad_sim_now_ps
+// follows Now.
 func (s *Session) deliver() {
+	fired, inject := s.AttackFired(), s.InjectTime()
+	var n int
 	for _, ln := range s.lanes {
-		ln := ln
-		// Deferred judgments must resolve before the records are copied
-		// into delivery closures below.
-		ln.pipe.SettleJudgments()
-		judged := ln.pipe.Judged()
-		for i := ln.delivered; i < len(judged); i++ {
-			j := judged[i]
-			at := j.Rec.Done
-			if now := s.sched.Now(); at < now {
-				at = now
-			}
-			s.sched.At(at, func() {
-				ln.pending = append(ln.pending, j)
-			})
+		start := len(ln.pending)
+		ln.pending = ln.pipe.TakeJudged(ln.pending)
+		for i := start; i < len(ln.pending); i++ {
+			ln.tally.add(&ln.pending[i], fired, inject)
 		}
-		ln.delivered = len(judged)
+		if k := len(ln.pending); k > start {
+			n += k - start
+			s.now = max(s.now, ln.pending[k-1].Rec.Done)
+		}
 		if err := ln.pipe.Err(); err != nil && s.err == nil {
 			s.err = err
 		}
 	}
-	s.sched.Run()
+	if n > 0 {
+		s.obsEvents.Add(int64(n))
+		s.obsNow.Set(int64(s.now))
+	}
 }
 
 // Results returns and clears lane 0's delivered-but-unconsumed judgments —
@@ -276,7 +316,26 @@ func (s *Session) LaneSummary(i int) (*DetectionResult, error) {
 		return nil, fmt.Errorf("core: attack never fired")
 	}
 	ln := s.lanes[i]
-	return summarise(ln.dep, ln.pipe, sim.CPUClock.Duration(s.inj.InjectedAtCycle))
+	if ln.tally.latN == 0 {
+		return nil, fmt.Errorf("no post-injection vector judged on %s", ln.dep.Profile.Name)
+	}
+	first := ln.tally.first
+	stats := ln.pipe.MCMStats()
+	return &DetectionResult{
+		Benchmark:   ln.dep.Profile.Name,
+		Kind:        ln.dep.Kind,
+		CUs:         ln.pipe.cfg.CUs,
+		InjectTime:  s.InjectTime(),
+		First:       &first,
+		Latency:     first.JudgmentLatency(),
+		MeanLatency: ln.tally.latSum / sim.Time(ln.tally.latN),
+		IRQTime:     ln.tally.irq,
+		Detected:    ln.tally.detected,
+		Judged:      ln.tally.judged,
+		Dropped:     stats.Dropped,
+		MaxOcc:      stats.MaxOccupancy,
+		Stages:      SnapshotStages(ln.pipe.Stages()),
+	}, nil
 }
 
 // Lanes reports the model-lane count (1, or 2 for dual sessions).
@@ -290,10 +349,9 @@ func (s *Session) LaneStages(i int) []StageSnapshot {
 	return SnapshotStages(s.lanes[i].pipe.Stages())
 }
 
-// Now is the session scheduler's time: the ready time of the latest
-// delivered judgment (which can run past the victim's last cycle while the
-// inference tail completes).
-func (s *Session) Now() sim.Time { return s.sched.Now() }
+// Now is the ready time of the latest delivered judgment (which can run
+// past the victim's last cycle while the inference tail completes).
+func (s *Session) Now() sim.Time { return s.now }
 
 // Cycles is the victim's elapsed cycle count: executed cycles for a live
 // CPU, the synthesized replay clock for a trace-input session.

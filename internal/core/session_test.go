@@ -12,9 +12,10 @@ import (
 
 // runDetectionLegacy is a frozen copy of the batch detection run that
 // predates Session: the plumbing (injector wrapping the pipeline as the CPU
-// sink, one Run, one Flush). It anchors the determinism contract — the
-// streaming Session must reproduce its event stream bit for bit, however
-// the run is chunked.
+// sink, one Run, one Flush), summarised by a whole-history scan. It anchors
+// the determinism contract — the streaming Session must reproduce its event
+// stream bit for bit, however the run is chunked, and its running tally
+// must reproduce the scan.
 func runDetectionLegacy(dep *Deployment, pcfg PipelineConfig, aspec AttackSpec, instr int64) (*DetectionResult, []Judged, sim.Time, error) {
 	prog, err := dep.Profile.Generate()
 	if err != nil {
@@ -52,11 +53,54 @@ func runDetectionLegacy(dep *Deployment, pcfg PipelineConfig, aspec AttackSpec, 
 	if !inj.Fired() {
 		return nil, nil, 0, fmt.Errorf("core: attack never fired in %d instructions", instr)
 	}
-	res, err := summarise(dep, pipe, sim.CPUClock.Duration(inj.InjectedAtCycle))
+	judged := pipe.TakeJudged(nil)
+	res, err := summariseLegacy(dep, pipe, judged, sim.CPUClock.Duration(inj.InjectedAtCycle))
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	return res, pipe.Judged(), end, nil
+	return res, judged, end, nil
+}
+
+// summariseLegacy is a frozen copy of the whole-history summary the session
+// tally replaced: it rescans every judgment of a finished pipeline.
+func summariseLegacy(dep *Deployment, pipe *Pipeline, judged []Judged, injectTime sim.Time) (*DetectionResult, error) {
+	res := &DetectionResult{
+		Benchmark:  dep.Profile.Name,
+		Kind:       dep.Kind,
+		CUs:        pipe.cfg.CUs,
+		InjectTime: injectTime,
+		Judged:     len(judged),
+		Dropped:    pipe.MCMStats().Dropped,
+		MaxOcc:     pipe.MCMStats().MaxOccupancy,
+		Stages:     SnapshotStages(pipe.Stages()),
+	}
+	var latSum sim.Time
+	var latN int64
+	for i := range judged {
+		j := &judged[i]
+		if j.FinalRetire < injectTime {
+			continue
+		}
+		if res.First == nil {
+			res.First = j
+			res.Latency = j.JudgmentLatency()
+		}
+		latSum += j.JudgmentLatency()
+		latN++
+		if j.Rec.Judgment.Anomaly {
+			res.Detected = true
+			if res.IRQTime == 0 {
+				res.IRQTime = j.Rec.IRQAt
+			}
+		}
+	}
+	if latN > 0 {
+		res.MeanLatency = latSum / sim.Time(latN)
+	}
+	if res.First == nil {
+		return nil, fmt.Errorf("no post-injection vector judged on %s", dep.Profile.Name)
+	}
+	return res, nil
 }
 
 // TestSessionMatchesLegacyBitForBit is the tentpole regression: the same
@@ -102,7 +146,7 @@ func TestSessionMatchesLegacyBitForBit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, s.lanes[0].pipe.Judged(), sim.CPUClock.Duration(s.Cycles())
+		return res, s.Results(), sim.CPUClock.Duration(s.Cycles())
 	}
 
 	whole, wholeJudged, wholeEnd := runSession([]int64{instr})
@@ -132,17 +176,30 @@ func TestSessionMatchesLegacyBitForBit(t *testing.T) {
 }
 
 // TestSessionStreamingConsumption checks the incremental read path: results
-// consumed step by step, concatenated, equal the full judged stream, and
-// each delivery batch arrives in nondecreasing judgment-time order.
+// consumed step by step, concatenated, equal the stream an unconsumed
+// whole-run session hands over at the end, in strictly increasing
+// judgment-time order.
 func TestSessionStreamingConsumption(t *testing.T) {
 	dep := trainLSTMDeployment(t, "401.bzip2")
 	pcfg := PipelineConfig{CUs: 5, Stride: 256}
+	const chunk = 150_000
+	whole, err := Open(Deployments{dep}, WithConfig(pcfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := whole.Step(8 * chunk); err != nil {
+		t.Fatal(err)
+	}
+	if err := whole.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	full := whole.Results()
+
 	s, err := Open(Deployments{dep}, WithConfig(pcfg))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var streamed []Judged
-	const chunk = 150_000
 	for i := 0; i < 8; i++ {
 		if _, err := s.Step(chunk); err != nil {
 			t.Fatal(err)
@@ -157,17 +214,16 @@ func TestSessionStreamingConsumption(t *testing.T) {
 	}
 	streamed = append(streamed, s.Results()...)
 
-	full := s.lanes[0].pipe.Judged()
 	if !reflect.DeepEqual(streamed, full) {
-		t.Fatalf("streamed %d judgments != pipeline's %d", len(streamed), len(full))
+		t.Fatalf("streamed %d judgments != whole run's %d", len(streamed), len(full))
 	}
 	for i := 1; i < len(streamed); i++ {
-		if streamed[i].Rec.Done < streamed[i-1].Rec.Done {
+		if streamed[i].Rec.Done <= streamed[i-1].Rec.Done {
 			t.Fatalf("delivery %d out of time order", i)
 		}
 	}
-	if s.Now() < streamed[len(streamed)-1].Rec.Done {
-		t.Errorf("session time %v behind last delivery %v", s.Now(), streamed[len(streamed)-1].Rec.Done)
+	if last := streamed[len(streamed)-1].Rec.Done; s.Now() != last || whole.Now() != last {
+		t.Errorf("session times %v (streamed), %v (whole) != last delivery %v", s.Now(), whole.Now(), last)
 	}
 	// Drained sessions refuse further work.
 	if _, err := s.Step(1); err == nil {
@@ -308,4 +364,90 @@ func TestSessionStageSnapshots(t *testing.T) {
 	if len(res.Stages) != len(want) {
 		t.Fatalf("DetectionResult carries %d stage snapshots", len(res.Stages))
 	}
+}
+
+// TestSessionTallyMatchesHistoryScan pins the running per-lane tally behind
+// LaneSummary to the whole-history scan it replaced, where the injection
+// time is learned late: the attack is armed with TriggerBranch 0 only after
+// judgments have already been delivered, so the tally sees judgments before
+// it knows when the attack struck.
+func TestSessionTallyMatchesHistoryScan(t *testing.T) {
+	lstm := trainLSTMDeployment(t, "445.gobmk")
+	arm := AttackSpec{TriggerBranch: 0, BurstLen: 32768, Seed: 9}
+
+	// run drives s through first, Inject(arm) and then, collecting every
+	// lane's delivered judgments, and checks each lane's summary.
+	run := func(t *testing.T, s *Session, first, then func() error) {
+		t.Helper()
+		streams := make([][]Judged, s.Lanes())
+		collect := func() {
+			for i := range streams {
+				streams[i] = append(streams[i], s.LaneResults(i)...)
+			}
+		}
+		if err := first(); err != nil {
+			t.Fatal(err)
+		}
+		collect()
+		for i, js := range streams {
+			if len(js) == 0 {
+				t.Fatalf("lane %d delivered nothing before the attack was armed", i)
+			}
+		}
+		if err := s.Inject(arm); err != nil {
+			t.Fatal(err)
+		}
+		if err := then(); err != nil {
+			t.Fatal(err)
+		}
+		collect()
+		if err := s.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		collect()
+		for i, js := range streams {
+			ln := s.lanes[i]
+			want, err := summariseLegacy(ln.dep, ln.pipe, js, s.InjectTime())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := s.LaneSummary(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("lane %d: tally diverges from the history scan:\n got %+v\nwant %+v", i, got, want)
+			}
+		}
+	}
+	step := func(s *Session, n int64) func() error {
+		return func() error { _, err := s.Step(n); return err }
+	}
+
+	t.Run("step", func(t *testing.T) {
+		s, err := Open(Deployments{lstm}, WithConfig(PipelineConfig{CUs: 5, Stride: 512}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		run(t, s, step(s, 500_000), step(s, 1_000_000))
+	})
+	t.Run("trace", func(t *testing.T) {
+		stream := captureStream(t, "445.gobmk", 1_500_000)
+		s, err := Open(Deployments{lstm}, WithConfig(PipelineConfig{CUs: 5, Stride: 512}), WithTraceInput(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cut := len(stream) / 3
+		run(t, s,
+			func() error { return s.FeedTrace(stream[:cut]) },
+			func() error { return s.FeedTrace(stream[cut:]) })
+	})
+	t.Run("dual", func(t *testing.T) {
+		elm := trainELMDeployment(t, "445.gobmk")
+		s, err := Open(Deployments{elm, lstm}, WithConfig(PipelineConfig{CUs: 5}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		run(t, s, step(s, 2_000_000), step(s, 4_000_000))
+	})
 }

@@ -3,10 +3,11 @@ package core
 import "rtad/internal/sim"
 
 // Stage is one block of the CPU→PTM→TPIU→IGM→MCM trace-delivery chain,
-// viewed through the uniform occupancy/loss triple every buffering stage
-// keeps (the Len/MaxDepth/Overflows statistics of sim.FIFO). The pipeline,
-// the dual-model fan-out and the Fig 7 measurement path all report stage
-// pressure through this one interface instead of per-stage ad hoc getters.
+// viewed through the uniform occupancy/loss statistics every buffering
+// stage keeps (sim.QueueStats: Len/MaxDepth/Overflows plus the
+// accepted/dropped totals). The pipeline, the dual-model fan-out and the
+// Fig 7 measurement path all report stage pressure through this one
+// interface instead of per-stage ad hoc getters.
 type Stage interface {
 	// StageName is a short stable identifier ("ptm", "tpiu", "igm", "mcm").
 	StageName() string

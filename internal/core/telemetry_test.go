@@ -12,7 +12,7 @@ import (
 // TestTelemetryObservationOnly checks the zero-perturbation contract: the
 // same detection run with and without a telemetry bundle produces identical
 // DetectionResults, and the instrumented run fills the Fig 8 judgment
-// latency histogram.
+// latency histogram and counts each judgment once as a delivered event.
 func TestTelemetryObservationOnly(t *testing.T) {
 	dep := trainLSTMDeployment(t, "458.sjeng")
 	aspec := AttackSpec{Seed: 7}
@@ -29,8 +29,13 @@ func TestTelemetryObservationOnly(t *testing.T) {
 	if h.Count() == 0 {
 		t.Fatal("judgment latency histogram is empty after an instrumented run")
 	}
-	if got := tel.Reg.Counter("rtad_judgments_total").Value(); got != h.Count() {
-		t.Errorf("judgments counter %d != histogram count %d", got, h.Count())
+	judgments := tel.Reg.Counter("rtad_judgments_total").Value()
+	if judgments != h.Count() {
+		t.Errorf("judgments counter %d != histogram count %d", judgments, h.Count())
+	}
+	// A single-lane session delivers every judgment exactly once.
+	if got := tel.Reg.Counter("rtad_sim_events_total").Value(); got != judgments {
+		t.Errorf("delivered events %d != judgments %d", got, judgments)
 	}
 	if tel.Tracer.Events() == 0 {
 		t.Fatal("no trace events recorded")

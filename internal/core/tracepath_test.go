@@ -108,8 +108,6 @@ func runTracePathDiff(t *testing.T, dep *Deployment, calib *kernels.Calibration,
 	at := sim.CPUClock.Duration(cycle + 64)
 	sp.Flush(at)
 	fp.Flush(at)
-	sp.SettleJudgments()
-	fp.SettleJudgments()
 	comparePipelines(t, sp, fp)
 }
 
@@ -117,10 +115,10 @@ func runTracePathDiff(t *testing.T, dep *Deployment, calib *kernels.Calibration,
 // reference and the fused fast path.
 func comparePipelines(t *testing.T, sp, fp *Pipeline) {
 	t.Helper()
+	sj, fj := sp.TakeJudged(nil), fp.TakeJudged(nil)
 	if (sp.Err() == nil) != (fp.Err() == nil) {
 		t.Fatalf("error divergence: staged=%v fused=%v", sp.Err(), fp.Err())
 	}
-	sj, fj := sp.Judged(), fp.Judged()
 	if len(sj) != len(fj) {
 		t.Fatalf("judged count diverged: staged=%d fused=%d", len(sj), len(fj))
 	}
@@ -255,8 +253,6 @@ func TestAcceptedRetireBounded(t *testing.T) {
 	at := sim.CPUClock.Duration(cycle + 64)
 	sp.Flush(at)
 	fp.Flush(at)
-	sp.SettleJudgments()
-	fp.SettleJudgments()
 	if fp.IGMStats().Accepted < branches/2 {
 		t.Fatalf("only %d accepted branches — the path under test did not run", fp.IGMStats().Accepted)
 	}

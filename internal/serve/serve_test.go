@@ -481,6 +481,19 @@ func TestHelloRejections(t *testing.T) {
 	}
 }
 
+// TestFeedErrCode: a stream that runs the replay clock out broke a protocol
+// limit, so its error frame carries ErrProto; any other feed failure is the
+// server's.
+func TestFeedErrCode(t *testing.T) {
+	exhausted := fmt.Errorf("%w: past MaxReplayCycles", core.ErrReplayClockExhausted)
+	if got := feedErrCode(exhausted); got != ErrProto {
+		t.Errorf("replay clock exhausted: code %q, want %q", got, ErrProto)
+	}
+	if got := feedErrCode(errors.New("mcm: settle: engine fault")); got != ErrInternal {
+		t.Errorf("engine fault: code %q, want %q", got, ErrInternal)
+	}
+}
+
 // TestServeMetrics checks the serving gauges and counters end to end.
 func TestServeMetrics(t *testing.T) {
 	dep, stream := fixtures(t)

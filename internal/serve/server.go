@@ -79,9 +79,8 @@ var ServeSecondsBuckets = obs.ExpBuckets(1e-6, 2, 26)
 // read-only deployments. Trained Deployments are immutable during inference
 // (the Fleet contract), so every session — and any number of concurrent
 // sessions — may share one deployment; each session owns its private
-// scheduler, pipeline and replay clock, so concurrent sessions produce
-// bit-identical judgment streams to a solo in-process run over the same
-// bytes.
+// pipeline and replay clock, so concurrent sessions produce bit-identical
+// judgment streams to a solo in-process run over the same bytes.
 type Server struct {
 	cfg config
 	// reg is the versioned model registry behind admission: a session is
@@ -699,7 +698,7 @@ func (r *runner) run() error {
 			s.cfg.Flight.Record(r.id, "error", map[string]any{"err": err.Error()})
 			r.log.Error("serve: feed failed", "err", err)
 			s.dumpFlight(r.log, r.id)
-			r.writeError(ErrInternal, err.Error())
+			r.writeError(feedErrCode(err), err.Error())
 			return fmt.Errorf("serve: %s: %w", r.id, err)
 		}
 		s.mFeedSec.Observe(time.Since(feedStart).Seconds())
@@ -756,6 +755,16 @@ func (r *runner) run() error {
 	r.log.Info("serve: session done",
 		"judged", sum.Judged, "events", sum.Events, "trace_bytes", sum.TraceBytes)
 	return nil
+}
+
+// feedErrCode is the error-frame code for a failed feed: a stream that
+// runs the replay clock past core.MaxReplayCycles broke a protocol limit,
+// and any other failure is the server's.
+func feedErrCode(err error) string {
+	if errors.Is(err, core.ErrReplayClockExhausted) {
+		return ErrProto
+	}
+	return ErrInternal
 }
 
 // flushJudgments sends every newly delivered judgment, in delivery (time)

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestClockPeriods(t *testing.T) {
 	tests := []struct {
@@ -81,242 +78,6 @@ func TestTimeString(t *testing.T) {
 		if got := c.in.String(); got != c.want {
 			t.Errorf("(%d).String() = %q, want %q", int64(c.in), got, c.want)
 		}
-	}
-}
-
-func TestSchedulerOrdering(t *testing.T) {
-	s := NewScheduler()
-	var order []int
-	s.At(30*Nanosecond, func() { order = append(order, 3) })
-	s.At(10*Nanosecond, func() { order = append(order, 1) })
-	s.At(20*Nanosecond, func() { order = append(order, 2) })
-	// Equal timestamps fire in scheduling order.
-	s.At(20*Nanosecond, func() { order = append(order, 4) })
-	s.Run()
-	want := []int{1, 2, 4, 3}
-	if len(order) != len(want) {
-		t.Fatalf("order = %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-	if s.Now() != 30*Nanosecond {
-		t.Errorf("Now = %v, want 30ns", s.Now())
-	}
-	if s.Fired() != 4 {
-		t.Errorf("Fired = %d, want 4", s.Fired())
-	}
-}
-
-func TestSchedulerCascade(t *testing.T) {
-	s := NewScheduler()
-	depth := 0
-	var recurse func()
-	recurse = func() {
-		depth++
-		if depth < 100 {
-			s.After(Nanosecond, recurse)
-		}
-	}
-	s.After(Nanosecond, recurse)
-	s.Run()
-	if depth != 100 {
-		t.Errorf("depth = %d, want 100", depth)
-	}
-	if s.Now() != 100*Nanosecond {
-		t.Errorf("Now = %v, want 100ns", s.Now())
-	}
-}
-
-func TestSchedulerPastPanics(t *testing.T) {
-	s := NewScheduler()
-	s.At(10*Nanosecond, func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("scheduling in the past did not panic")
-			}
-		}()
-		s.At(5*Nanosecond, func() {})
-	})
-	s.Run()
-}
-
-func TestSchedulerRunUntil(t *testing.T) {
-	s := NewScheduler()
-	var fired []Time
-	for _, d := range []Time{5, 10, 15, 20} {
-		d := d * Nanosecond
-		s.At(d, func() { fired = append(fired, d) })
-	}
-	s.RunUntil(12 * Nanosecond)
-	if len(fired) != 2 {
-		t.Fatalf("fired %d events, want 2", len(fired))
-	}
-	if s.Now() != 12*Nanosecond {
-		t.Errorf("Now = %v, want 12ns", s.Now())
-	}
-	if s.Pending() != 2 {
-		t.Errorf("Pending = %d, want 2", s.Pending())
-	}
-	s.Run()
-	if len(fired) != 4 {
-		t.Errorf("fired %d events after Run, want 4", len(fired))
-	}
-}
-
-func TestSchedulerHalt(t *testing.T) {
-	s := NewScheduler()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		s.At(Time(i)*Nanosecond, func() {
-			count++
-			if count == 3 {
-				s.Halt()
-			}
-		})
-	}
-	s.Run()
-	if count != 3 {
-		t.Errorf("count = %d, want 3 (halt after third event)", count)
-	}
-	if !s.Halted() {
-		t.Error("Halted() = false, want true")
-	}
-}
-
-func TestSchedulerAfterCycles(t *testing.T) {
-	s := NewScheduler()
-	var at Time
-	s.AfterCycles(GPUClock, 5, func() { at = s.Now() })
-	s.Run()
-	if at != 100*Nanosecond {
-		t.Errorf("event at %v, want 100ns (5 GPU cycles)", at)
-	}
-}
-
-func TestFIFOBasics(t *testing.T) {
-	f := NewFIFO[int](3)
-	if !f.Empty() || f.Full() || f.Cap() != 3 {
-		t.Fatal("fresh FIFO state wrong")
-	}
-	for i := 1; i <= 3; i++ {
-		if !f.Push(i) {
-			t.Fatalf("Push(%d) failed on non-full FIFO", i)
-		}
-	}
-	if !f.Full() {
-		t.Error("FIFO should be full")
-	}
-	if f.Push(4) {
-		t.Error("Push on full FIFO should fail")
-	}
-	if f.Overflows() != 1 {
-		t.Errorf("Overflows = %d, want 1", f.Overflows())
-	}
-	if v, ok := f.Peek(); !ok || v != 1 {
-		t.Errorf("Peek = %d,%v want 1,true", v, ok)
-	}
-	for want := 1; want <= 3; want++ {
-		v, ok := f.Pop()
-		if !ok || v != want {
-			t.Errorf("Pop = %d,%v want %d,true", v, ok, want)
-		}
-	}
-	if _, ok := f.Pop(); ok {
-		t.Error("Pop on empty FIFO should fail")
-	}
-	if f.MaxDepth() != 3 {
-		t.Errorf("MaxDepth = %d, want 3", f.MaxDepth())
-	}
-}
-
-func TestFIFOWraparound(t *testing.T) {
-	f := NewFIFO[int](4)
-	next := 0
-	for round := 0; round < 10; round++ {
-		for i := 0; i < 3; i++ {
-			f.Push(next)
-			next++
-		}
-		for i := 0; i < 3; i++ {
-			v, ok := f.Pop()
-			if !ok {
-				t.Fatal("unexpected empty FIFO")
-			}
-			if want := next - 3 + i; v != want {
-				t.Fatalf("round %d: Pop = %d, want %d", round, v, want)
-			}
-		}
-	}
-}
-
-func TestFIFOReset(t *testing.T) {
-	f := NewFIFO[byte](2)
-	f.Push(1)
-	f.Push(2)
-	f.Push(3) // overflow
-	f.Reset()
-	if !f.Empty() || f.Overflows() != 0 || f.Pushes() != 0 || f.MaxDepth() != 0 {
-		t.Error("Reset did not clear state")
-	}
-	if !f.Push(9) {
-		t.Error("Push after Reset failed")
-	}
-}
-
-// Property: a FIFO is order-preserving and loss happens only when full.
-func TestFIFOOrderProperty(t *testing.T) {
-	prop := func(vals []uint16, capSeed uint8) bool {
-		capacity := int(capSeed%16) + 1
-		f := NewFIFO[uint16](capacity)
-		var accepted []uint16
-		for _, v := range vals {
-			if f.Push(v) {
-				accepted = append(accepted, v)
-			} else if f.Len() != capacity {
-				return false // drop while not full
-			}
-		}
-		for i := 0; ; i++ {
-			v, ok := f.Pop()
-			if !ok {
-				return i == len(accepted)
-			}
-			if i >= len(accepted) || v != accepted[i] {
-				return false
-			}
-		}
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: interleaved pushes and pops keep Len consistent with
-// Pushes - Pops and never exceed capacity.
-func TestFIFOAccountingProperty(t *testing.T) {
-	prop := func(ops []bool, capSeed uint8) bool {
-		capacity := int(capSeed%8) + 1
-		f := NewFIFO[int](capacity)
-		for i, push := range ops {
-			if push {
-				f.Push(i)
-			} else {
-				f.Pop()
-			}
-			if f.Len() != int(f.Pushes()-f.Pops()) {
-				return false
-			}
-			if f.Len() > capacity || f.Len() < 0 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
 	}
 }
 

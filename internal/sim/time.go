@@ -1,8 +1,9 @@
-// Package sim provides the discrete-event simulation kernel used by every
-// hardware model in the RTAD reproduction: a picosecond-resolution time base,
-// per-domain clocks (the FPGA prototype runs the CPU at 250 MHz, the MLPU
-// fabric at 125 MHz and ML-MIAOW at 50 MHz), and an event scheduler that
-// orders cross-domain interactions deterministically.
+// Package sim provides the time base every hardware model in the RTAD
+// reproduction shares: picosecond-resolution simulated time, per-domain
+// clocks (the FPGA prototype runs the CPU at 250 MHz, the MLPU fabric at
+// 125 MHz and ML-MIAOW at 50 MHz), and the queue statistics each buffering
+// stage reports. There is no event queue: every model computes its timeline
+// in closed form from cycle counts and its inputs' timestamps.
 package sim
 
 import (
