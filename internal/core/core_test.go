@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"testing"
 
 	"rtad/internal/cpu"
@@ -9,35 +10,51 @@ import (
 	"rtad/internal/workload"
 )
 
-// trainLSTMDeployment builds a small LSTM deployment for tests (reduced
+// trainLSTMDeployment returns a small LSTM deployment for tests (reduced
 // budgets keep the suite fast).
-func trainLSTMDeployment(t *testing.T, bench string) *Deployment {
+func trainLSTMDeployment(t testing.TB, bench string) *Deployment {
 	t.Helper()
-	p, ok := workload.ByName(bench)
-	if !ok {
-		t.Fatalf("unknown benchmark %s", bench)
-	}
-	cfg := DefaultTrainConfig(p, ModelLSTM)
-	cfg.TrainInstr = 1_200_000
-	dep, err := Train(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return dep
+	return trainedDeployment(t, bench, ModelLSTM, 1_200_000)
 }
 
-func trainELMDeployment(t *testing.T, bench string) *Deployment {
+// trainELMDeployment returns a small ELM deployment for tests.
+func trainELMDeployment(t testing.TB, bench string) *Deployment {
 	t.Helper()
+	return trainedDeployment(t, bench, ModelELM, 12_000_000)
+}
+
+// Trained deployments are memoized per (benchmark, kind): Train is
+// deterministic and sessions only read a deployment, so the tests that ask
+// for the same one share a single training run.
+var (
+	trainedMu sync.Mutex
+	trained   = map[trainedKey]*Deployment{}
+)
+
+type trainedKey struct {
+	bench string
+	kind  ModelKind
+}
+
+func trainedDeployment(t testing.TB, bench string, kind ModelKind, instr int64) *Deployment {
+	t.Helper()
+	trainedMu.Lock()
+	defer trainedMu.Unlock()
+	key := trainedKey{bench, kind}
+	if dep, ok := trained[key]; ok {
+		return dep
+	}
 	p, ok := workload.ByName(bench)
 	if !ok {
 		t.Fatalf("unknown benchmark %s", bench)
 	}
-	cfg := DefaultTrainConfig(p, ModelELM)
-	cfg.TrainInstr = 12_000_000
+	cfg := DefaultTrainConfig(p, kind)
+	cfg.TrainInstr = instr
 	dep, err := Train(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	trained[key] = dep
 	return dep
 }
 
@@ -245,16 +262,7 @@ func TestModelKindString(t *testing.T) {
 
 func TestDualModelDeployment(t *testing.T) {
 	elm := trainELMDeployment(t, "400.perlbench")
-	lstm := func() *Deployment {
-		p, _ := workload.ByName("400.perlbench")
-		cfg := DefaultTrainConfig(p, ModelLSTM)
-		cfg.TrainInstr = 1_200_000
-		dep, err := Train(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return dep
-	}()
+	lstm := trainLSTMDeployment(t, "400.perlbench")
 
 	const instr = 8_000_000
 	s, err := Open(Deployments{elm, lstm}, WithConfig(PipelineConfig{CUs: 5}),

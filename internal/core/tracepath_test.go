@@ -2,48 +2,21 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"rtad/internal/cpu"
 	"rtad/internal/kernels"
 	"rtad/internal/sim"
-	"rtad/internal/workload"
 )
 
 // Shared fixtures for the trace-path differential suite: training is the
-// expensive part, so both deployments and the calibration table are built
-// once per process and reused by every grid cell and fuzz iteration.
-var (
-	tpOnce  sync.Once
-	tpELM   *Deployment
-	tpLSTM  *Deployment
-	tpCalib *kernels.Calibration
-	tpErr   error
-)
+// expensive part, so it uses the package's memoized deployments, and one
+// calibration table is reused by every grid cell and fuzz iteration.
+var tpCalib = kernels.NewCalibration()
 
 func tracePathFixtures(t testing.TB) (elm, lstm *Deployment, calib *kernels.Calibration) {
 	t.Helper()
-	tpOnce.Do(func() {
-		build := func(bench string, kind ModelKind, instr int64) (*Deployment, error) {
-			p, ok := workload.ByName(bench)
-			if !ok {
-				return nil, fmt.Errorf("unknown benchmark %s", bench)
-			}
-			cfg := DefaultTrainConfig(p, kind)
-			cfg.TrainInstr = instr
-			return Train(cfg)
-		}
-		tpELM, tpErr = build("400.perlbench", ModelELM, 12_000_000)
-		if tpErr == nil {
-			tpLSTM, tpErr = build("458.sjeng", ModelLSTM, 1_200_000)
-		}
-		tpCalib = kernels.NewCalibration()
-	})
-	if tpErr != nil {
-		t.Fatal(tpErr)
-	}
-	return tpELM, tpLSTM, tpCalib
+	return trainELMDeployment(t, "400.perlbench"), trainLSTMDeployment(t, "458.sjeng"), tpCalib
 }
 
 // runTracePathDiff replays one synthesized branch/flush op stream through a

@@ -42,8 +42,9 @@ type Backend interface {
 	// InferBatch runs len(windows) consecutive inferences on this
 	// backend's judgment stream, exactly equivalent to calling Infer once
 	// per window in order: same judgments, same per-vector cycle charges,
-	// same persistent state afterwards. Backends with a batched kernel
-	// amortise the state-independent arithmetic; others loop (InferLoop).
+	// same persistent state afterwards. Every backend loops its one
+	// kernel (InferLoop); the method is the whole-chunk entry point that
+	// a wrapper such as the serving batcher intercepts.
 	// A batch that fails validation may leave the stream less advanced
 	// than the equivalent Infer sequence would at the failing window.
 	// Returned slices are only valid until the next call on this backend.
@@ -64,11 +65,11 @@ type FixedCoster interface {
 	FixedCost() (cycles int64, ok bool)
 }
 
-// InferLoop is the reference InferBatch: one Infer per window, in order.
-// It is the fallback for backends without a batched kernel (the
-// cycle-accurate GPU sim steps its pipeline model per dispatch and cannot
-// fuse inferences) and the semantic yardstick the batched paths are tested
-// against.
+// InferLoop is InferBatch for every backend: one Infer per window, in
+// order. Consecutive windows of one stream share nothing a second kernel
+// could amortise (the cycle-accurate GPU sim steps its pipeline model per
+// dispatch, and the LSTM chains through its state); sharing pays across
+// sessions, in GroupRunner.
 func InferLoop(b Backend, windows [][]int32) ([]Judgment, []int64, error) {
 	js := make([]Judgment, len(windows))
 	cycles := make([]int64, len(windows))

@@ -1,7 +1,9 @@
 package kernels
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"rtad/internal/gpu"
 	"rtad/internal/ml"
@@ -100,10 +102,10 @@ func TestInferBatchRejectsBadWindow(t *testing.T) {
 // TestInferGroupMatchesPerSession drives a mixed fleet — both models,
 // every backend, several instances each — through the GroupRunner and
 // checks every session's stream against a mirror instance advanced by
-// plain Infer. Requests carry variable-length window chunks, so members of
-// one fused pass drop out at different steps (the active-prefix path).
-// This is the serving coordinator's correctness contract: grouping across
-// sessions must not perturb any one session's stream.
+// plain Infer. Requests carry variable-length window chunks, and each
+// model's group runs on one member's parameter view. This is the serving
+// coordinator's correctness contract: grouping across sessions must not
+// perturb any one session's stream.
 func TestInferGroupMatchesPerSession(t *testing.T) {
 	elm := trainELM(t)
 	lstm := trainLSTM(t)
@@ -224,6 +226,53 @@ func TestInferGroupBadRowIsolated(t *testing.T) {
 			t.Fatalf("good row step %d: (%+v, %d) != sequential (%+v, %d)",
 				k, res[0].Js[k], res[0].Cycles[k], wj, wc)
 		}
+	}
+}
+
+// TestGroupRunnerRetainsNoModel pins that a runner keeps nothing of a
+// model between passes. The serving coordinator owns one runner for the
+// server's life, so a model it once judged must still be collected once
+// every session deployed from it is gone, or each retrained version served
+// under rtadd -watch stays in memory for good.
+func TestGroupRunnerRetainsNoModel(t *testing.T) {
+	runner := NewGroupRunner()
+	collected := make(chan string, 2)
+	func() {
+		elm, lstm := trainELM(t), trainLSTM(t)
+		runtime.SetFinalizer(elm, func(*ml.ELM) { collected <- "elm" })
+		runtime.SetFinalizer(lstm, func(*ml.LSTM) { collected <- "lstm" })
+		var reqs []BatchRequest
+		for i := 0; i < 2; i++ {
+			e, err := NewBackend(BackendNativeCalibrated, specFor(t, elm, nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			l, err := NewBackend(BackendNativeCalibrated, specFor(t, nil, lstm))
+			if err != nil {
+				t.Fatal(err)
+			}
+			reqs = append(reqs,
+				BatchRequest{Backend: e, Windows: markovWindows(ELMVocab, ELMWindow, 3, int64(50+i))},
+				BatchRequest{Backend: l, Windows: markovWindows(LSTMVocab, LSTMWindow, 3, int64(60+i))})
+		}
+		for _, r := range runner.InferGroup(reqs) {
+			if r.Err != nil {
+				t.Fatal(r.Err)
+			}
+		}
+	}()
+	got := map[string]bool{}
+	for i := 0; i < 50 && len(got) < 2; i++ {
+		runtime.GC()
+		select {
+		case m := <-collected:
+			got[m] = true
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	runtime.KeepAlive(runner)
+	if !got["elm"] || !got["lstm"] {
+		t.Fatalf("models collected after their sessions were dropped: %v, want elm and lstm", got)
 	}
 }
 

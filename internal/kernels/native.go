@@ -19,9 +19,9 @@ import (
 // judgment stream — bit-identical to the GPU backend. The cost is looked
 // up (calibrating the shape if the table lacks it) once, at construction.
 //
-// The model kind, parameter views and state addresses are explicit fields
-// (rather than closures) so the cross-instance GroupRunner can gather each
-// member's state, run one shared-weight matmul, and scatter results back.
+// The model kind and parameter views are explicit fields (rather than
+// closures) so the cross-instance GroupRunner can group members by model
+// and run them all on one member's view.
 type nativeBackend struct {
 	model  string // "elm" | "lstm", for error messages
 	cycles int64  // calibrated per-inference cost
@@ -72,13 +72,26 @@ func (n *nativeBackend) quantInto(dst []uint32, window []int32) error {
 	return nil
 }
 
-// step runs one native inference over the quantised input, updating the
-// canonical device-memory state exactly as the kernels would.
-func (n *nativeBackend) step(in []uint32) Judgment {
+// quantBatch validates and quantises windows into dst (len(windows)*win
+// words), failing on the first bad window before anything runs.
+func (n *nativeBackend) quantBatch(dst []uint32, windows [][]int32) error {
+	for t, w := range windows {
+		if err := n.quantInto(dst[t*n.win:(t+1)*n.win], w); err != nil {
+			return fmt.Errorf("kernels: batch window %d: %w", t, err)
+		}
+	}
+	return nil
+}
+
+// step runs one native inference over the quantised input on view's
+// parameters — n's own, or in a GroupRunner pass those of another member
+// deployed from the same model — and updates n's canonical device-memory
+// state exactly as the kernels would.
+func (n *nativeBackend) step(view *nativeBackend, in []uint32) Judgment {
 	mem := n.mem
-	if e := n.elm; e != nil {
+	if n.elm != nil {
 		copy(mem[ELMIn:ELMIn+ELMWindow], in)
-		margin := e.params.MarginQ(in)
+		margin := view.elm.params.MarginQ(in)
 		ewma := ml.EwmaStepQ(int32(mem[ELMEwma]), margin, n.alphaQ)
 		mem[ELMEwma] = uint32(ewma)
 		j := Judgment{Anomaly: ewma > n.thrQ, MarginQ: margin, EwmaQ: ewma}
@@ -91,7 +104,7 @@ func (n *nativeBackend) step(in []uint32) Judgment {
 		l.h[i] = int32(mem[LSTMH+i])
 		l.c[i] = int32(mem[LSTMC+i])
 	}
-	margin := l.params.StepQ(l.h, l.c, in)
+	margin := view.lstm.params.StepQ(l.h, l.c, in)
 	for i := 0; i < LSTMHidden; i++ {
 		mem[LSTMH+i] = uint32(l.h[i])
 		mem[LSTMC+i] = uint32(l.c[i])
@@ -111,39 +124,16 @@ func (n *nativeBackend) Infer(window []int32) (Judgment, int64, error) {
 	if err := n.quantInto(n.inBuf, window); err != nil {
 		return Judgment{}, 0, err
 	}
-	return n.step(n.inBuf), n.cycles, nil
+	return n.step(n, n.inBuf), n.cycles, nil
 }
 
-// InferBatch advances this backend's own stream by len(windows) steps. For
-// the ELM the margins are state-independent, so one MarginBatchQ matmul
-// computes them all before the EWMA chain folds them in order; the LSTM's
-// consecutive steps chain through h/c and must run sequentially (the
-// matmul pays off across sessions — see GroupRunner).
+// InferBatch advances this backend's own stream by len(windows) steps,
+// one Infer each: consecutive steps share nothing a second kernel could
+// amortise (the LSTM's chain through h/c, and the ELM's margins cost the
+// same one window at a time). Sharing pays across sessions — see
+// GroupRunner.
 func (n *nativeBackend) InferBatch(windows [][]int32) ([]Judgment, []int64, error) {
-	if n.elm == nil {
-		return InferLoop(n, windows)
-	}
-	nw := len(windows)
-	block := make([]uint32, nw*ELMWindow)
-	for i, w := range windows {
-		if err := n.quantInto(block[i*ELMWindow:(i+1)*ELMWindow], w); err != nil {
-			return nil, nil, fmt.Errorf("kernels: batch window %d: %w", i, err)
-		}
-	}
-	margins := make([]int32, nw)
-	n.elm.params.MarginBatchQ(block, nw, margins)
-	js := make([]Judgment, nw)
-	costs := make([]int64, nw)
-	mem := n.mem
-	for i := 0; i < nw; i++ {
-		copy(mem[ELMIn:ELMIn+ELMWindow], block[i*ELMWindow:(i+1)*ELMWindow])
-		ewma := ml.EwmaStepQ(int32(mem[ELMEwma]), margins[i], n.alphaQ)
-		mem[ELMEwma] = uint32(ewma)
-		js[i] = Judgment{Anomaly: ewma > n.thrQ, MarginQ: margins[i], EwmaQ: ewma}
-		writeOut(mem[ELMOut:], js[i])
-		costs[i] = n.cycles
-	}
-	return js, costs, nil
+	return InferLoop(n, windows)
 }
 
 func newNativeBackend(s Spec) (Backend, error) {

@@ -92,8 +92,8 @@ type batcher struct {
 	closed bool
 	timer  *time.Timer // fires a window flush for the batch under assembly
 
-	// runnerMu serializes fused passes: the GroupRunner owns gather and
-	// result scratch, and with inline flushing two flushers can overlap.
+	// runnerMu serializes fused passes: the GroupRunner owns its window
+	// and result scratch, and with inline flushing two flushers can overlap.
 	runnerMu sync.Mutex
 	runner   *kernels.GroupRunner
 	reqs     []kernels.BatchRequest
