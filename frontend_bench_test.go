@@ -84,38 +84,76 @@ func benchEncode(b *testing.B, what string, encode func(cpu.BranchEvent)) {
 	}
 }
 
-// BenchmarkFrontendDecode measures the byte-at-a-time PTM decoder on a
-// representative mixed stream (address packets, atoms, periodic syncs).
+// BenchmarkFrontendDecode measures the PTM stream decoder's two entry
+// points on one stream in ns per byte: feedbyte is FeedByte, the packet-
+// at-a-time form IGM's trace-analyzer units use, and scan is NextBranch,
+// the slice scan of the trace-replay front. The stream is a branch-broadcast
+// capture of taken branches to cycleTargets(0x8000), so every compressed
+// length occurs, with atoms between them, a syscall exception packet every
+// 64 events and the default periodic syncs.
 func BenchmarkFrontendDecode(b *testing.B) {
+	targets := cycleTargets(0x8000)
 	e := ptm.NewEncoder(ptm.Config{BranchBroadcast: true})
 	var stream []byte
-	var cycle int64
-	for i := 0; i < 65536; i++ {
-		cycle += 10
-		stream = e.EncodeInto(stream, cpu.BranchEvent{
-			PC: 0x8000, Target: 0x8000 + uint32(i%128)*4,
-			Kind: cpu.KindDirect, Taken: i%4 != 0, Cycle: cycle,
-		})
+	next := 0
+	for i := range 65536 {
+		ev := cpu.BranchEvent{PC: 0x8000, Kind: cpu.KindDirect, Taken: i%4 != 0}
+		switch {
+		case !ev.Taken:
+		case i%64 == 1:
+			ev.Target, ev.Kind = cpu.SyscallTarget(int32(i/64%32)), cpu.KindSyscall
+		default:
+			ev.Target = targets[next%len(targets)]
+			next++
+		}
+		stream = e.EncodeInto(stream, ev)
 	}
-	d := ptm.NewStreamDecoder()
-	i := 0
-	feed := func() {
-		d.FeedByte(stream[i])
-		i++
-		if i == len(stream) {
-			i = 0
+	stream = e.FlushInto(stream)
+
+	b.Run("feedbyte", func(b *testing.B) {
+		d := ptm.NewStreamDecoder()
+		benchDecode(b, "FeedByte", stream, func(chunk []byte) {
+			for _, c := range chunk {
+				d.FeedByte(c)
+			}
+		})
+	})
+	b.Run("scan", func(b *testing.B) {
+		d := ptm.NewStreamDecoder()
+		benchDecode(b, "NextBranch", stream, func(chunk []byte) {
+			for len(chunk) > 0 {
+				n, _, _, ok := d.NextBranch(chunk)
+				if !ok {
+					break
+				}
+				chunk = chunk[n:]
+			}
+		})
+	})
+}
+
+// benchDecode times decode over stream, handed to it in chunks of up to
+// 256 bytes the way a client's chunks reach FeedTrace and wrapping around at
+// the end, in ns per byte. It warms up and asserts that decode allocates
+// nothing first.
+func benchDecode(b *testing.B, what string, stream []byte, decode func(chunk []byte)) {
+	off := 0
+	run := func(n int) {
+		for n > 0 {
+			k := min(n, len(stream)-off, 256)
+			decode(stream[off : off+k])
+			n -= k
+			if off += k; off == len(stream) {
+				off = 0
+			}
 		}
 	}
-	for j := 0; j < 4096; j++ { // warm-up
-		feed()
-	}
-	assertZeroAlloc(b, "FeedByte", feed)
+	run(4096)
+	assertZeroAlloc(b, what, func() { run(256) })
+	b.SetBytes(1)
 	b.ReportAllocs()
 	b.ResetTimer()
-	for j := 0; j < b.N; j++ {
-		feed()
-	}
-	b.SetBytes(1)
+	run(b.N)
 }
 
 // BenchmarkFrontendFormatter measures TPIU frame packing plus the word

@@ -231,8 +231,25 @@ func TestReplayClockBound(t *testing.T) {
 	if !strings.Contains(err.Error(), "MaxReplayCycles") {
 		t.Errorf("error %q does not name the bound", err)
 	}
-	if _, events, _ := s.ReplayStats(); events < 1 || events > room+1 {
+	bytes, events, _ := s.ReplayStats()
+	if events < 1 || events > room+1 {
 		t.Errorf("%d events synthesized in %d gaps before the bound", events, room)
+	}
+	// The session read the stream up to the end of the refused event's
+	// branch packet, and not a byte further.
+	dec := ptm.NewStreamDecoder()
+	var branches, end int64
+	for i, b := range stream {
+		if pkt, ok := dec.FeedByte(b); ok && pkt.Type == ptm.PktBranch {
+			if branches == events {
+				end = int64(i + 1)
+				break
+			}
+			branches++
+		}
+	}
+	if bytes != end {
+		t.Errorf("ReplayStats read %d bytes at the break; branch packet %d ends at byte %d", bytes, events, end)
 	}
 	if s.front.cycle <= MaxReplayCycles {
 		t.Errorf("stopped at cycle %d, before the bound %d", s.front.cycle, int64(MaxReplayCycles))

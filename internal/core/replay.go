@@ -52,14 +52,10 @@ var ErrReplayClockExhausted = errors.New("core: replay clock exhausted")
 // backpressure stall the trace path reports, exactly as the stall would
 // have held back a live CPU.
 type traceFront struct {
-	dec   *ptm.StreamDecoder
-	gap   int64
-	cycle int64 // synthesized CPU cycle of the next retirement
-	seq   int64
-	// events counts synthesized branch retirements; bytes counts stream
-	// bytes consumed.
-	events int64
-	bytes  int64
+	dec    *ptm.StreamDecoder // its Bytes counts the stream bytes consumed
+	gap    int64
+	cycle  int64 // synthesized CPU cycle of the next retirement
+	events int64 // synthesized branch retirements, each one's Seq
 }
 
 func newTraceFront(gap int64) (*traceFront, error) {
@@ -79,7 +75,7 @@ func (s *Session) ReplayStats() (bytes, events int64, decodeErrors int) {
 	if s.front == nil {
 		return 0, 0, 0
 	}
-	return s.front.bytes, s.front.events, s.front.dec.Errors
+	return s.front.dec.Bytes, s.front.events, s.front.dec.Errors
 }
 
 // FeedTrace pushes raw PTM trace bytes through the session. Only sessions
@@ -102,34 +98,27 @@ func (s *Session) FeedTrace(data []byte) error {
 	}
 	f := s.front
 	var end error
-	for _, b := range data {
-		f.bytes++
-		pkt, ok := f.dec.FeedByte(b)
-		if !ok || pkt.Type != ptm.PktBranch {
-			// Atoms/i-sync/a-sync packets carry no broadcast-mode branch
-			// events; the IGM's own decoder sees them again after
-			// re-encoding, so nothing is lost by skipping them here.
-			continue
+	// Only branch packets carry broadcast-mode branch events; NextBranch
+	// decodes the rest (atoms, syncs) and drops them.
+	for len(data) > 0 {
+		n, target, kind, ok := f.dec.NextBranch(data)
+		if !ok {
+			break
 		}
+		data = data[n:]
 		if f.cycle > MaxReplayCycles {
 			end = fmt.Errorf("%w: branch event %d would retire at cycle %d, past MaxReplayCycles (%d)",
 				ErrReplayClockExhausted, f.events, f.cycle, int64(MaxReplayCycles))
 			break
 		}
-		kind := cpu.KindDirect
-		if pkt.Exc {
-			kind = pkt.Kind
-		}
-		ev := cpu.BranchEvent{
-			Seq:    f.seq,
+		stall := s.swap.BranchRetired(cpu.BranchEvent{
+			Seq:    f.events,
 			Cycle:  f.cycle,
-			Target: pkt.Addr,
+			Target: target,
 			Kind:   kind,
 			Taken:  true,
-		}
-		f.seq++
+		})
 		f.events++
-		stall := s.swap.BranchRetired(ev)
 		f.cycle += f.gap + stall
 	}
 	s.deliver()

@@ -67,49 +67,6 @@ func TestFeedByteZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestFeedByteMatchesFeed cross-checks the zero-alloc API against the compat
-// wrapper on a mixed stream.
-func TestFeedByteMatchesFeed(t *testing.T) {
-	e := NewEncoder(Config{BranchBroadcast: false, SyncEvery: 16})
-	var stream []byte
-	var cycle int64
-	for i := 0; i < 512; i++ {
-		cycle += 10
-		stream = e.EncodeInto(stream, cpu.BranchEvent{
-			PC: 0x8000, Target: 0x8000 + uint32(i%32)*4,
-			Kind: cpu.KindDirect, Taken: i%2 == 0, Cycle: cycle,
-		})
-	}
-	stream = e.FlushInto(stream)
-
-	da, db := NewStreamDecoder(), NewStreamDecoder()
-	for _, b := range stream {
-		want := da.Feed(b)
-		pkt, ok := db.FeedByte(b)
-		if ok != (len(want) == 1) {
-			t.Fatalf("FeedByte ok=%v, Feed returned %d packets", ok, len(want))
-		}
-		if !ok {
-			continue
-		}
-		w := want[0]
-		if pkt.Type != w.Type || pkt.Addr != w.Addr || pkt.Exc != w.Exc || pkt.Kind != w.Kind {
-			t.Fatalf("FeedByte packet %+v, Feed %+v", pkt, w)
-		}
-		if len(pkt.Atoms) != len(w.Atoms) {
-			t.Fatalf("atoms length %d vs %d", len(pkt.Atoms), len(w.Atoms))
-		}
-		for i := range w.Atoms {
-			if pkt.Atoms[i] != w.Atoms[i] {
-				t.Fatalf("atom %d differs", i)
-			}
-		}
-	}
-	if da.Errors != db.Errors || da.Bytes != db.Bytes {
-		t.Fatalf("counters diverge: (%d,%d) vs (%d,%d)", da.Errors, da.Bytes, db.Errors, db.Bytes)
-	}
-}
-
 // TestPortTakeIntoZeroAlloc pins the port hand-off: pushing and draining
 // through a recycled buffer allocates nothing once warm.
 func TestPortTakeIntoZeroAlloc(t *testing.T) {

@@ -88,15 +88,3 @@ type Packet struct {
 // A branch packet carries v = addr>>1 in chunks, low first: 5 bits in the
 // first byte, then 7-bit groups. 5+7+7+7+5 covers the 31-bit value.
 const numChunks = 5
-
-var chunkWidth = [numChunks]uint{5, 7, 7, 7, 5}
-
-func chunksToAddr(ch [numChunks]uint32) uint32 {
-	var v uint32
-	shift := uint(0)
-	for i := 0; i < numChunks; i++ {
-		v |= ch[i] << shift
-		shift += chunkWidth[i]
-	}
-	return v << 1
-}

@@ -10,6 +10,22 @@ import (
 	"rtad/internal/workload"
 )
 
+// chunkWidth is the bit width of each address chunk, low first.
+var chunkWidth = [numChunks]uint{5, 7, 7, 7, 5}
+
+// chunksToAddr joins on-wire address chunks, low first, into a target
+// address: the chunk-by-chunk definition that the decoder's shift-and-mask
+// assembly must agree with.
+func chunksToAddr(ch [numChunks]uint32) uint32 {
+	var v uint32
+	shift := uint(0)
+	for i := 0; i < numChunks; i++ {
+		v |= ch[i] << shift
+		shift += chunkWidth[i]
+	}
+	return v << 1
+}
+
 // addrToChunks splits addr>>1 into its on-wire chunks, the inverse of
 // chunksToAddr.
 func addrToChunks(addr uint32) [numChunks]uint32 {
@@ -265,7 +281,7 @@ func TestDecoderErrorRecovery(t *testing.T) {
 	d := NewStreamDecoder()
 	// 0x80 with no preceding zeros is undefined at a packet boundary.
 	for _, b := range []byte{0x80, 0x55, 0x66} {
-		d.Feed(b)
+		d.FeedByte(b)
 	}
 	if d.Errors == 0 {
 		t.Fatal("garbage accepted without error")
@@ -273,7 +289,9 @@ func TestDecoderErrorRecovery(t *testing.T) {
 	// An a-sync must resynchronise the decoder.
 	var pkts []Packet
 	for _, b := range []byte{0, 0, 0, 0, 0, 0x80} {
-		pkts = append(pkts, d.Feed(b)...)
+		if pkt, ok := d.FeedByte(b); ok {
+			pkts = append(pkts, pkt)
+		}
 	}
 	if len(pkts) != 1 || pkts[0].Type != PktASync {
 		t.Fatalf("a-sync recovery failed: %+v", pkts)
@@ -283,7 +301,7 @@ func TestDecoderErrorRecovery(t *testing.T) {
 	e.Start(0x8000)
 	before := d.Errors
 	for _, b := range e.appendBranch(nil, 0x8004, false, cpu.KindDirect) {
-		pkts = append(pkts, d.Feed(b)...)
+		d.FeedByte(b)
 	}
 	if d.Errors != before {
 		t.Errorf("clean packet after recovery raised errors (%d -> %d)", before, d.Errors)
@@ -471,7 +489,9 @@ func TestDecoderRobustToGarbage(t *testing.T) {
 		d := NewStreamDecoder()
 		pkts := 0
 		for _, b := range stream {
-			pkts += len(d.Feed(b))
+			if _, ok := d.FeedByte(b); ok {
+				pkts++
+			}
 		}
 		return pkts <= len(stream)
 	}

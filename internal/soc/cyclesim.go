@@ -183,10 +183,8 @@ func (cs *cyclesim) tick() {
 		n = 4
 	}
 	for i := 0; i < n; i++ {
-		for _, pkt := range cs.dec.Feed(cs.taQ[i]) {
-			if pkt.Type == ptm.PktBranch {
-				cs.addrQ = append(cs.addrQ, pkt.Addr)
-			}
+		if pkt, ok := cs.dec.FeedByte(cs.taQ[i]); ok && pkt.Type == ptm.PktBranch {
+			cs.addrQ = append(cs.addrQ, pkt.Addr)
 		}
 	}
 	cs.taQ = cs.taQ[:copy(cs.taQ, cs.taQ[n:])]

@@ -170,10 +170,8 @@ func TestCoreSightPathEndToEnd(t *testing.T) {
 		}
 		lastAt = w.At
 		for _, b := range defr.Feed(w.W) {
-			for _, pkt := range dec.Feed(b) {
-				if pkt.Type == ptm.PktBranch {
-					got = append(got, pkt.Addr)
-				}
+			if pkt, ok := dec.FeedByte(b); ok && pkt.Type == ptm.PktBranch {
+				got = append(got, pkt.Addr)
 			}
 		}
 	}
