@@ -31,8 +31,6 @@ import (
 	"rtad/internal/gpu"
 	"rtad/internal/kernels"
 	"rtad/internal/ml"
-	"rtad/internal/ptm"
-	"rtad/internal/reconstruct"
 	"rtad/internal/sim"
 	"rtad/internal/workload"
 )
@@ -641,53 +639,6 @@ func BenchmarkAblationAttackStyle(b *testing.B) {
 			}
 			b.ReportMetric(float64(detected)/float64(b.N), "detect-rate")
 			b.ReportMetric(lat.Microseconds(), "us-latency")
-		})
-	}
-}
-
-// BenchmarkTraceBandwidth compares the trace cost of the prototype's
-// branch-broadcast mode against CoreSight's atom mode (whose stream the
-// reconstruct package decodes back to the full branch stream using the
-// program image).
-func BenchmarkTraceBandwidth(b *testing.B) {
-	p, _ := workload.ByName("456.hmmer")
-	prog, err := p.Generate()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, mode := range []struct {
-		name      string
-		broadcast bool
-	}{{"broadcast", true}, {"atom", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var perBranch float64
-			for i := 0; i < b.N; i++ {
-				enc := ptm.NewEncoder(ptm.Config{BranchBroadcast: mode.broadcast})
-				var stream []byte
-				var events int64
-				sink := cpu.SinkFunc(func(ev cpu.BranchEvent) int64 {
-					events++
-					stream = enc.EncodeInto(stream, ev)
-					return 0
-				})
-				c := cpu.New(prog, cpu.Config{Mode: cpu.ModeRTAD, Sink: sink})
-				if _, err := c.Run(100_000); err != nil {
-					b.Fatal(err)
-				}
-				stream = append(stream, enc.Flush()...)
-				if !mode.broadcast {
-					// Prove the compressed stream still carries everything.
-					got, _, err := reconstruct.DecodeTrace(prog, stream)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if int64(len(got)) != events {
-						b.Fatalf("reconstruction lost events: %d vs %d", len(got), events)
-					}
-				}
-				perBranch = float64(len(stream)) / float64(events)
-			}
-			b.ReportMetric(perBranch, "bytes/branch")
 		})
 	}
 }

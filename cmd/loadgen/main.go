@@ -35,10 +35,9 @@ import (
 	"syscall"
 	"time"
 
-	"rtad/internal/cpu"
+	"rtad/internal/core"
 	"rtad/internal/obs"
 	"rtad/internal/prof"
-	"rtad/internal/ptm"
 	"rtad/internal/serve"
 	"rtad/internal/workload"
 )
@@ -80,11 +79,14 @@ func run(addr, bench, backend string, clients, probes, stride int, gap int64, ch
 	if clients < 1 {
 		return fmt.Errorf("-clients must be at least 1, got %d", clients)
 	}
+	if chunk < 1 {
+		return fmt.Errorf("-chunk must be at least 1, got %d", chunk)
+	}
 	if probes > clients {
 		probes = clients
 	}
 	fmt.Printf("capturing %s trace (%d instructions)...\n", bench, traceInstr)
-	stream, err := captureTrace(p, traceInstr)
+	stream, err := core.CaptureTrace(p, traceInstr)
 	if err != nil {
 		return err
 	}
@@ -103,25 +105,6 @@ func run(addr, bench, backend string, clients, probes, stride int, gap int64, ch
 	}
 	printPass(st)
 	return nil
-}
-
-// captureTrace records a victim run as the raw branch-broadcast PTM stream
-// a CoreSight probe would emit (mirrors cmd/tracegen).
-func captureTrace(p workload.Profile, instr int64) ([]byte, error) {
-	prog, err := p.Generate()
-	if err != nil {
-		return nil, err
-	}
-	enc := ptm.NewEncoder(ptm.Config{BranchBroadcast: true})
-	var stream []byte
-	c := cpu.New(prog, cpu.Config{Mode: cpu.ModeRTAD, Sink: cpu.SinkFunc(func(ev cpu.BranchEvent) int64 {
-		stream = enc.EncodeInto(stream, ev)
-		return 0
-	})})
-	if _, err := c.Run(instr); err != nil {
-		return nil, err
-	}
-	return append(stream, enc.Flush()...), nil
 }
 
 // passStats aggregates one load pass.

@@ -18,8 +18,6 @@ import (
 	"net"
 
 	"rtad/internal/core"
-	"rtad/internal/cpu"
-	"rtad/internal/ptm"
 	"rtad/internal/serve"
 	"rtad/internal/workload"
 )
@@ -31,6 +29,9 @@ func main() {
 		chunk = flag.Int("chunk", 4096, "trace bytes per wire chunk")
 	)
 	flag.Parse()
+	if *chunk < 1 {
+		log.Fatalf("-chunk must be at least 1, got %d", *chunk)
+	}
 
 	const bench = "458.sjeng"
 	p, ok := workload.ByName(bench)
@@ -44,21 +45,11 @@ func main() {
 	}
 
 	// Capture the victim's branch-broadcast PTM stream, as a CoreSight
-	// probe would see it (cmd/tracegen does the same).
-	prog, err := p.Generate()
+	// probe would see it.
+	stream, err := core.CaptureTrace(p, 2_000_000)
 	if err != nil {
 		log.Fatal(err)
 	}
-	enc := ptm.NewEncoder(ptm.Config{BranchBroadcast: true})
-	var stream []byte
-	c := cpu.New(prog, cpu.Config{Mode: cpu.ModeRTAD, Sink: cpu.SinkFunc(func(ev cpu.BranchEvent) int64 {
-		stream = enc.EncodeInto(stream, ev)
-		return 0
-	})})
-	if _, err := c.Run(2_000_000); err != nil {
-		log.Fatal(err)
-	}
-	stream = append(stream, enc.Flush()...)
 	fmt.Printf("captured %d trace bytes from %s\n", len(stream), bench)
 
 	hello := serve.Hello{Benchmark: bench, Model: "lstm"}

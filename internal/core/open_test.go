@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"rtad/internal/attack"
-	"rtad/internal/cpu"
 	"rtad/internal/kernels"
 	"rtad/internal/obs"
 	"rtad/internal/ptm"
@@ -15,28 +14,18 @@ import (
 	"rtad/internal/workload"
 )
 
-// captureStream records a benchmark run as the raw branch-broadcast PTM
-// byte stream, the input of trace-replay sessions.
+// captureStream is CaptureTrace for a benchmark named in a test.
 func captureStream(t testing.TB, bench string, instr int64) []byte {
 	t.Helper()
 	p, ok := workload.ByName(bench)
 	if !ok {
 		t.Fatalf("unknown benchmark %s", bench)
 	}
-	prog, err := p.Generate()
+	stream, err := CaptureTrace(p, instr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc := ptm.NewEncoder(ptm.Config{BranchBroadcast: true})
-	var stream []byte
-	c := cpu.New(prog, cpu.Config{Mode: cpu.ModeRTAD, Sink: cpu.SinkFunc(func(ev cpu.BranchEvent) int64 {
-		stream = enc.EncodeInto(stream, ev)
-		return 0
-	})})
-	if _, err := c.Run(instr); err != nil {
-		t.Fatal(err)
-	}
-	return append(stream, enc.Flush()...)
+	return stream
 }
 
 // TestOpenMatchesRunDetection: the options path must reproduce the batch

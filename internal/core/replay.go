@@ -6,6 +6,7 @@ import (
 
 	"rtad/internal/cpu"
 	"rtad/internal/ptm"
+	"rtad/internal/workload"
 )
 
 // DefaultReplayGap is the synthesized inter-branch pacing of trace-replay
@@ -44,13 +45,12 @@ var ErrReplayClockExhausted = errors.New("core: replay clock exhausted")
 
 // traceFront is the trace-replay front-end: where a live session's victim
 // CPU retires branches into the sink chain, a replay session re-synthesises
-// retirements from a raw PTM byte stream (branch-broadcast capture, the
-// format cmd/tracegen and internal/tracefile carry). The stream has no
-// timestamps — CoreSight timing packets are optional and the RTAD capture
-// omits them — so retirement times are synthesized on a fixed pacing: each
-// branch event advances the replay clock by gap cycles plus whatever
-// backpressure stall the trace path reports, exactly as the stall would
-// have held back a live CPU.
+// retirements from a raw PTM byte stream (a branch-broadcast capture, what
+// CaptureTrace records). The stream has no timestamps — CoreSight timing
+// packets are optional and the RTAD capture omits them — so retirement
+// times are synthesized on a fixed pacing: each branch event advances the
+// replay clock by gap cycles plus whatever backpressure stall the trace
+// path reports, exactly as the stall would have held back a live CPU.
 type traceFront struct {
 	dec    *ptm.StreamDecoder // its Bytes counts the stream bytes consumed
 	gap    int64
@@ -127,6 +127,26 @@ func (s *Session) FeedTrace(data []byte) error {
 		s.err = end
 	}
 	return s.err
+}
+
+// CaptureTrace runs p's victim program for instr instructions and returns
+// the raw branch-broadcast PTM stream a CoreSight probe would capture from
+// it: the input FeedTrace replays.
+func CaptureTrace(p workload.Profile, instr int64) ([]byte, error) {
+	prog, err := p.Generate()
+	if err != nil {
+		return nil, err
+	}
+	enc := ptm.NewEncoder(ptm.Config{BranchBroadcast: true})
+	var stream []byte
+	c := cpu.New(prog, cpu.Config{Mode: cpu.ModeRTAD, Sink: cpu.SinkFunc(func(ev cpu.BranchEvent) int64 {
+		stream = enc.EncodeInto(stream, ev)
+		return 0
+	})})
+	if _, err := c.Run(instr); err != nil {
+		return nil, err
+	}
+	return append(stream, enc.Flush()...), nil
 }
 
 // frontCycles is the victim-time cycle count regardless of front-end: the

@@ -240,17 +240,6 @@ func (c *CoverageSet) Merge(other CoverageSet) {
 	}
 }
 
-// Count returns the number of covered blocks.
-func (c *CoverageSet) Count() int {
-	n := 0
-	for _, v := range c {
-		if v {
-			n++
-		}
-	}
-	return n
-}
-
 // Uncovered lists blocks not in the set.
 func (c *CoverageSet) Uncovered() []BlockID {
 	var out []BlockID

@@ -340,30 +340,6 @@ func TestAssemblerErrors(t *testing.T) {
 	}
 }
 
-func TestDisassemblyStrings(t *testing.T) {
-	k := MustAssemble("str", `
-		s_mov s1, #5
-		v_mac_q16 v3, v1, v2
-		flat_load v4, [v1+#8]
-		ds_write v4, [v2+#0]
-		v_readlane s2, v4, #3
-		s_endpgm
-	`)
-	want := []string{
-		"s_mov s1, #5",
-		"v_mac_q16 v3, v1, v2",
-		"flat_load v4, [v1+#8]",
-		"ds_write v4, [v2+#0]",
-		"v_readlane s2, v4, #3",
-		"s_endpgm",
-	}
-	for i, ins := range k.Code {
-		if got := ins.String(); got != want[i] {
-			t.Errorf("instr %d String = %q, want %q", i, got, want[i])
-		}
-	}
-}
-
 func TestVectorOpCosts(t *testing.T) {
 	if SADD.Cycles() != 1 {
 		t.Error("scalar add should be single-cycle")

@@ -187,38 +187,3 @@ type Instr struct {
 	A, B Operand
 	Imm  int32 // memory offset, branch target PC, or lane index
 }
-
-// String renders the instruction in assembler syntax.
-func (i Instr) String() string {
-	opnd := func(o Operand) string {
-		switch o.Kind {
-		case OpSReg:
-			return fmt.Sprintf("s%d", o.Reg)
-		case OpVReg:
-			return fmt.Sprintf("v%d", o.Reg)
-		case OpImm:
-			return fmt.Sprintf("#%d", o.Imm)
-		}
-		return "?"
-	}
-	switch i.Op {
-	case SENDPGM, SNOP, SBARRIER, SSETEXECALL, SSETEXECVCC:
-		return i.Op.String()
-	case SSETEXECCNT:
-		return fmt.Sprintf("%s #%d", i.Op, i.Imm)
-	case SBRANCH, SCBRANCH1, SCBRANCH0:
-		return fmt.Sprintf("%s @%d", i.Op, i.Imm)
-	case SLOADW, FLATLOAD, DSREAD:
-		return fmt.Sprintf("%s %s, [%s+#%d]", i.Op, opnd(i.Dst), opnd(i.A), i.Imm)
-	case SSTOREW, FLATSTORE, DSWRITE:
-		return fmt.Sprintf("%s %s, [%s+#%d]", i.Op, opnd(i.A), opnd(i.B), i.Imm)
-	case VREADLANE:
-		return fmt.Sprintf("%s %s, %s, #%d", i.Op, opnd(i.Dst), opnd(i.A), i.Imm)
-	case SMOV, VMOV:
-		return fmt.Sprintf("%s %s, %s", i.Op, opnd(i.Dst), opnd(i.A))
-	case SCMPLT, SCMPLE, SCMPEQ, SCMPNE, SCMPGT, SCMPGE, VCMPLT, VCMPEQ, VCMPGT:
-		return fmt.Sprintf("%s %s, %s", i.Op, opnd(i.A), opnd(i.B))
-	default:
-		return fmt.Sprintf("%s %s, %s, %s", i.Op, opnd(i.Dst), opnd(i.A), opnd(i.B))
-	}
-}

@@ -97,16 +97,6 @@ func (d *Device) WriteWords(addr uint32, words []uint32) error {
 	return nil
 }
 
-// ReadWords copies n words from global memory at word address addr.
-func (d *Device) ReadWords(addr uint32, n int) ([]uint32, error) {
-	if int(addr)+n > len(d.Mem) {
-		return nil, fmt.Errorf("gpu: read beyond memory at %#x+%d", addr, n)
-	}
-	out := make([]uint32, n)
-	copy(out, d.Mem[addr:])
-	return out, nil
-}
-
 // Dispatch describes one kernel launch.
 type Dispatch struct {
 	Kernel *Kernel

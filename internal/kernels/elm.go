@@ -343,14 +343,3 @@ func (e *ELMEngine) Name() string { return BackendGPU }
 
 // Window implements the MCM engine contract: the input-vector length.
 func (e *ELMEngine) Window() int { return ELMWindow }
-
-// Sources exposes the inference-engine kernel sources by name, for tooling
-// (cmd/gpuasm) and documentation.
-func Sources() map[string]string {
-	return map[string]string{
-		"elm_hidden":  elmHiddenSrc,
-		"elm_reduce":  elmReduceSrc,
-		"lstm_gate":   lstmGateSrc,
-		"lstm_update": lstmUpdateSrc,
-	}
-}

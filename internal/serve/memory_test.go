@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"rtad/internal/core"
 	"rtad/internal/kernels"
 	"rtad/internal/registry"
 	"rtad/internal/workload"
@@ -35,7 +36,7 @@ func TestServedSessionMemoryConstant(t *testing.T) {
 	depA, _ := fixtures(t)
 	depB := fixturesB(t)
 	p, _ := workload.ByName(fixBench)
-	stream, err := captureTrace(p, 400_000)
+	stream, err := core.CaptureTrace(p, 400_000)
 	if err != nil {
 		t.Fatal(err)
 	}

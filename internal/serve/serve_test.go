@@ -9,10 +9,8 @@ import (
 	"time"
 
 	"rtad/internal/core"
-	"rtad/internal/cpu"
 	"rtad/internal/kernels"
 	"rtad/internal/obs"
-	"rtad/internal/ptm"
 	"rtad/internal/workload"
 )
 
@@ -45,31 +43,12 @@ func fixtures(t *testing.T) (*core.Deployment, []byte) {
 		if fixErr != nil {
 			return
 		}
-		fixStream, fixErr = captureTrace(p, fixInstr)
+		fixStream, fixErr = core.CaptureTrace(p, fixInstr)
 	})
 	if fixErr != nil {
 		t.Fatal(fixErr)
 	}
 	return fixDep, fixStream
-}
-
-// captureTrace records a victim run as the raw branch-broadcast PTM stream
-// a CoreSight probe would emit (what cmd/tracegen captures).
-func captureTrace(p workload.Profile, instr int64) ([]byte, error) {
-	prog, err := p.Generate()
-	if err != nil {
-		return nil, err
-	}
-	enc := ptm.NewEncoder(ptm.Config{BranchBroadcast: true})
-	var stream []byte
-	c := cpu.New(prog, cpu.Config{Mode: cpu.ModeRTAD, Sink: cpu.SinkFunc(func(ev cpu.BranchEvent) int64 {
-		stream = enc.EncodeInto(stream, ev)
-		return 0
-	})})
-	if _, err := c.Run(instr); err != nil {
-		return nil, err
-	}
-	return append(stream, enc.Flush()...), nil
 }
 
 // startServer runs a server over dep on a loopback listener and returns its

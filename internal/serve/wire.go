@@ -1,8 +1,8 @@
 // Package serve turns the in-process detection engine into a long-lived
 // network service: a TCP daemon (cmd/rtadd) that accepts raw CoreSight PTM
-// byte streams — the format cmd/tracegen captures and internal/tracefile
-// carries — over a small length-prefixed wire protocol, multiplexes many
-// concurrent client sessions onto a bounded pool of pre-loaded read-only
+// byte streams — the branch-broadcast capture core.CaptureTrace records —
+// over a small length-prefixed wire protocol, multiplexes many concurrent
+// client sessions onto a bounded pool of pre-loaded read-only
 // core.Deployments, and streams judgments back as the inference engine
 // produces them. This is the deployment shape of the paper's always-on
 // monitor (§IV): the monitored SoC is elsewhere; only its trace bytes reach
