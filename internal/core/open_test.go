@@ -197,6 +197,79 @@ func TestReplayAttackInjection(t *testing.T) {
 	}
 }
 
+// TestReplayMidStreamInject: an attack armed partway through a replayed
+// stream, with its trigger counted from the arming point, gives the same
+// judgments, ReplayStats and Summary as the same attack armed at Open with
+// the trigger counted from the start. Every replayed event is a taken
+// transfer, so the two trigger counts meet at the same event.
+func TestReplayMidStreamInject(t *testing.T) {
+	dep := trainLSTMDeployment(t, "458.sjeng")
+	stream := captureStream(t, "458.sjeng", 2_000_000)
+	cut := len(stream) / 3
+	open := func(opts ...Option) *Session {
+		t.Helper()
+		s, err := Open(Deployments{dep}, append([]Option{WithConfig(PipelineConfig{Stride: 512}), WithTraceInput(0)}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	// finish feeds the rest of the stream, drains, and returns everything
+	// the session delivered with its ReplayStats and Summary.
+	finish := func(s *Session, judged []Judged, rest []byte) replayRun {
+		t.Helper()
+		if err := s.FeedTrace(rest); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		r := replayRun{judged: append(judged, s.Results()...)}
+		r.bytes, r.events, r.decErrs = s.ReplayStats()
+		return r
+	}
+
+	mid := open()
+	if err := mid.FeedTrace(stream[:cut]); err != nil {
+		t.Fatal(err)
+	}
+	before := mid.Results()
+	_, armed, _ := mid.ReplayStats()
+	trigger := armed + 1000
+	spec := AttackSpec{BurstLen: 16384, Seed: 7}
+	spec.TriggerBranch = trigger - armed
+	if err := mid.Inject(spec); err != nil {
+		t.Fatal(err)
+	}
+	got := finish(mid, before, stream[cut:])
+
+	spec.TriggerBranch = trigger
+	atOpen := open(WithAttack(spec))
+	want := finish(atOpen, nil, stream)
+
+	if len(before) == 0 || !mid.AttackFired() {
+		t.Fatalf("%d judgments before arming, attack fired %v: move the cut", len(before), mid.AttackFired())
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("mid-stream Inject diverges from arming at Open: %d vs %d judgments, ReplayStats (%d, %d, %d) vs (%d, %d, %d)",
+			len(got.judged), len(want.judged), got.bytes, got.events, got.decErrs, want.bytes, want.events, want.decErrs)
+	}
+	if mid.InjectTime() != atOpen.InjectTime() {
+		t.Errorf("inject time %v, armed at Open %v", mid.InjectTime(), atOpen.InjectTime())
+	}
+	gotRes, err := mid.Summary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRes, err := atOpen.Summary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotRes, wantRes) {
+		t.Errorf("Summary diverges:\n got %+v\nwant %+v", gotRes, wantRes)
+	}
+}
+
 // TestReplayClockBound: a trace-replay session ends with
 // ErrReplayClockExhausted before it synthesizes a branch event past
 // MaxReplayCycles, delivers what it judged up to there with unwrapped

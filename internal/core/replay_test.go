@@ -2,7 +2,6 @@ package core
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"math/rand"
 	"reflect"
@@ -58,29 +57,12 @@ func chunked(stream []byte, n int) [][]byte {
 // Seq, Done, FinalRetire, MarginQ, EwmaQ, Anomaly and IRQAt, each as a
 // little-endian int64.
 func (r replayRun) digest() string {
-	h := sha256.New()
-	var buf [8]byte
-	put := func(v int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
+	d := digestWriter{h: sha256.New()}
+	d.put(r.bytes, r.events, int64(r.decErrs))
+	for i := range r.judged {
+		d.putJudged(&r.judged[i])
 	}
-	put(r.bytes)
-	put(r.events)
-	put(int64(r.decErrs))
-	for _, j := range r.judged {
-		anomaly := int64(0)
-		if j.Rec.Judgment.Anomaly {
-			anomaly = 1
-		}
-		put(j.Vector.Seq)
-		put(int64(j.Rec.Done))
-		put(int64(j.FinalRetire))
-		put(int64(j.Rec.Judgment.MarginQ))
-		put(int64(j.Rec.Judgment.EwmaQ))
-		put(anomaly)
-		put(int64(j.Rec.IRQAt))
-	}
-	return hex.EncodeToString(h.Sum(nil))
+	return hex.EncodeToString(d.h.Sum(nil))
 }
 
 // flipBits returns a copy of stream with n seeded single-bit flips.
