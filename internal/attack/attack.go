@@ -21,6 +21,10 @@ import (
 // 32768-event experiment burst.
 const MaxBurstLen = 1 << 20
 
+// spacing is the CPU-cycle gap between injected events: the attacker's
+// gadget chain executes at normal machine speed.
+const spacing = 8
+
 // Config parameterises an injection.
 type Config struct {
 	// TriggerBranch fires the attack after this many retired taken
@@ -28,21 +32,13 @@ type Config struct {
 	TriggerBranch int64
 	// BurstLen is the number of legitimate events replayed, 1..MaxBurstLen.
 	BurstLen int
-	// SpacingCycles is the CPU-cycle gap between injected events (the
-	// attacker's gadget chain executes at normal machine speed).
-	SpacingCycles int64
 	// Pool is the legitimate-event reservoir, typically recorded from an
 	// earlier normal run of the same binary.
 	Pool *Pool
 	// Segment replays a contiguous pool segment (mimicry-style replay of
 	// a gadget trace) instead of independently sampled events.
 	Segment bool
-	// Repeat fires the attack again every RepeatEvery victim taken
-	// transfers after the first burst — a low-and-slow campaign rather
-	// than a single hit. Zero means one burst.
-	Repeat      int
-	RepeatEvery int64
-	Seed        int64
+	Seed    int64
 }
 
 // Injector wraps a downstream cpu.Sink. Until the trigger it forwards the
@@ -58,8 +54,6 @@ type Injector struct {
 	cycleOffset int64
 	seqOffset   int64
 	fired       bool
-	bursts      int
-	nextTrigger int64
 
 	// InjectedAtCycle is the (pre-offset) CPU cycle of the first injected
 	// event; InjectedEvents counts taken injected transfers.
@@ -78,9 +72,6 @@ func New(cfg Config, next cpu.Sink) (*Injector, error) {
 	if cfg.Pool == nil || cfg.Pool.Len() == 0 {
 		return nil, fmt.Errorf("attack: empty legitimate-event pool")
 	}
-	if cfg.SpacingCycles <= 0 {
-		cfg.SpacingCycles = 8
-	}
 	return &Injector{cfg: cfg, next: next, rng: rand.New(rand.NewSource(cfg.Seed))}, nil
 }
 
@@ -89,12 +80,10 @@ func (in *Injector) Fired() bool { return in.fired }
 
 // BranchRetired implements cpu.Sink.
 func (in *Injector) BranchRetired(ev cpu.BranchEvent) int64 {
-	if ev.Taken {
+	if !in.fired && ev.Taken {
 		in.takenSeen++
-		if in.bursts == 0 && in.takenSeen > in.cfg.TriggerBranch {
-			in.fire(ev)
-		} else if in.bursts > 0 && in.bursts <= in.cfg.Repeat && in.takenSeen > in.nextTrigger {
-			in.fire(ev)
+		if in.takenSeen > in.cfg.TriggerBranch {
+			in.fire(ev.Cycle, ev.Seq)
 		}
 	}
 	ev.Cycle += in.cycleOffset
@@ -104,24 +93,12 @@ func (in *Injector) BranchRetired(ev cpu.BranchEvent) int64 {
 	return in.next.BranchRetired(ev)
 }
 
-// fire injects one burst at the current event and arms the next repeat.
-func (in *Injector) fire(ev cpu.BranchEvent) {
-	if !in.fired {
-		in.fired = true
-		in.InjectedAtCycle = ev.Cycle
-	}
-	in.bursts++
-	if in.cfg.RepeatEvery > 0 {
-		in.nextTrigger = in.takenSeen + in.cfg.RepeatEvery
-	} else {
-		in.nextTrigger = 1 << 62
-	}
-	in.inject(ev.Cycle+in.cycleOffset, ev.Seq+in.seqOffset)
-}
-
-// inject replays the burst starting at the given cycle. Every pool event is
-// a taken transfer, so every injected event is one.
-func (in *Injector) inject(cycle, seq int64) {
+// fire replays the burst from the trigger event's cycle and sequence
+// number on, and shifts every later victim event past it. Every pool event
+// is a taken transfer, so every injected event is one.
+func (in *Injector) fire(cycle, seq int64) {
+	in.fired = true
+	in.InjectedAtCycle = cycle
 	pool := in.cfg.Pool
 	n := pool.Len()
 	start := 0
@@ -139,14 +116,14 @@ func (in *Injector) inject(cycle, seq int64) {
 		}
 		in.next.BranchRetired(cpu.BranchEvent{
 			Seq:    seq + int64(k),
-			Cycle:  cycle + int64(k)*in.cfg.SpacingCycles,
+			Cycle:  cycle + int64(k)*spacing,
 			PC:     src.PC,
 			Target: src.Target,
 			Kind:   src.Kind,
 			Taken:  true,
 		})
 	}
-	in.InjectedEvents += int64(in.cfg.BurstLen)
-	in.cycleOffset += int64(in.cfg.BurstLen) * in.cfg.SpacingCycles
-	in.seqOffset += int64(in.cfg.BurstLen)
+	in.InjectedEvents = int64(in.cfg.BurstLen)
+	in.cycleOffset = int64(in.cfg.BurstLen) * spacing
+	in.seqOffset = int64(in.cfg.BurstLen)
 }

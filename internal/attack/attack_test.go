@@ -44,7 +44,7 @@ func TestInjectionSplicesBurst(t *testing.T) {
 		got = append(got, ev)
 		return 0
 	})
-	inj, err := New(Config{TriggerBranch: 5, BurstLen: 10, SpacingCycles: 4, Pool: makePool(64)}, sink)
+	inj, err := New(Config{TriggerBranch: 5, BurstLen: 10, Pool: makePool(64)}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,9 +63,10 @@ func TestInjectionSplicesBurst(t *testing.T) {
 			t.Fatalf("cycle order broken at %d: %d < %d", i, got[i].Cycle, got[i-1].Cycle)
 		}
 	}
-	// Victim events after the burst are shifted by burst duration.
+	// Victim events after the burst are shifted by the burst's duration:
+	// ten events, 8 cycles apart.
 	last := got[len(got)-1]
-	wantShift := int64(10 * 4)
+	wantShift := int64(10 * 8)
 	if last.Cycle != 100+19*20+wantShift {
 		t.Errorf("final victim event at cycle %d, want %d", last.Cycle, 100+19*20+wantShift)
 	}
@@ -192,46 +193,5 @@ func TestInjectionIntoRealWorkload(t *testing.T) {
 		if out.Events[i].Cycle < out.Events[i-1].Cycle {
 			t.Fatal("cycle monotonicity broken")
 		}
-	}
-}
-
-func TestRepeatedBursts(t *testing.T) {
-	var count int64
-	sink := cpu.SinkFunc(func(ev cpu.BranchEvent) int64 {
-		if ev.PC != 0x8100 {
-			count++
-		}
-		return 0
-	})
-	inj, err := New(Config{
-		TriggerBranch: 2, BurstLen: 5, Pool: makePool(32),
-		Repeat: 3, RepeatEvery: 4,
-	}, sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var lastCycle int64 = -1
-	mono := true
-	check := cpu.SinkFunc(func(ev cpu.BranchEvent) int64 {
-		if ev.Cycle < lastCycle {
-			mono = false
-		}
-		lastCycle = ev.Cycle
-		return sink(ev)
-	})
-	inj2, _ := New(Config{
-		TriggerBranch: 2, BurstLen: 5, Pool: makePool(32),
-		Repeat: 3, RepeatEvery: 4,
-	}, check)
-	_ = inj
-	for _, ev := range victimEvents(40) {
-		inj2.BranchRetired(ev)
-	}
-	// First burst + 3 repeats = 4 bursts of 5 events.
-	if got := inj2.InjectedEvents; got != 20 {
-		t.Errorf("injected %d events, want 20 (4 bursts)", got)
-	}
-	if !mono {
-		t.Error("cycle monotonicity broken across repeated bursts")
 	}
 }

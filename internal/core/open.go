@@ -135,7 +135,7 @@ func (s *Session) frontEnd(dep *Deployment, o *openConfig) error {
 	if err != nil {
 		return err
 	}
-	s.cpu = cpu.New(prog, cpu.Config{Mode: cpu.ModeRTAD, Sink: s.swap, Cache: tcache})
+	s.cpu = cpu.New(prog, cpu.Config{Mode: cpu.ModeRTAD, Sink: s.head, Cache: tcache})
 	return nil
 }
 
@@ -145,11 +145,10 @@ func openSingle(dep *Deployment, o *openConfig) (*Session, error) {
 		return nil, err
 	}
 	s := &Session{
-		fan:   &fanSink{pipes: []*Pipeline{pipe}},
+		head:  pipe,
 		lanes: []*lane{{dep: dep, pipe: pipe}},
 		pool:  dep.Pool,
 	}
-	s.swap = &swapSink{next: s.fan}
 	if err := s.frontEnd(dep, o); err != nil {
 		return nil, err
 	}
@@ -184,7 +183,7 @@ func openDual(elmDep, lstmDep *Deployment, o *openConfig) (*Session, error) {
 		return nil, err
 	}
 	s := &Session{
-		fan: &fanSink{pipes: []*Pipeline{elmPipe, lstmPipe}},
+		head: &fanSink{elm: elmPipe, lstm: lstmPipe},
 		lanes: []*lane{
 			{dep: elmDep, pipe: elmPipe},
 			{dep: lstmDep, pipe: lstmPipe},
@@ -192,7 +191,6 @@ func openDual(elmDep, lstmDep *Deployment, o *openConfig) (*Session, error) {
 		pool:   lstmDep.Pool,
 		shared: shared,
 	}
-	s.swap = &swapSink{next: s.fan}
 	if err := s.frontEnd(elmDep, o); err != nil {
 		return nil, err
 	}

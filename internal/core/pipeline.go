@@ -291,8 +291,15 @@ func (p *Pipeline) BranchRetired(ev cpu.BranchEvent) int64 {
 	var n int
 	p.pend, n = p.enc.EncodeCounted(p.pend, ev)
 	rel, stall := p.port.PushCounted(at, n)
-	p.feedRelease(rel)
-	p.drainVectors()
+	// Vectors reach the IGM out-queue only through deliverFrame, so a
+	// branch that releases no bytes leaves nothing to drain.
+	if rel.Bytes > 0 {
+		p.feedRelease(rel)
+		p.drainVectors()
+	}
+	if stall == 0 {
+		return 0
+	}
 	return sim.CPUClock.CyclesCeil(stall)
 }
 

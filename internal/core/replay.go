@@ -96,7 +96,7 @@ func (s *Session) FeedTrace(data []byte) error {
 	if s.err != nil {
 		return s.err
 	}
-	f := s.front
+	f, head := s.front, s.head
 	var end error
 	// Only branch packets carry broadcast-mode branch events; NextBranch
 	// decodes the rest (atoms, syncs) and drops them.
@@ -111,7 +111,7 @@ func (s *Session) FeedTrace(data []byte) error {
 				ErrReplayClockExhausted, f.events, f.cycle, int64(MaxReplayCycles))
 			break
 		}
-		stall := s.swap.BranchRetired(cpu.BranchEvent{
+		stall := head.BranchRetired(cpu.BranchEvent{
 			Seq:    f.events,
 			Cycle:  f.cycle,
 			Target: target,

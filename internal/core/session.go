@@ -33,8 +33,11 @@ type Session struct {
 	// program (Step), front replays a raw PTM byte stream (FeedTrace).
 	cpu   *cpu.CPU
 	front *traceFront
-	swap  *swapSink
-	fan   *fanSink
+	// head is the chain's first sink, which every retired branch reaches
+	// in one call: lane 0's pipeline, or a fanSink over both lanes for a
+	// dual session, until Inject wraps it in the attack injector. The CPU
+	// holds it as its sink; FeedTrace calls it directly.
+	head  cpu.Sink
 	lanes []*lane
 	// pool is the legitimate-event reservoir Inject draws from (the lone
 	// deployment's pool, or the LSTM's for dual sessions).
@@ -108,32 +111,15 @@ func (t *tally) add(j *Judged, fired bool, inject sim.Time) {
 	}
 }
 
-// swapSink is the replaceable head of the CPU's sink chain. cpu.Config.Sink
-// is fixed at construction, so arming an attack mid-run (Inject) swaps the
-// downstream here instead of rebuilding the core.
-type swapSink struct {
-	next cpu.Sink
-}
-
-func (s *swapSink) BranchRetired(ev cpu.BranchEvent) int64 {
-	return s.next.BranchRetired(ev)
-}
-
-// fanSink fans one retired-branch stream out to every lane's pipeline, in
-// lane order, and stalls the CPU by the slowest lane's backpressure — the
-// generalisation of the old two-model dualSink.
+// fanSink is a dual session's head: it hands each retired branch to the
+// ELM lane's pipeline, then to the LSTM lane's, and stalls the CPU by the
+// slower lane's backpressure.
 type fanSink struct {
-	pipes []*Pipeline
+	elm, lstm *Pipeline
 }
 
 func (f *fanSink) BranchRetired(ev cpu.BranchEvent) int64 {
-	var max int64
-	for _, p := range f.pipes {
-		if s := p.BranchRetired(ev); s > max {
-			max = s
-		}
-	}
-	return max
+	return max(f.elm.BranchRetired(ev), f.lstm.BranchRetired(ev))
 }
 
 // observe attaches the telemetry bundle to the session-level pieces
@@ -200,12 +186,14 @@ func (s *Session) Inject(spec AttackSpec) error {
 		// Mimicry switches to contiguous segment replay.
 		Segment: spec.Mimicry,
 		Seed:    spec.Seed,
-	}, s.swap.next)
+	}, s.head)
 	if err != nil {
 		return err
 	}
-	s.swap.next = inj
-	s.inj = inj
+	s.head, s.inj = inj, inj
+	if s.cpu != nil {
+		s.cpu.SetSink(inj)
+	}
 	if s.attackTrack != nil {
 		s.attackTrack.Instant("attack_armed",
 			int64(sim.CPUClock.Duration(s.frontCycles())),

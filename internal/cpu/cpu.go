@@ -106,6 +106,12 @@ func New(prog *isa.Program, cfg Config) *CPU {
 	return c
 }
 
+// SetSink re-points the core's branch-event consumer: every branch retired
+// after the call goes to sink (nil drops them). A caller that wraps the
+// current sink mid-run, as an attack injector does, installs the wrapper
+// here.
+func (c *CPU) SetSink(sink Sink) { c.sink = sink }
+
 // Reg returns the value of register r.
 func (c *CPU) Reg(r isa.Reg) uint32 { return c.regs[r] }
 
