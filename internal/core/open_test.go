@@ -215,7 +215,7 @@ func TestReplayMidStreamInject(t *testing.T) {
 		return s
 	}
 	// finish feeds the rest of the stream, drains, and returns everything
-	// the session delivered with its ReplayStats and Summary.
+	// the session delivered, after judged, with its ReplayStats.
 	finish := func(s *Session, judged []Judged, rest []byte) replayRun {
 		t.Helper()
 		if err := s.FeedTrace(rest); err != nil {
@@ -247,8 +247,11 @@ func TestReplayMidStreamInject(t *testing.T) {
 	atOpen := open(WithAttack(spec))
 	want := finish(atOpen, nil, stream)
 
-	if len(before) == 0 || !mid.AttackFired() {
-		t.Fatalf("%d judgments before arming, attack fired %v: move the cut", len(before), mid.AttackFired())
+	if len(before) == 0 {
+		t.Fatal("no judgment before arming: move the cut")
+	}
+	if !mid.AttackFired() {
+		t.Fatal("mid-stream attack never fired")
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("mid-stream Inject diverges from arming at Open: %d vs %d judgments, ReplayStats (%d, %d, %d) vs (%d, %d, %d)",
