@@ -80,6 +80,9 @@ type Port struct {
 	buf    []byte
 	occ    int      // counted-mode occupancy (staged mode uses len(buf))
 	freeAt sim.Time // next fabric instant the port can emit a beat
+	// horizon is how far the departure schedule may run ahead of a push
+	// before the producer stalls: QueueBytes worth of beats.
+	horizon sim.Time
 	// Out accumulates released bytes; callers consume it with TakeInto.
 	out []TimedByte
 
@@ -109,6 +112,7 @@ type Release struct {
 // NewPort returns a port with cfg applied (zero fields take defaults).
 func NewPort(cfg PortConfig) *Port {
 	p := &Port{cfg: cfg.withDefaults()}
+	p.horizon = p.cfg.Clock.Duration(int64(p.cfg.QueueBytes / p.cfg.BytesPerCycle))
 	if tel := p.cfg.Telemetry; tel != nil {
 		p.obsBytes = tel.Counter("rtad_ptm_bytes_total")
 		p.obsReleases = tel.Counter("rtad_ptm_releases_total")
@@ -155,8 +159,7 @@ func (p *Port) Push(at sim.Time, data []byte) sim.Time {
 	}
 	// Sustained-bandwidth backpressure: if the port is scheduled beyond
 	// the queue horizon, the producer waits for the excess.
-	horizon := p.cfg.Clock.Duration(int64(p.cfg.QueueBytes / p.cfg.BytesPerCycle))
-	if lag := p.freeAt - at - horizon; lag > 0 {
+	if lag := p.freeAt - at - p.horizon; lag > 0 {
 		p.obsStallPS.Add(int64(lag))
 		return lag
 	}
@@ -229,8 +232,7 @@ func (p *Port) PushCounted(at sim.Time, n int) (Release, sim.Time) {
 		rel = p.schedule(at, p.occ)
 		p.occ = 0
 	}
-	horizon := p.cfg.Clock.Duration(int64(p.cfg.QueueBytes / p.cfg.BytesPerCycle))
-	if lag := p.freeAt - at - horizon; lag > 0 {
+	if lag := p.freeAt - at - p.horizon; lag > 0 {
 		p.obsStallPS.Add(int64(lag))
 		return rel, lag
 	}
