@@ -5,9 +5,12 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash"
+	"math"
 	"testing"
 
+	"rtad/internal/cpu"
 	"rtad/internal/kernels"
+	"rtad/internal/workload"
 )
 
 // liveSlice is the Step size of the live digests, perfbench's detect-fig8
@@ -167,6 +170,85 @@ func TestLiveGoldenDigest(t *testing.T) {
 			got := liveDigest(t, row.deps, cfg, row.arm, row.armAt, row.instr)
 			if got != row.digest {
 				t.Errorf("digest changed:\n old %s\n new %s\nregenerate the row with: go test -run 'TestLiveGoldenDigest/%s' -v ./internal/core/",
+					row.digest, got, row.name)
+			}
+		})
+	}
+}
+
+// overheadDigest runs MeasureOverhead on bench for instr instructions under
+// every cpu.Mode and returns a SHA-256 over each mode's Mode, Baseline,
+// Cycles and the bits of Overhead.
+func overheadDigest(t *testing.T, bench string, instr int64) string {
+	t.Helper()
+	p, ok := workload.ByName(bench)
+	if !ok {
+		t.Fatalf("unknown benchmark %s", bench)
+	}
+	d := digestWriter{h: sha256.New()}
+	for _, mode := range []cpu.Mode{cpu.ModeBaseline, cpu.ModeRTAD, cpu.ModeSWSys, cpu.ModeSWFunc, cpu.ModeSWAll} {
+		res, err := MeasureOverhead(p, mode, instr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.put(int64(res.Mode), res.Baseline, res.Cycles, int64(math.Float64bits(res.Overhead)))
+		t.Logf("%s: %d → %d cycles (%.4f%%)", mode, res.Baseline, res.Cycles, res.Overhead*100)
+	}
+	return hex.EncodeToString(d.h.Sum(nil))
+}
+
+// transferDigest runs MeasureRTADTransfer on dep at cfg for instr
+// instructions and returns a SHA-256 over the Read, Vectorize and Write
+// averages and the number of vectors they average.
+func transferDigest(t *testing.T, dep *Deployment, cfg PipelineConfig, instr int64) string {
+	t.Helper()
+	tb, n, err := MeasureRTADTransfer(dep, cfg, instr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d vectors: read %v, vectorize %v, write %v", n, tb.Read, tb.Vectorize, tb.Write)
+	d := digestWriter{h: sha256.New()}
+	d.put(int64(tb.Read), int64(tb.Vectorize), int64(tb.Write), int64(n))
+	return hex.EncodeToString(d.h.Sum(nil))
+}
+
+// TestFigureGoldenDigest pins the Fig 6 and Fig 7 measurements to
+// committed digests, so a change to the victim CPU's collection modes, the
+// PTM port's overhead sink, or the trace chain's clocks, port width and
+// queue shows here even when it moves every path of one commit alike.
+//
+// Rows (see overheadDigest and transferDigest):
+//   - fig6-gcc: MeasureOverhead on 403.gcc under every cpu.Mode at
+//     cmd/experiments' default budget of 2M instructions;
+//   - fig7-lstm-sjeng: MeasureRTADTransfer on the memoized
+//     trainLSTMDeployment for 458.sjeng at cmd/experiments' Fig 7 stride of
+//     64, and fig7-elm-perlbench on trainELMDeployment for 400.perlbench at
+//     the ELM's default stride; both at 5 CUs, native-calibrated, 2M
+//     instructions.
+func TestFigureGoldenDigest(t *testing.T) {
+	calib := kernels.NewCalibration()
+	fig7 := func(dep *Deployment, stride int) func(t *testing.T) string {
+		return func(t *testing.T) string {
+			cfg := PipelineConfig{CUs: 5, Stride: stride, Backend: kernels.BackendNativeCalibrated, Calibration: calib}
+			return transferDigest(t, dep, cfg, 2_000_000)
+		}
+	}
+	rows := []struct {
+		name   string
+		run    func(t *testing.T) string
+		digest string
+	}{
+		{"fig6-gcc", func(t *testing.T) string { return overheadDigest(t, "403.gcc", 2_000_000) },
+			"1325c5db03182bbf912c4730affd80c09f6b6d0b3eaf0a96287191aff8a78400"},
+		{"fig7-lstm-sjeng", fig7(trainLSTMDeployment(t, "458.sjeng"), 64),
+			"62585cf0ede59168b9765776a249f425914df2f57098e8908ce7ffeb37289be9"},
+		{"fig7-elm-perlbench", fig7(trainELMDeployment(t, "400.perlbench"), 0),
+			"2c76b28c0cc7c5917bfb6e177bf8240871834294c3d58ee039eee11056cc83c1"},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			if got := row.run(t); got != row.digest {
+				t.Errorf("digest changed:\n old %s\n new %s\nregenerate the row with: go test -run 'TestFigureGoldenDigest/%s' -v ./internal/core/",
 					row.digest, got, row.name)
 			}
 		})
