@@ -56,9 +56,8 @@ type Injector struct {
 	fired       bool
 
 	// InjectedAtCycle is the (pre-offset) CPU cycle of the first injected
-	// event; InjectedEvents counts taken injected transfers.
+	// event.
 	InjectedAtCycle int64
-	InjectedEvents  int64
 }
 
 // New validates cfg and wraps next.
@@ -123,7 +122,6 @@ func (in *Injector) fire(cycle, seq int64) {
 			Taken:  true,
 		})
 	}
-	in.InjectedEvents = int64(in.cfg.BurstLen)
 	in.cycleOffset = int64(in.cfg.BurstLen) * spacing
 	in.seqOffset = int64(in.cfg.BurstLen)
 }

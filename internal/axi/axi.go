@@ -192,8 +192,8 @@ func RTADTopology() (*Interconnect, error) {
 	ic := New(nil)
 	slaves := []Slave{
 		{Name: "ddr", Base: 0x0000_0000, Size: 0x4000_0000, AcceptCycles: 10, BeatCycles: 2},
-		{Name: "mlmiaow-sram", Base: 0x4000_0000, Size: 0x0010_0000, AcceptCycles: 3, BeatCycles: 1},
-		{Name: "mcm-regs", Base: 0x4010_0000, Size: 0x0000_1000, AcceptCycles: 1, BeatCycles: 1},
+		{Name: "mlmiaow-sram", Base: MLMIAOWBase, Size: 0x0010_0000, AcceptCycles: 3, BeatCycles: 1},
+		{Name: "mcm-regs", Base: MCMRegsBase, Size: 0x0000_1000, AcceptCycles: 1, BeatCycles: 1},
 	}
 	for _, s := range slaves {
 		if _, err := ic.AddSlave(s); err != nil {

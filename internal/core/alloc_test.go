@@ -26,7 +26,7 @@ func feedBranches(p *Pipeline, cycle *int64, n int, target uint32, kind cpu.Kind
 // single heap allocation.
 func TestFrontendSteadyStateZeroAlloc(t *testing.T) {
 	dep := trainLSTMDeployment(t, "458.sjeng")
-	p, err := NewPipeline(dep, PipelineConfig{CUs: 5, Stride: 256, Backend: "native-calibrated"})
+	p, err := newPipeline(dep, PipelineConfig{CUs: 5, Stride: 256, Backend: "native-calibrated"}, wiring{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestFrontendSteadyStateZeroAlloc(t *testing.T) {
 	if p.Err() != nil {
 		t.Fatal(p.Err())
 	}
-	if p.IGMStats().Filtered == 0 {
+	if p.ig.Stats().Filtered == 0 {
 		t.Fatal("no branches reached the mapper — the path under test did not run")
 	}
 }
@@ -107,3 +107,75 @@ func TestTelemetryOffJudgmentPathAllocs(t *testing.T) {
 			offAllocs, onAllocs)
 	}
 }
+
+// cycleTargets walks from base flipping one address bit per step, in
+// address chunks 0–4 in turn and twice over, so it ends back at base and
+// consecutive branch packets to its targets carry 1, 2, 3, 4 and 5 address
+// bytes.
+func cycleTargets(base uint32) []uint32 {
+	var out []uint32
+	t := base
+	for range 2 {
+		for _, bit := range []uint{2, 8, 15, 22, 29} {
+			t ^= 1 << bit
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+// chainBench drives Pipeline.BranchRetired with mapper-filtered targets
+// (the common case) on one trace path, asserting the per-branch zero-alloc
+// contract before timing, so CI's -benchtime 1x pass catches an allocation
+// on the hot path. The targets cycle through every compressed
+// branch-packet length, 1 to 5 address bytes.
+func chainBench(b *testing.B, staged bool) {
+	dep := trainLSTMDeployment(b, "458.sjeng")
+	p, err := newPipeline(dep, PipelineConfig{
+		CUs: 5, Stride: 256, Backend: "native-calibrated", StagedTrace: staged,
+	}, wiring{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	filtered := cycleTargets(0xDEAD0000)
+	for _, t := range filtered {
+		if _, ok := dep.Mapper.Lookup(t); ok {
+			b.Fatalf("benchmark target %#x is mapped", t)
+		}
+	}
+	ev := cpu.BranchEvent{PC: 0x8000, Kind: cpu.KindDirect, Taken: true}
+	next := 0
+	branch := func() {
+		ev.Cycle += 20
+		ev.Target = filtered[next]
+		if next++; next == len(filtered) {
+			next = 0
+		}
+		p.BranchRetired(ev)
+	}
+	for i := 0; i < 20000; i++ { // warm-up: settle every stage buffer
+		branch()
+	}
+	if allocs := testing.AllocsPerRun(200, branch); allocs > 0 {
+		b.Fatalf("BranchRetired(filtered) allocates %.2f objects/op in steady state, want 0", allocs)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		branch()
+	}
+	if p.Err() != nil {
+		b.Fatal(p.Err())
+	}
+}
+
+// BenchmarkTracePipelineChainFused is the whole per-branch front-end on the
+// fused analytic path (the default): counted encoder → counted port
+// → counted formatter → IGM direct delivery.
+func BenchmarkTracePipelineChainFused(b *testing.B) { chainBench(b, false) }
+
+// BenchmarkTracePipelineChainStaged is the same stream on the staged
+// byte/word reference path: per-byte port release → byte-at-a-time framing →
+// word deframing → packet re-decode. Its ns/op over ChainFused's is the
+// fused path's per-branch speedup.
+func BenchmarkTracePipelineChainStaged(b *testing.B) { chainBench(b, true) }

@@ -117,7 +117,7 @@ func TestTrainELMDeployment(t *testing.T) {
 
 func TestLSTMPipelineEndToEnd(t *testing.T) {
 	dep := trainLSTMDeployment(t, "458.sjeng")
-	pipe, err := NewPipeline(dep, PipelineConfig{CUs: 5, Stride: 256})
+	pipe, err := newPipeline(dep, PipelineConfig{CUs: 5, Stride: 256}, wiring{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,8 +134,8 @@ func TestLSTMPipelineEndToEnd(t *testing.T) {
 	if len(judged) < 5 {
 		t.Fatalf("only %d judged vectors", len(judged))
 	}
-	if pipe.IGMStats().DecErrors != 0 {
-		t.Errorf("PTM decode errors: %d", pipe.IGMStats().DecErrors)
+	if pipe.ig.Stats().DecErrors != 0 {
+		t.Errorf("PTM decode errors: %d", pipe.ig.Stats().DecErrors)
 	}
 	for i, j := range judged {
 		if j.FinalRetire == 0 {
@@ -328,7 +328,7 @@ func TestPipelineCausalInvariants(t *testing.T) {
 				if err := s.Drain(); err != nil {
 					t.Fatal(err)
 				}
-				for lane := 0; lane < s.Lanes(); lane++ {
+				for lane := 0; lane < len(s.lanes); lane++ {
 					judged := s.LaneResults(lane)
 					if len(judged) < 10 {
 						t.Fatalf("lane %d: only %d judged vectors", lane, len(judged))

@@ -46,24 +46,23 @@ type TrainConfig struct {
 	// run (§III-C: "running the target application in advance and
 	// extracting the branch traces").
 	TrainInstr int64
-	// TrainStride paces the LSTM training vectors (denser than the
-	// runtime stride so the trainer sees enough sequence).
-	TrainStride int
-	// CalibFraction of the collected windows is held out for threshold
-	// calibration.
-	CalibFraction float64
-	// ThresholdMargin is added above the calibration quantile.
-	ThresholdMargin float64
 }
+
+// Training constants.
+const (
+	// trainStride paces the LSTM training vectors (denser than the runtime
+	// stride so the trainer sees enough sequence).
+	trainStride = 64
+	// calibFraction of the collected windows is held out for threshold
+	// calibration.
+	calibFraction = 0.2
+	// thresholdMargin is added above the calibration quantile.
+	thresholdMargin = 0.05
+)
 
 // DefaultTrainConfig returns the budgets used throughout the evaluation.
 func DefaultTrainConfig(p workload.Profile, kind ModelKind) TrainConfig {
-	cfg := TrainConfig{
-		Profile: p, Kind: kind,
-		TrainStride:     64,
-		CalibFraction:   0.2,
-		ThresholdMargin: 0.05,
-	}
+	cfg := TrainConfig{Profile: p, Kind: kind}
 	if kind == ModelELM {
 		// Syscalls are sparse: a long run is needed to gather enough
 		// windows for the ridge solve.
@@ -255,7 +254,7 @@ func Train(cfg TrainConfig) (*Deployment, error) {
 		// extend the collection run until the ridge solve has enough
 		// windows (or the hard cap is hit). Windows are counted as events
 		// arrive: each round classifies only the events the last run added.
-		need := int(float64(ml.DefaultELMConfig().Hidden)/(1-cfg.CalibFraction)) + 40
+		need := int(float64(ml.DefaultELMConfig().Hidden)/(1-calibFraction)) + 40
 		const collectCap = int64(90_000_000) // extra-instruction hard cap
 		counted, mapped := 0, 0
 		for extra := int64(0); extra < collectCap; extra += cfg.TrainInstr {
@@ -274,7 +273,7 @@ func Train(cfg TrainConfig) (*Deployment, error) {
 			}
 		}
 		windows := collectWindows(pool, dep.Mapper, dep.Translate, kernels.ELMWindow, 1)
-		train, calib := splitWindows(windows, cfg.CalibFraction)
+		train, calib := splitWindows(windows)
 		dep.TrainWindows = len(train)
 		model, err := ml.TrainELM(ml.DefaultELMConfig(), train)
 		if err != nil {
@@ -284,18 +283,14 @@ func Train(cfg TrainConfig) (*Deployment, error) {
 		for _, w := range calib {
 			scores = append(scores, model.Score(w))
 		}
-		model.Threshold = ml.CalibrateThreshold(smoothScores(scores), 1.0, cfg.ThresholdMargin)
+		model.Threshold = ml.CalibrateThreshold(smoothScores(scores), 1.0, thresholdMargin)
 		dep.ELM = model
 
 	case ModelLSTM:
 		dep.Mapper = buildBranchVocab(pool, kernels.LSTMVocab)
 		dep.Translate = nil // vocabulary classes are already 0..Vocab-1
-		stride := cfg.TrainStride
-		if stride <= 0 {
-			stride = 64
-		}
-		windows := collectWindows(pool, dep.Mapper, nil, kernels.LSTMWindow, stride)
-		train, calib := splitWindows(windows, cfg.CalibFraction)
+		windows := collectWindows(pool, dep.Mapper, nil, kernels.LSTMWindow, trainStride)
+		train, calib := splitWindows(windows)
 		dep.TrainWindows = len(train)
 		model, err := ml.TrainLSTM(ml.DefaultLSTMConfig(), train)
 		if err != nil {
@@ -310,7 +305,7 @@ func Train(cfg TrainConfig) (*Deployment, error) {
 			}
 			scores = append(scores, s)
 		}
-		model.Threshold = ml.CalibrateThreshold(smoothScores(scores), 1.0, cfg.ThresholdMargin)
+		model.Threshold = ml.CalibrateThreshold(smoothScores(scores), 1.0, thresholdMargin)
 		dep.LSTM = model
 
 	default:
@@ -332,8 +327,9 @@ func smoothScores(scores []float64) []float64 {
 	return out
 }
 
-// splitWindows separates calibration data from training data.
-func splitWindows(windows [][]int32, calibFraction float64) (train, calib [][]int32) {
+// splitWindows holds the last calibFraction of the windows out for
+// calibration.
+func splitWindows(windows [][]int32) (train, calib [][]int32) {
 	n := len(windows)
 	cut := n - int(float64(n)*calibFraction)
 	if cut < 1 {

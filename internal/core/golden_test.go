@@ -63,25 +63,29 @@ func liveDigest(t *testing.T, deps Deployments, cfg PipelineConfig, arm AttackSp
 	if err != nil {
 		t.Fatal(err)
 	}
-	streams := make([][]Judged, s.Lanes())
+	streams := make([][]Judged, len(s.lanes))
 	collect := func() {
 		for i := range streams {
 			streams[i] = append(streams[i], s.LaneResults(i)...)
 		}
 	}
-	for done := int64(0); done < instr && !s.Halted(); {
+	for done := int64(0); done < instr; {
 		if armAt > 0 && done >= armAt {
 			if err := s.Inject(arm); err != nil {
 				t.Fatal(err)
 			}
 			armAt = 0
 		}
-		n, err := s.Step(min(liveSlice, instr-done))
+		k := min(liveSlice, instr-done)
+		n, err := s.Step(k)
 		if err != nil {
 			t.Fatal(err)
 		}
 		done += n
 		collect()
+		if n < k { // the victim halted
+			break
+		}
 	}
 	if err := s.Drain(); err != nil {
 		t.Fatal(err)
@@ -109,7 +113,7 @@ func liveDigest(t *testing.T, deps Deployments, cfg PipelineConfig, arm AttackSp
 		}
 		t.Logf("lane %d (%s): %d judgments, %d dropped, latency %v", i, res.Kind, len(streams[i]), res.Dropped, res.Latency)
 	}
-	d.put(s.Instret(), s.Cycles())
+	d.put(s.Instret(), s.frontCycles())
 	return hex.EncodeToString(d.h.Sum(nil))
 }
 

@@ -161,9 +161,6 @@ func TestTraceInputFrontEndExclusivity(t *testing.T) {
 	if live.Instret() != 0 || replay.Instret() != 0 {
 		t.Error("fresh sessions report nonzero instret")
 	}
-	if replay.Halted() {
-		t.Error("trace-input session reports Halted")
-	}
 }
 
 // TestReplayAttackInjection: the injector splices the burst into a replayed

@@ -16,7 +16,7 @@ import (
 )
 
 // PipelineConfig sizes the runtime system. Zero fields pick their
-// owner's default; NewPipeline rejects values outside their bounds.
+// owner's default; Open rejects values outside their bounds.
 type PipelineConfig struct {
 	// CUs is the compute-unit count: 1 models the original MIAOW (only a
 	// single CU fits the FPGA), 5 the trimmed ML-MIAOW (§IV-A). 0 picks
@@ -191,11 +191,7 @@ type verdict struct {
 // range with room for queueing tails.
 var JudgmentLatencyBuckets = obs.ExpBuckets(0.5, 2, 14)
 
-// NewPipeline instantiates the SoC for a deployment.
-func NewPipeline(dep *Deployment, cfg PipelineConfig) (*Pipeline, error) {
-	return newPipeline(dep, cfg, wiring{})
-}
-
+// newPipeline instantiates the SoC for a deployment.
 func newPipeline(dep *Deployment, cfg PipelineConfig, w wiring) (*Pipeline, error) {
 	cfg, err := cfg.withDefaults(dep.Kind)
 	if err != nil {
@@ -501,9 +497,6 @@ func (p *Pipeline) Err() error { return p.err }
 
 // MCMStats exposes the module counters (drops, occupancy).
 func (p *Pipeline) MCMStats() mcm.Stats { return p.mod.Stats() }
-
-// IGMStats exposes the IGM counters.
-func (p *Pipeline) IGMStats() igm.Stats { return p.ig.Stats() }
 
 // AttackSpec configures the detection experiment's injection.
 type AttackSpec struct {

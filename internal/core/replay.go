@@ -13,7 +13,7 @@ import (
 // sessions, in CPU cycles per branch event. Taken branches retire every
 // handful of cycles on the in-order host model; 8 cycles keeps the replayed
 // stream inside the trace path's sustainable bandwidth, matching the
-// attack injector's default gadget-chain spacing.
+// attack injector's fixed gadget-chain spacing of 8 cycles per event.
 const DefaultReplayGap = 8
 
 // MaxReplayGap bounds the replay pacing at 2^20 cycles per branch event:

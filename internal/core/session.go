@@ -326,9 +326,6 @@ func (s *Session) LaneSummary(i int) (*DetectionResult, error) {
 	}, nil
 }
 
-// Lanes reports the model-lane count (1, or 2 for dual sessions).
-func (s *Session) Lanes() int { return len(s.lanes) }
-
 // Stages snapshots lane 0's trace-delivery chain.
 func (s *Session) Stages() []StageSnapshot { return s.LaneStages(0) }
 
@@ -341,10 +338,6 @@ func (s *Session) LaneStages(i int) []StageSnapshot {
 // past the victim's last cycle while the inference tail completes).
 func (s *Session) Now() sim.Time { return s.now }
 
-// Cycles is the victim's elapsed cycle count: executed cycles for a live
-// CPU, the synthesized replay clock for a trace-input session.
-func (s *Session) Cycles() int64 { return s.frontCycles() }
-
 // Instret is the victim's retired-instruction count (0 for trace-input
 // sessions — the stream carries branches, not every instruction).
 func (s *Session) Instret() int64 {
@@ -353,10 +346,6 @@ func (s *Session) Instret() int64 {
 	}
 	return s.cpu.Instret()
 }
-
-// Halted reports whether the victim hit HALT (never for trace-input
-// sessions — the stream simply ends).
-func (s *Session) Halted() bool { return s.cpu != nil && s.cpu.Halted() }
 
 // MCMStats exposes lane 0's module counters (drops, occupancy) — the
 // pipeline health figures a summary needs even when no attack was armed
@@ -386,6 +375,3 @@ func (s *Session) SharedBusyAt() sim.Time {
 	}
 	return s.shared.FreeAt()
 }
-
-// Err returns the first session error, if any.
-func (s *Session) Err() error { return s.err }

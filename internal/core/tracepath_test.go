@@ -33,11 +33,11 @@ func tracePathFixtures(t testing.TB) (elm, lstm *Deployment, calib *kernels.Cali
 func runTracePathDiff(t *testing.T, dep *Deployment, calib *kernels.Calibration, stride, threshold int, ops []byte) {
 	t.Helper()
 	build := func(stagedMode bool) *Pipeline {
-		p, err := NewPipeline(dep, PipelineConfig{
+		p, err := newPipeline(dep, PipelineConfig{
 			CUs: 5, Stride: stride, DrainThreshold: threshold,
 			Backend: kernels.BackendNativeCalibrated, Calibration: calib,
 			StagedTrace: stagedMode,
-		})
+		}, wiring{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +116,7 @@ func comparePipelines(t *testing.T, sp, fp *Pipeline) {
 			}
 		}
 	}
-	if s, f := sp.IGMStats(), fp.IGMStats(); s != f {
+	if s, f := sp.ig.Stats(), fp.ig.Stats(); s != f {
 		t.Fatalf("IGM stats diverged:\nstaged %+v\nfused  %+v", s, f)
 	}
 	if s, f := sp.MCMStats(), fp.MCMStats(); s != f {
@@ -204,10 +204,10 @@ func FuzzTracePathDifferential(f *testing.F) {
 func TestAcceptedRetireBounded(t *testing.T) {
 	elm, _, calib := tracePathFixtures(t)
 	build := func(stagedMode bool) *Pipeline {
-		p, err := NewPipeline(elm, PipelineConfig{
+		p, err := newPipeline(elm, PipelineConfig{
 			CUs: 5, Backend: kernels.BackendNativeCalibrated, Calibration: calib,
 			StagedTrace: stagedMode,
-		})
+		}, wiring{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,8 +226,8 @@ func TestAcceptedRetireBounded(t *testing.T) {
 	at := sim.CPUClock.Duration(cycle + 64)
 	sp.Flush(at)
 	fp.Flush(at)
-	if fp.IGMStats().Accepted < branches/2 {
-		t.Fatalf("only %d accepted branches — the path under test did not run", fp.IGMStats().Accepted)
+	if fp.ig.Stats().Accepted < branches/2 {
+		t.Fatalf("only %d accepted branches — the path under test did not run", fp.ig.Stats().Accepted)
 	}
 	// The pruned ring must stay small relative to the accepted stream: the
 	// live window is the stride gap plus compaction slack, far below the

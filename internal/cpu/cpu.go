@@ -6,11 +6,10 @@ import (
 	"rtad/internal/isa"
 )
 
-// Config sizes a core.
+// Config sets up a core. Its data RAM is always memBytes.
 type Config struct {
-	MemBytes int  // data RAM size (byte-addressable, word-aligned accesses)
-	Mode     Mode // collection mode (Fig 6)
-	Sink     Sink // branch-event consumer; may be nil
+	Mode Mode // collection mode (Fig 6)
+	Sink Sink // branch-event consumer; may be nil
 	// WXProtect enforces the threat model's W^X rule (§III-C): stores to
 	// addresses inside the program image fault, so adversaries cannot
 	// rewrite code and must divert control flow through legitimate
@@ -25,8 +24,9 @@ type Config struct {
 	Cache *Cache
 }
 
-// DefaultMemBytes is a comfortable data RAM for the generated workloads.
-const DefaultMemBytes = 1 << 20
+// memBytes is the data RAM size (byte-addressable, word-aligned accesses),
+// comfortable for the generated workloads.
+const memBytes = 1 << 20
 
 // CPU is one simulated host core. It is not safe for concurrent use; the
 // whole SoC simulation is single-threaded by design (see internal/sim).
@@ -74,12 +74,9 @@ type CPU struct {
 // the top of RAM; R10 points at the middle of RAM as the workload data base
 // (the workload generator's convention).
 func New(prog *isa.Program, cfg Config) *CPU {
-	if cfg.MemBytes <= 0 {
-		cfg.MemBytes = DefaultMemBytes
-	}
 	c := &CPU{
 		prog:  prog,
-		mem:   make([]byte, cfg.MemBytes),
+		mem:   make([]byte, memBytes),
 		dec:   make([]isa.Instruction, len(prog.Words)),
 		decOK: make([]bool, len(prog.Words)),
 		base:  prog.Base,
@@ -101,8 +98,8 @@ func New(prog *isa.Program, cfg Config) *CPU {
 	for k := Kind(0); k < numKinds; k++ {
 		c.instrCost[k] = InstrumentationCost(cfg.Mode, k)
 	}
-	c.regs[isa.SP] = uint32(cfg.MemBytes - 16)
-	c.regs[isa.R10] = uint32(cfg.MemBytes / 2)
+	c.regs[isa.SP] = memBytes - 16
+	c.regs[isa.R10] = memBytes / 2
 	return c
 }
 
@@ -111,15 +108,6 @@ func New(prog *isa.Program, cfg Config) *CPU {
 // current sink mid-run, as an attack injector does, installs the wrapper
 // here.
 func (c *CPU) SetSink(sink Sink) { c.sink = sink }
-
-// Reg returns the value of register r.
-func (c *CPU) Reg(r isa.Reg) uint32 { return c.regs[r] }
-
-// SetReg sets register r, used by tests and loaders.
-func (c *CPU) SetReg(r isa.Reg, v uint32) { c.regs[r] = v }
-
-// PC returns the current program counter.
-func (c *CPU) PC() uint32 { return c.pc }
 
 // Cycles returns the total elapsed CPU cycles, including stall and
 // instrumentation time.
@@ -135,12 +123,6 @@ func (c *CPU) StallCycles() int64 { return c.stallCycles }
 
 // InstrumentationCycles returns cycles spent executing SW_* dump stubs.
 func (c *CPU) InstrumentationCycles() int64 { return c.instrCycles }
-
-// BranchCount returns how many transfers of kind k have retired.
-func (c *CPU) BranchCount(k Kind) int64 { return c.kindCounts[k] }
-
-// Halted reports whether a HALT instruction has retired.
-func (c *CPU) Halted() bool { return c.halted }
 
 func (c *CPU) loadWord(addr uint32) (uint32, error) {
 	if addr%4 != 0 || int(addr)+4 > len(c.mem) {

@@ -21,7 +21,7 @@ func run(t *testing.T, src string, cfg Config) *CPU {
 	if _, err := c.Run(1 << 20); err != nil {
 		t.Fatal(err)
 	}
-	if !c.Halted() {
+	if !c.halted {
 		t.Fatal("program did not halt")
 	}
 	return c
@@ -48,7 +48,7 @@ func TestALUSemantics(t *testing.T) {
 		isa.R7: 0, isa.R8: 96, isa.R9: 24, isa.R11: 0xffffffff, isa.R12: 0xffffffff,
 	}
 	for r, v := range want {
-		if got := c.Reg(r); got != v {
+		if got := c.regs[r]; got != v {
 			t.Errorf("%v = %d, want %d", r, got, v)
 		}
 	}
@@ -69,7 +69,7 @@ func TestLoopAndFlags(t *testing.T) {
 		add r0, r0, r1 ; include the final 10
 		halt
 	`, Config{})
-	if got := c.Reg(isa.R0); got != 55 {
+	if got := c.regs[isa.R0]; got != 55 {
 		t.Errorf("sum = %d, want 55", got)
 	}
 }
@@ -81,7 +81,7 @@ func TestMemory(t *testing.T) {
 		ldr r1, [r10, #8]
 		halt
 	`, Config{})
-	if got := c.Reg(isa.R1); got != 1234 {
+	if got := c.regs[isa.R1]; got != 1234 {
 		t.Errorf("loaded %d, want 1234", got)
 	}
 }
@@ -91,7 +91,7 @@ func TestMemoryFaults(t *testing.T) {
 		"mov r0, #2\n ldr r1, [r0, #1]\n halt", // unaligned
 		"mvn r0, #0\n str r1, [r0, #0]\n halt", // out of range
 	} {
-		c := New(mustAssemble(t, src), Config{MemBytes: 4096})
+		c := New(mustAssemble(t, src), Config{})
 		if _, err := c.Run(100); err == nil {
 			t.Errorf("no fault for %q", src)
 		}
@@ -158,12 +158,12 @@ func TestIndirectJumpAndCall(t *testing.T) {
 	`)
 	sink := &CollectSink{TakenOnly: true}
 	c := New(prog, Config{Mode: ModeRTAD, Sink: sink})
-	c.SetReg(isa.R4, prog.Symbols["dest"])
-	c.SetReg(isa.R6, prog.Symbols["fin"])
+	c.regs[isa.R4] = prog.Symbols["dest"]
+	c.regs[isa.R6] = prog.Symbols["fin"]
 	if _, err := c.Run(100); err != nil {
 		t.Fatal(err)
 	}
-	if !c.Halted() {
+	if !c.halted {
 		t.Fatal("did not halt")
 	}
 	want := []Kind{KindIndCall, KindReturn, KindIndirect}
@@ -342,7 +342,7 @@ func TestRunBudget(t *testing.T) {
 	if n != 1000 {
 		t.Errorf("ran %d instructions, want 1000", n)
 	}
-	if c.Halted() {
+	if c.halted {
 		t.Error("infinite loop cannot halt")
 	}
 }
@@ -387,9 +387,9 @@ func TestInstrumentationCycleAccounting(t *testing.T) {
 	if got := c.InstrumentationCycles(); got != want {
 		t.Errorf("instrumentation cycles = %d, want %d", got, want)
 	}
-	if c.BranchCount(KindCall) != 20 || c.BranchCount(KindReturn) != 20 {
+	if c.kindCounts[KindCall] != 20 || c.kindCounts[KindReturn] != 20 {
 		t.Errorf("call/return counts = %d/%d, want 20/20",
-			c.BranchCount(KindCall), c.BranchCount(KindReturn))
+			c.kindCounts[KindCall], c.kindCounts[KindReturn])
 	}
 	st := c.Stats()
 	if st.InstrCycles != want {

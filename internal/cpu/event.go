@@ -91,8 +91,9 @@ type SinkFunc func(BranchEvent) int64
 // BranchRetired calls f.
 func (f SinkFunc) BranchRetired(ev BranchEvent) int64 { return f(ev) }
 
-// CollectSink is a Sink that records taken transfers into a slice, for tests
-// and offline trace collection (the training-data path of §III-C).
+// CollectSink is a Sink that records retired branches into a slice (taken
+// transfers only, with TakenOnly), for tests. Training records its normal
+// trace through attack.Pool instead.
 type CollectSink struct {
 	Events    []BranchEvent
 	TakenOnly bool

@@ -125,7 +125,7 @@ func FuzzCPUTiers(f *testing.F) {
 		}
 		chunked := func(c *CPU) (int64, error) {
 			var total int64
-			for total < budget && !c.Halted() {
+			for total < budget && !c.halted {
 				q := quantum
 				if rem := budget - total; q > rem {
 					q = rem

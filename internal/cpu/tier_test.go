@@ -104,7 +104,7 @@ func TestTierIdentityBranchy(t *testing.T) {
 		{"step-only", func(c *CPU) error { _, err := stepRun(c, 1<<20); return err }},
 		{"block-full", func(c *CPU) error { _, err := c.Run(1 << 20); return err }},
 		{"block-quantum-1", func(c *CPU) error {
-			for !c.Halted() {
+			for !c.halted {
 				if _, err := c.Run(1); err != nil {
 					return err
 				}
@@ -112,7 +112,7 @@ func TestTierIdentityBranchy(t *testing.T) {
 			return nil
 		}},
 		{"block-quantum-3", func(c *CPU) error {
-			for !c.Halted() {
+			for !c.halted {
 				if _, err := c.Run(3); err != nil {
 					return err
 				}
@@ -222,7 +222,7 @@ func TestQuantumEdgeInsideFusedPair(t *testing.T) {
 	}
 	c := New(prog, Config{Mode: ModeRTAD, Sink: &CollectSink{}})
 	var total int64
-	for !c.Halted() {
+	for !c.halted {
 		n, err := c.Run(1)
 		if err != nil {
 			t.Fatal(err)
@@ -297,7 +297,7 @@ func TestMismatchedCacheIgnored(t *testing.T) {
 	if _, err := c.Run(1 << 20); err != nil {
 		t.Fatal(err)
 	}
-	if !c.Halted() {
+	if !c.halted {
 		t.Fatal("program did not halt")
 	}
 }

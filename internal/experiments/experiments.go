@@ -10,7 +10,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"rtad/internal/core"
@@ -465,20 +464,6 @@ func MeanLatency(rows []Fig8Row, mlmiaow bool) sim.Time {
 		}
 	}
 	return sum / sim.Time(len(rows))
-}
-
-// LatencySpread reports min and max ML-MIAOW latencies of a row set, the
-// across-benchmark variability Fig 8 discusses.
-func LatencySpread(rows []Fig8Row) (lo, hi sim.Time) {
-	if len(rows) == 0 {
-		return 0, 0
-	}
-	lats := make([]sim.Time, len(rows))
-	for i, r := range rows {
-		lats[i] = r.MLMIAOW
-	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	return lats[0], lats[len(lats)-1]
 }
 
 // String renders the per-benchmark latency table.

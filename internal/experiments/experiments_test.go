@@ -182,14 +182,7 @@ func TestFig8RowHelpers(t *testing.T) {
 	if got := MeanLatency(rows, true); got != 50*sim.Microsecond {
 		t.Errorf("ML-MIAOW mean = %v", got)
 	}
-	lo, hi := LatencySpread(rows)
-	if lo != 30*sim.Microsecond || hi != 70*sim.Microsecond {
-		t.Errorf("spread = %v..%v", lo, hi)
-	}
 	if MeanLatency(nil, true) != 0 {
 		t.Error("empty mean not zero")
-	}
-	if lo, hi := LatencySpread(nil); lo != 0 || hi != 0 {
-		t.Error("empty spread not zero")
 	}
 }

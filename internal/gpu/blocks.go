@@ -158,9 +158,6 @@ func Blocks() []Block {
 	return out
 }
 
-// BlockInfo returns the table entry for id.
-func BlockInfo(id BlockID) Block { return blockTable[id] }
-
 // String names the block.
 func (id BlockID) String() string {
 	if id < NumBlocks {

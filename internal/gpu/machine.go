@@ -85,9 +85,6 @@ func (d *Device) SetTrim(keep CoverageSet) {
 	d.keep = &k
 }
 
-// Trimmed reports whether the device is a trimmed variant.
-func (d *Device) Trimmed() bool { return d.keep != nil }
-
 // WriteWords copies words into global memory at word address addr.
 func (d *Device) WriteWords(addr uint32, words []uint32) error {
 	if int(addr)+len(words) > len(d.Mem) {

@@ -168,16 +168,15 @@ type Config struct {
 	// inference engine's service rate can keep up (the conversion-table
 	// configuration knob of §III-A).
 	Stride int
-	// Clock is the IGM clock domain (defaults to sim.FabricClock).
-	Clock *sim.Clock
 	// Telemetry, when non-nil, records emitted vectors as instants on the
 	// fabric/igm track plus accept/filter/vector counters. Observation-only.
 	Telemetry *obs.Telemetry
 }
 
-// Pipeline latencies in IGM cycles. Decode is the TA unit latency; the
-// mapper and encoder stages give the two-cycle vector-generation figure the
-// paper reports for step (2) of Fig 7.
+// Pipeline latencies in IGM cycles of the fabric clock (sim.FabricClock).
+// Decode is the TA unit latency; the mapper and encoder stages give the
+// two-cycle vector-generation figure the paper reports for step (2) of
+// Fig 7.
 const (
 	taDecodeCycles  = 1
 	mapperCycles    = 1
@@ -234,12 +233,9 @@ func New(cfg Config) *IGM {
 	if cfg.Stride <= 0 {
 		cfg.Stride = 1
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = sim.FabricClock
-	}
 	g := &IGM{
 		cfg:  cfg,
-		defr: tpiu.NewDeframer(0),
+		defr: tpiu.NewDeframer(),
 		dec:  ptm.NewStreamDecoder(),
 		win:  make([]int32, cfg.Window),
 	}
@@ -262,7 +258,7 @@ func (g *IGM) FeedWord(w tpiu.TimedWord) {
 	}
 	// The four TA units decode the word's payload bytes in parallel; the
 	// results are valid one cycle after the word arrives.
-	decodeAt := w.At + g.cfg.Clock.Duration(taDecodeCycles)
+	decodeAt := w.At + sim.FabricClock.Duration(taDecodeCycles)
 	for _, b := range payload {
 		pkt, ok := g.dec.FeedByte(b)
 		if !ok {
@@ -298,7 +294,7 @@ func (g *IGM) p2s(decodeAt sim.Time) sim.Time {
 	if g.serFreeAt > at {
 		at = g.serFreeAt
 	}
-	g.serFreeAt = at + g.cfg.Clock.Period()
+	g.serFreeAt = at + sim.FabricClock.Period()
 	return at
 }
 
@@ -307,7 +303,7 @@ func (g *IGM) p2s(decodeAt sim.Time) sim.Time {
 func (g *IGM) admit(at sim.Time, addr uint32, class int32) {
 	g.stats.Accepted++
 	g.obsAccepted.Inc()
-	at += g.cfg.Clock.Duration(mapperCycles + vecEncodeCycles)
+	at += sim.FabricClock.Duration(mapperCycles + vecEncodeCycles)
 
 	if g.winN < g.cfg.Window {
 		// Fill phase: winHd stays 0 until the window first fills, so the
@@ -356,7 +352,7 @@ func (g *IGM) admit(at sim.Time, addr uint32, class int32) {
 // it for the frame's final word.
 func (g *IGM) FrameArrived(lastWordAt sim.Time) sim.Time {
 	g.stats.Words += tpiu.FrameBytes / 4
-	return lastWordAt + g.cfg.Clock.Duration(taDecodeCycles)
+	return lastWordAt + sim.FabricClock.Duration(taDecodeCycles)
 }
 
 // PacketDecoded accounts one non-branch packet (a-sync, i-sync, atoms, ...)

@@ -1,12 +1,14 @@
 // Package mcm implements RTAD's ML Computing Module (§III-B, Fig 3): the
 // block between IGM and ML-MIAOW. It contains the internal vector FIFO
 // (whose overflow under branch pressure is the 471.omnetpp effect of Fig 8),
-// the control FSM stepping through WAIT_INPUT → READ_INPUT → WRITE_INPUT →
-// WAIT_DONE → READ_RESULT, the TX engine that writes input vectors and
+// the control FSM of Fig 3, the TX engine that writes input vectors and
 // control registers into ML-MIAOW memory, the protocol converter that
 // adapts IGM class IDs to the model's input alphabet, the RX engine that
 // reads results back, and the interrupt manager that raises the host IRQ
-// on an anomaly verdict.
+// on an anomaly verdict. The FSM's WAIT_INPUT → READ_INPUT → WRITE_INPUT →
+// WAIT_DONE → READ_RESULT phases are the steps of Push, which times each
+// vector's whole pass in closed form, so the FSM's position is never
+// stored.
 package mcm
 
 import (
@@ -19,28 +21,6 @@ import (
 	"rtad/internal/sim"
 )
 
-// State enumerates the control FSM states of Fig 3.
-type State uint8
-
-// FSM states.
-const (
-	WaitInput State = iota
-	ReadInput
-	WriteInput
-	WaitDone
-	ReadResult
-)
-
-var stateNames = []string{"WAIT_INPUT", "READ_INPUT", "WRITE_INPUT", "WAIT_DONE", "READ_RESULT"}
-
-// String names the state.
-func (s State) String() string {
-	if int(s) < len(stateNames) {
-		return stateNames[s]
-	}
-	return fmt.Sprintf("state(%d)", uint8(s))
-}
-
 // Engine abstracts the inference engine running on ML-MIAOW. It is the
 // kernels.Backend contract: the cycle-accurate GPU engines, the native
 // fixed-point backend and the calibrated-timing backend all satisfy it,
@@ -48,7 +28,8 @@ func (s State) String() string {
 // bit-identical judgments and a cycle cost for the WAIT_DONE phase.
 type Engine = kernels.Backend
 
-// Config parameterises the module.
+// Config parameterises the module. The module runs on sim.FabricClock and
+// ML-MIAOW on sim.GPUClock.
 type Config struct {
 	Engine Engine
 	// Translate is the protocol converter: it maps an IGM class ID to the
@@ -65,9 +46,6 @@ type Config struct {
 	// where several models are deployed "at the user's disposal" (§II) on
 	// one MLPU. Pass the same *SharedEngine to every participating MCM.
 	Shared *SharedEngine
-	// Clock is the MCM fabric domain; GPUClock the ML-MIAOW domain.
-	Clock    *sim.Clock
-	GPUClock *sim.Clock
 	// Telemetry, when non-nil, records each vector's service as a span on
 	// the fabric/mcm track (start -> judgment done), FIFO depth as a
 	// counter series, and drop/anomaly counters. Observation-only.
@@ -140,7 +118,6 @@ type MCM struct {
 	startsHd    int
 	lastArrival sim.Time
 	stats       Stats
-	state       State
 	// winBuf is the protocol-conversion scratch window, reused across Push
 	// calls; engines copy their input immediately, so it never escapes.
 	winBuf []int32
@@ -170,12 +147,6 @@ func New(cfg Config) (*MCM, error) {
 	if cfg.FIFODepth <= 0 {
 		cfg.FIFODepth = DefaultFIFODepth
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = sim.FabricClock
-	}
-	if cfg.GPUClock == nil {
-		cfg.GPUClock = sim.GPUClock
-	}
 	if cfg.Bus == nil {
 		bus, err := axi.RTADTopology()
 		if err != nil {
@@ -183,7 +154,7 @@ func New(cfg Config) (*MCM, error) {
 		}
 		cfg.Bus = bus
 	}
-	m := &MCM{cfg: cfg, state: WaitInput}
+	m := &MCM{cfg: cfg}
 	if tel := cfg.Telemetry; tel != nil {
 		m.obsAccepted = tel.Counter("rtad_mcm_accepted_total")
 		m.obsDropped = tel.Counter("rtad_mcm_dropped_total")
@@ -207,9 +178,6 @@ func New(cfg Config) (*MCM, error) {
 	}
 	return m, nil
 }
-
-// State returns the FSM state as of the last Push (WaitInput when idle).
-func (m *MCM) State() State { return m.state }
 
 // Stats returns the aggregate counters.
 func (m *MCM) Stats() Stats { return m.stats }
@@ -284,27 +252,26 @@ func (m *MCM) Push(v igm.Vector) (Record, bool, error) {
 		window[i] = c
 	}
 
-	// FSM timeline: the vector starts when the engine frees up (including
-	// any other front-end sharing the compute engine).
-	clk := m.cfg.Clock
-	start := clk.NextEdge(v.At)
+	// FSM timeline. WAIT_INPUT: the vector starts when the engine frees up
+	// (including any other front-end sharing the compute engine).
+	// READ_INPUT pops it from the FIFO.
+	start := sim.FabricClock.NextEdge(v.At)
 	if m.freeAt > start {
 		start = m.freeAt
 	}
 	if m.cfg.Shared != nil && m.cfg.Shared.freeAt > start {
 		start = m.cfg.Shared.freeAt
 	}
-	m.state = ReadInput
-	t := start + clk.Duration(readInputCycles)
-	m.state = WriteInput
-	// TX engine: the input words plus the control/start registers go out
-	// as single-beat writes through the protocol converter.
+	t := start + sim.FabricClock.Duration(readInputCycles)
+	// WRITE_INPUT: the TX engine sends the input words plus the
+	// control/start registers as single-beat writes through the protocol
+	// converter.
 	t, err := m.cfg.Bus.SingleBeatSeries(axi.Write, t, axi.MLMIAOWBase, len(window)+ctrlWrites)
 	if err != nil {
 		return Record{}, false, fmt.Errorf("mcm: TX: %w", err)
 	}
 
-	m.state = WaitDone
+	// WAIT_DONE: the engine runs the model.
 	if m.fixed != nil {
 		if cycles, ok := m.fixed.FixedCost(); ok {
 			return m.pushDeferred(v, window, start, t, cycles)
@@ -314,9 +281,9 @@ func (m *MCM) Push(v igm.Vector) (Record, bool, error) {
 	if err != nil {
 		return Record{}, false, fmt.Errorf("mcm: inference: %w", err)
 	}
-	t += m.cfg.GPUClock.Duration(gpuCycles)
+	t += sim.GPUClock.Duration(gpuCycles)
 
-	m.state = ReadResult
+	// READ_RESULT: the RX engine reads the result words back.
 	t, err = m.cfg.Bus.SingleBeatSeries(axi.Read, t, axi.MLMIAOWBase+0x1000, resultWords)
 	if err != nil {
 		return Record{}, false, fmt.Errorf("mcm: RX: %w", err)
@@ -327,7 +294,7 @@ func (m *MCM) Push(v igm.Vector) (Record, bool, error) {
 		Judgment: j, GPUCycles: gpuCycles,
 	}
 	if j.Anomaly {
-		rec.IRQAt = t + clk.Duration(irqCycles)
+		rec.IRQAt = t + sim.FabricClock.Duration(irqCycles)
 		m.stats.Anomalies++
 		m.obsAnomalies.Inc()
 		if m.track != nil {
@@ -354,8 +321,7 @@ func (m *MCM) Push(v igm.Vector) (Record, bool, error) {
 // changes, which is what lets a serving batcher coalesce whole trace
 // chunks instead of parking every vector.
 func (m *MCM) pushDeferred(v igm.Vector, window []int32, start, t sim.Time, cycles int64) (Record, bool, error) {
-	t += m.cfg.GPUClock.Duration(cycles)
-	m.state = ReadResult
+	t += sim.GPUClock.Duration(cycles)
 	t, err := m.cfg.Bus.SingleBeatSeries(axi.Read, t, axi.MLMIAOWBase+0x1000, resultWords)
 	if err != nil {
 		return Record{}, false, fmt.Errorf("mcm: RX: %w", err)
@@ -388,7 +354,6 @@ func (m *MCM) finish(start, t sim.Time) {
 		m.starts = m.starts[:n]
 		m.startsHd = 0
 	}
-	m.state = WaitInput
 }
 
 // Settle judges every deferred vector queued since the last Settle in one
@@ -422,7 +387,7 @@ func (m *MCM) Complete(rec *Record, j kernels.Judgment) {
 	rec.Judgment = j
 	rec.Pending = false
 	if j.Anomaly {
-		rec.IRQAt = rec.Done + m.cfg.Clock.Duration(irqCycles)
+		rec.IRQAt = rec.Done + sim.FabricClock.Duration(irqCycles)
 		m.stats.Anomalies++
 		m.obsAnomalies.Inc()
 	}

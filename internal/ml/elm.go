@@ -2,7 +2,6 @@ package ml
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 )
@@ -157,30 +156,4 @@ func CalibrateThreshold(scores []float64, quantile, margin float64) float64 {
 		idx = len(sorted) - 1
 	}
 	return sorted[idx] + margin
-}
-
-// Perplexity reports exp(mean NLL) of the model's next-class predictions
-// over windows — the model-quality number used when comparing detectors
-// (lower is better; Vocab is the uninformed ceiling).
-func (m *ELM) Perplexity(windows [][]int32) float64 {
-	if len(windows) == 0 {
-		return 0
-	}
-	var nll float64
-	for _, w := range windows {
-		logits := m.Logits(w)
-		maxl := math.Inf(-1)
-		for _, v := range logits {
-			if v > maxl {
-				maxl = v
-			}
-		}
-		var z float64
-		for _, v := range logits {
-			z += math.Exp(v - maxl)
-		}
-		target := logits[w[m.Cfg.Window-1]]
-		nll += math.Log(z) + maxl - target
-	}
-	return math.Exp(nll / float64(len(windows)))
 }

@@ -1,7 +1,6 @@
 package ml
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 )
@@ -74,35 +73,5 @@ func TestMLPValidation(t *testing.T) {
 	cfg.Hidden = 0
 	if _, err := TrainMLP(cfg, bad, 2, 0.1); err == nil {
 		t.Error("bad config accepted")
-	}
-}
-
-func TestPerplexityOrdering(t *testing.T) {
-	cfg := DefaultELMConfig()
-	train := markovWindows(cfg.Vocab, cfg.Window, 2000, 71)
-	test := markovWindows(cfg.Vocab, cfg.Window, 400, 72)
-	m, err := TrainELM(cfg, train)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pp := m.Perplexity(test)
-	if pp <= 1 || pp >= float64(cfg.Vocab) {
-		t.Errorf("perplexity %.2f outside (1, vocab)", pp)
-	}
-	// Random windows must be more surprising than the chain.
-	rng := rand.New(rand.NewSource(4))
-	randW := make([][]int32, 400)
-	for i := range randW {
-		w := make([]int32, cfg.Window)
-		for j := range w {
-			w[j] = int32(rng.Intn(cfg.Vocab))
-		}
-		randW[i] = w
-	}
-	if rp := m.Perplexity(randW); rp <= pp {
-		t.Errorf("random perplexity %.2f not above normal %.2f", rp, pp)
-	}
-	if m.Perplexity(nil) != 0 {
-		t.Error("empty perplexity not zero")
 	}
 }

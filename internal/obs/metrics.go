@@ -172,15 +172,6 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	return out
 }
 
-// LinearBuckets returns n linear bucket bounds: start, start+step, ...
-func LinearBuckets(start, step float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*step
-	}
-	return out
-}
-
 // Registry holds named metrics. Registration takes a mutex; recording on
 // the returned metric handles is lock-free. A nil *Registry hands out nil
 // metric handles, so the whole instrumentation chain degrades to no-ops.

@@ -19,8 +19,8 @@ func TestNilSafety(t *testing.T) {
 	tel.Track("cpu", "core").Span("s", 0, 10, nil)
 	tel.Track("cpu", "core").Instant("i", 5, nil)
 	tel.Track("cpu", "core").Counter("depth", 5, 1)
-	if tel.Sub("lane/") != nil {
-		t.Fatalf("nil telemetry Sub should stay nil")
+	if tel.Lane("elm") != nil {
+		t.Fatalf("nil telemetry Lane should stay nil")
 	}
 	if got := tel.Counter("c").Value(); got != 0 {
 		t.Fatalf("nil counter value = %d", got)
@@ -135,12 +135,6 @@ func TestBucketHelpers(t *testing.T) {
 	for i, want := range []float64{0.5, 1, 2, 4} {
 		if exp[i] != want {
 			t.Fatalf("ExpBuckets[%d] = %v, want %v", i, exp[i], want)
-		}
-	}
-	lin := LinearBuckets(10, 5, 3)
-	for i, want := range []float64{10, 15, 20} {
-		if lin[i] != want {
-			t.Fatalf("LinearBuckets[%d] = %v, want %v", i, lin[i], want)
 		}
 	}
 }

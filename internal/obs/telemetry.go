@@ -29,20 +29,6 @@ func NewMetricsOnly() *Telemetry {
 	return &Telemetry{Reg: NewRegistry()}
 }
 
-// Sub derives a telemetry handle sharing this bundle's registry and tracer
-// but prefixing track names with prefix (e.g. "elm/"). Returns nil on a
-// nil receiver.
-func (t *Telemetry) Sub(prefix string) *Telemetry {
-	if t == nil {
-		return nil
-	}
-	return &Telemetry{
-		Reg: t.Reg, Tracer: t.Tracer,
-		trackPrefix:  t.trackPrefix + prefix,
-		metricSuffix: t.metricSuffix,
-	}
-}
-
 // Lane derives a per-lane handle: track names gain "name/" and metric names
 // gain "_name", so a dual ELM+LSTM session reports two distinct judgment
 // latency histograms over one registry. Returns nil on a nil receiver.

@@ -101,12 +101,12 @@ func TestTraceEventLimit(t *testing.T) {
 	}
 }
 
-// TestSubPrefix: lane-prefixed telemetry lands on distinct tracks of the
-// same tracer.
-func TestSubPrefix(t *testing.T) {
+// TestLanePrefix: lane telemetry lands on distinct tracks of the same
+// tracer and distinct metrics of the same registry.
+func TestLanePrefix(t *testing.T) {
 	tel := New()
-	a := tel.Sub("elm/").Track("fabric", "mcm")
-	b := tel.Sub("lstm/").Track("fabric", "mcm")
+	a := tel.Lane("elm").Track("fabric", "mcm")
+	b := tel.Lane("lstm").Track("fabric", "mcm")
 	if a == b {
 		t.Fatalf("prefixed tracks should differ")
 	}
@@ -122,7 +122,11 @@ func TestSubPrefix(t *testing.T) {
 			t.Fatalf("missing track %q in %v", n, names)
 		}
 	}
-	if tel.Sub("elm/").Reg != tel.Reg {
-		t.Fatalf("Sub must share the registry")
+	if tel.Lane("elm").Reg != tel.Reg {
+		t.Fatalf("Lane must share the registry")
+	}
+	tel.Lane("elm").Counter("rtad_judgments_total").Inc()
+	if got := tel.Reg.Counter("rtad_judgments_total_elm").Value(); got != 1 {
+		t.Fatalf("lane counter rtad_judgments_total_elm = %d, want 1", got)
 	}
 }

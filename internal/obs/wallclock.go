@@ -40,14 +40,6 @@ func (w *WallTracer) SetEventLimit(n int) {
 	w.tr.SetEventLimit(n)
 }
 
-// Epoch returns the tracer's zero point (zero time on a nil receiver).
-func (w *WallTracer) Epoch() time.Time {
-	if w == nil {
-		return time.Time{}
-	}
-	return w.epoch
-}
-
 // Events reports the number of recorded events (0 on a nil receiver).
 func (w *WallTracer) Events() int {
 	if w == nil {
@@ -109,20 +101,4 @@ func (wt *WallTrack) Since(name string, start time.Time, args map[string]any) {
 		return
 	}
 	wt.tk.Span(name, wt.toPS(start), wt.toPS(time.Now()), args)
-}
-
-// Instant records a point event at now. No-op on a nil receiver.
-func (wt *WallTrack) Instant(name string, args map[string]any) {
-	if wt == nil {
-		return
-	}
-	wt.tk.Instant(name, wt.toPS(time.Now()), args)
-}
-
-// Counter records a sampled series value at now. No-op on a nil receiver.
-func (wt *WallTrack) Counter(name string, value float64) {
-	if wt == nil {
-		return
-	}
-	wt.tk.Counter(name, wt.toPS(time.Now()), value)
 }

@@ -13,17 +13,12 @@ func TestWallTracerNilSafety(t *testing.T) {
 	if got := w.Events(); got != 0 {
 		t.Errorf("nil tracer Events = %d", got)
 	}
-	if !w.Epoch().IsZero() {
-		t.Error("nil tracer Epoch not zero")
-	}
 	tk := w.Track("d", "t")
 	if tk != nil {
 		t.Fatal("nil tracer returned a non-nil track")
 	}
 	tk.Span("s", time.Now(), time.Now(), nil)
 	tk.Since("s", time.Now(), nil)
-	tk.Instant("i", nil)
-	tk.Counter("c", 1)
 	var b strings.Builder
 	if err := w.WriteJSON(&b); err != nil {
 		t.Fatal(err)
@@ -35,15 +30,14 @@ func TestWallTracerNilSafety(t *testing.T) {
 
 func TestWallTracerSpans(t *testing.T) {
 	w := NewWallTracer()
-	epoch := w.Epoch()
+	epoch := w.epoch
 	tk := w.Track("serve", "s-1")
 	// Fixed instants relative to the epoch make the µs offsets exact.
 	tk.Span("admission", epoch.Add(10*time.Microsecond), epoch.Add(35*time.Microsecond),
 		map[string]any{"session": "s-1"})
-	tk.Instant("eos", nil)
-	// 3 = thread_name metadata (from Track) + span + instant.
-	if w.Events() != 3 {
-		t.Fatalf("Events = %d, want 3", w.Events())
+	// 2 = thread_name metadata (from Track) + span.
+	if w.Events() != 2 {
+		t.Fatalf("Events = %d, want 2", w.Events())
 	}
 
 	var b strings.Builder

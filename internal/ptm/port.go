@@ -13,55 +13,35 @@ type TimedByte struct {
 	B  byte
 }
 
-// PortConfig sizes the PTM output stage: the CPU-internal trace FIFO and
-// the formatter policy that holds bytes back until enough have accumulated.
-// That hold-back is the dominant component of RTAD's step-(1) latency in
-// Fig 7 — "PTM does not send the packets until enough packets are buffered
-// in the FIFO inside the ARM CPU".
+// PortConfig sizes the PTM output stage: the formatter policy that holds
+// bytes back until enough have accumulated. That hold-back is the dominant
+// component of RTAD's step-(1) latency in Fig 7 — "PTM does not send the
+// packets until enough packets are buffered in the FIFO inside the ARM
+// CPU". The port's width, queue and clock are the prototype's constants
+// (bytesPerCycle, queueBytes, sim.FabricClock).
 type PortConfig struct {
 	// DrainThreshold is the byte occupancy at which the formatter releases
 	// the buffered stream. Smaller values cut trace-visibility latency at
 	// the cost of more port transactions.
 	DrainThreshold int
-	// BytesPerCycle is the port width per fabric cycle: the TPIU-facing
-	// interface moves this many bytes each 125 MHz cycle (4 = 32-bit port).
-	BytesPerCycle int
-	// QueueBytes bounds how far the port's departure schedule may run
-	// ahead of the producer before the CPU stalls (sustained-bandwidth
-	// backpressure). Zero uses the default.
-	QueueBytes int
-	// Clock is the fabric clock driving the port (defaults to sim.FabricClock).
-	Clock *sim.Clock
 	// Telemetry, when non-nil, records release bursts as spans on the
 	// fabric/ptm track and keeps byte/release counters. Observation-only:
 	// timing and output are bit-identical either way.
 	Telemetry *obs.Telemetry
 }
 
-// Defaults matching the prototype configuration.
-const (
-	// DefaultDrainThreshold gives the ~2–3 µs trace-visibility latency of
-	// Fig 7's RTAD step (1) at typical branch rates.
-	DefaultDrainThreshold = 64
-	DefaultBytesPerCycle  = 4
-	DefaultQueueBytes     = 512
-)
+// DefaultDrainThreshold gives the ~2–3 µs trace-visibility latency of Fig
+// 7's RTAD step (1) at typical branch rates.
+const DefaultDrainThreshold = 64
 
-func (c PortConfig) withDefaults() PortConfig {
-	if c.DrainThreshold <= 0 {
-		c.DrainThreshold = DefaultDrainThreshold
-	}
-	if c.BytesPerCycle <= 0 {
-		c.BytesPerCycle = DefaultBytesPerCycle
-	}
-	if c.QueueBytes <= 0 {
-		c.QueueBytes = DefaultQueueBytes
-	}
-	if c.Clock == nil {
-		c.Clock = sim.FabricClock
-	}
-	return c
-}
+// The prototype's port: the TPIU-facing interface moves bytesPerCycle
+// bytes each 125 MHz fabric cycle (a 32-bit port), and its departure
+// schedule may run queueBytes ahead of the producer before the CPU stalls
+// (sustained-bandwidth backpressure).
+const (
+	bytesPerCycle = 4
+	queueBytes    = 512
+)
 
 // Port models the PTM output stage. Bytes pushed at simulated times are
 // buffered until the drain threshold is reached, then released onto the
@@ -76,17 +56,13 @@ func (c PortConfig) withDefaults() PortConfig {
 // schedule (Release) instead — same timing algebra, no per-byte values.
 // One port instance must stay in one mode.
 type Port struct {
-	cfg    PortConfig
-	buf    []byte
-	occ    int      // counted-mode occupancy (staged mode uses len(buf))
-	freeAt sim.Time // next fabric instant the port can emit a beat
-	// horizon is how far the departure schedule may run ahead of a push
-	// before the producer stalls: QueueBytes worth of beats.
-	horizon sim.Time
+	drainThreshold int
+	buf            []byte
+	occ            int      // counted-mode occupancy (staged mode uses len(buf))
+	freeAt         sim.Time // next fabric instant the port can emit a beat
 	// Out accumulates released bytes; callers consume it with TakeInto.
 	out []TimedByte
 
-	releases  int64
 	pushed    int64 // total bytes accepted into the hold-back buffer
 	maxOccupy int
 
@@ -109,11 +85,18 @@ type Release struct {
 	Step  sim.Time
 }
 
-// NewPort returns a port with cfg applied (zero fields take defaults).
+// horizon is how far the departure schedule may run ahead of a push before
+// the producer stalls: queueBytes worth of beats.
+var horizon = sim.FabricClock.Duration(queueBytes / bytesPerCycle)
+
+// NewPort returns a port with cfg applied (a zero DrainThreshold takes
+// DefaultDrainThreshold).
 func NewPort(cfg PortConfig) *Port {
-	p := &Port{cfg: cfg.withDefaults()}
-	p.horizon = p.cfg.Clock.Duration(int64(p.cfg.QueueBytes / p.cfg.BytesPerCycle))
-	if tel := p.cfg.Telemetry; tel != nil {
+	p := &Port{drainThreshold: cfg.DrainThreshold}
+	if p.drainThreshold <= 0 {
+		p.drainThreshold = DefaultDrainThreshold
+	}
+	if tel := cfg.Telemetry; tel != nil {
 		p.obsBytes = tel.Counter("rtad_ptm_bytes_total")
 		p.obsReleases = tel.Counter("rtad_ptm_releases_total")
 		p.obsStallPS = tel.Counter("rtad_ptm_backpressure_ps_total")
@@ -121,10 +104,6 @@ func NewPort(cfg PortConfig) *Port {
 	}
 	return p
 }
-
-// Occupancy returns bytes currently held back by the formatter (either
-// materialised or counted, depending on mode).
-func (p *Port) Occupancy() int { return len(p.buf) + p.occ }
 
 // StageName identifies the port in pipeline stage listings.
 func (p *Port) StageName() string { return "ptm" }
@@ -138,15 +117,9 @@ func (p *Port) QueueStats() sim.QueueStats {
 	return sim.QueueStats{Len: len(p.buf) + p.occ, MaxDepth: p.maxOccupy, Accepted: p.pushed}
 }
 
-// MaxOccupancy returns the high-water mark of the hold-back buffer.
-func (p *Port) MaxOccupancy() int { return p.maxOccupy }
-
-// Releases returns how many drain bursts the formatter has performed.
-func (p *Port) Releases() int64 { return p.releases }
-
 // Push buffers data produced at time at and returns how long (in simulated
 // time) the producer must stall because the port's departure schedule has
-// run more than QueueBytes ahead — the only backpressure path to the CPU.
+// run more than queueBytes ahead — the only backpressure path to the CPU.
 func (p *Port) Push(at sim.Time, data []byte) sim.Time {
 	p.buf = append(p.buf, data...)
 	p.pushed += int64(len(data))
@@ -154,12 +127,12 @@ func (p *Port) Push(at sim.Time, data []byte) sim.Time {
 	if len(p.buf) > p.maxOccupy {
 		p.maxOccupy = len(p.buf)
 	}
-	if len(p.buf) >= p.cfg.DrainThreshold {
+	if len(p.buf) >= p.drainThreshold {
 		p.release(at)
 	}
 	// Sustained-bandwidth backpressure: if the port is scheduled beyond
 	// the queue horizon, the producer waits for the excess.
-	if lag := p.freeAt - at - p.horizon; lag > 0 {
+	if lag := p.freeAt - at - horizon; lag > 0 {
 		p.obsStallPS.Add(int64(lag))
 		return lag
 	}
@@ -175,34 +148,33 @@ func (p *Port) Flush(at sim.Time) {
 }
 
 // schedule records one drain burst of n bytes requested at time at: it
-// advances the release counters and the departure horizon and emits the
+// advances the release counter and the departure horizon and emits the
 // telemetry span, returning the burst's arithmetic-progression schedule.
 // Shared by the staged and counted modes so both produce identical timing,
 // counters, and spans.
 func (p *Port) schedule(at sim.Time, n int) Release {
-	p.releases++
 	p.obsReleases.Inc()
-	start := p.cfg.Clock.NextEdge(at)
+	start := sim.FabricClock.NextEdge(at)
 	if start < p.freeAt {
 		start = p.freeAt
 	}
-	step := p.cfg.Clock.Period()
-	beats := (n + p.cfg.BytesPerCycle - 1) / p.cfg.BytesPerCycle
+	step := sim.FabricClock.Period()
+	beats := (n + bytesPerCycle - 1) / bytesPerCycle
 	end := start + sim.Time(beats)*step
 	if p.track != nil {
 		p.track.Span("release", int64(start), int64(end),
 			map[string]any{"bytes": n})
 	}
 	p.freeAt = end
-	return Release{Start: start, Bytes: n, Group: p.cfg.BytesPerCycle, Step: step}
+	return Release{Start: start, Bytes: n, Group: bytesPerCycle, Step: step}
 }
 
 // release schedules every buffered byte onto the port (staged mode).
 func (p *Port) release(at sim.Time) {
 	r := p.schedule(at, len(p.buf))
 	beat := r.Start
-	for i := 0; i < len(p.buf); i += p.cfg.BytesPerCycle {
-		end := i + p.cfg.BytesPerCycle
+	for i := 0; i < len(p.buf); i += bytesPerCycle {
+		end := i + bytesPerCycle
 		if end > len(p.buf) {
 			end = len(p.buf)
 		}
@@ -228,11 +200,11 @@ func (p *Port) PushCounted(at sim.Time, n int) (Release, sim.Time) {
 		p.maxOccupy = p.occ
 	}
 	var rel Release
-	if p.occ >= p.cfg.DrainThreshold {
+	if p.occ >= p.drainThreshold {
 		rel = p.schedule(at, p.occ)
 		p.occ = 0
 	}
-	if lag := p.freeAt - at - p.horizon; lag > 0 {
+	if lag := p.freeAt - at - horizon; lag > 0 {
 		p.obsStallPS.Add(int64(lag))
 		return rel, lag
 	}
@@ -275,7 +247,6 @@ type OverheadSink struct {
 	Enc  *Encoder
 	Port *Port
 
-	cpuClock  *sim.Clock
 	lastSyncs int64
 	encBuf    []byte // recycled per-event encode buffer (zero-alloc contract)
 }
@@ -284,15 +255,14 @@ type OverheadSink struct {
 // encoder plus default port.
 func NewOverheadSink(cfg Config, pcfg PortConfig) *OverheadSink {
 	return &OverheadSink{
-		Enc:      NewEncoder(cfg),
-		Port:     NewPort(pcfg),
-		cpuClock: sim.CPUClock,
+		Enc:  NewEncoder(cfg),
+		Port: NewPort(pcfg),
 	}
 }
 
 // BranchRetired implements cpu.Sink.
 func (s *OverheadSink) BranchRetired(ev cpu.BranchEvent) int64 {
-	at := s.cpuClock.Duration(ev.Cycle)
+	at := sim.CPUClock.Duration(ev.Cycle)
 	s.encBuf = s.Enc.EncodeInto(s.encBuf[:0], ev)
 	bytes := s.encBuf
 	var stall int64
@@ -302,7 +272,7 @@ func (s *OverheadSink) BranchRetired(ev cpu.BranchEvent) int64 {
 	}
 	if len(bytes) > 0 {
 		if lag := s.Port.Push(at, bytes); lag > 0 {
-			stall += s.cpuClock.CyclesCeil(lag)
+			stall += sim.CPUClock.CyclesCeil(lag)
 		}
 	}
 	return stall

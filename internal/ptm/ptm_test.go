@@ -404,14 +404,14 @@ func TestRandomEventsRoundTrip(t *testing.T) {
 }
 
 func TestPortThresholdHoldback(t *testing.T) {
-	port := NewPort(PortConfig{DrainThreshold: 16, BytesPerCycle: 4})
+	port := NewPort(PortConfig{DrainThreshold: 16})
 	at := sim.Time(1000 * sim.Nanosecond)
 	port.Push(at, make([]byte, 10))
 	if got := port.TakeInto(nil); len(got) != 0 {
 		t.Fatalf("released %d bytes below threshold", len(got))
 	}
-	if port.Occupancy() != 10 {
-		t.Errorf("occupancy = %d, want 10", port.Occupancy())
+	if n := port.QueueStats().Len; n != 10 {
+		t.Errorf("occupancy = %d, want 10", n)
 	}
 	port.Push(at+sim.Microsecond, make([]byte, 10))
 	out := port.TakeInto(nil)
@@ -429,8 +429,12 @@ func TestPortThresholdHoldback(t *testing.T) {
 	if out[3].At != first {
 		t.Errorf("bytes within a beat must share a timestamp")
 	}
-	if port.Releases() != 1 || port.Occupancy() != 0 {
-		t.Errorf("releases=%d occupancy=%d", port.Releases(), port.Occupancy())
+	// One release: the 20 bytes leave as five back-to-back beats.
+	if out[19].At != first+4*sim.FabricClock.Period() {
+		t.Errorf("last byte at %v, want the fifth beat after %v", out[19].At, first)
+	}
+	if n := port.QueueStats().Len; n != 0 {
+		t.Errorf("occupancy after release = %d", n)
 	}
 }
 
@@ -448,14 +452,16 @@ func TestPortFlush(t *testing.T) {
 }
 
 func TestPortBackpressure(t *testing.T) {
-	// A tiny queue plus a flood of bytes must stall the producer.
-	port := NewPort(PortConfig{DrainThreshold: 4, BytesPerCycle: 1, QueueBytes: 8})
-	var stalled sim.Time
-	for i := 0; i < 100; i++ {
-		stalled += port.Push(0, []byte{1, 2, 3, 4})
-	}
-	if stalled == 0 {
-		t.Error("no backpressure under sustained overload")
+	// A flood of bytes at one instant stalls the producer once the
+	// departure schedule runs more than queueBytes ahead of it: each push
+	// below releases one beat, so push i schedules the port to i beats.
+	port := NewPort(PortConfig{DrainThreshold: 4})
+	const free = queueBytes / bytesPerCycle
+	for i := 1; i <= 2*free; i++ {
+		stall := port.Push(0, []byte{1, 2, 3, 4})
+		if want := sim.FabricClock.Duration(int64(max(i-free, 0))); stall != want {
+			t.Fatalf("push %d stalled %v, want %v", i, stall, want)
+		}
 	}
 }
 
@@ -525,14 +531,15 @@ func TestOverflowAnywhereRecovers(t *testing.T) {
 func TestPortMaxOccupancyTracksHoldback(t *testing.T) {
 	port := NewPort(PortConfig{DrainThreshold: 100})
 	port.Push(0, make([]byte, 60))
-	if port.MaxOccupancy() != 60 {
-		t.Errorf("MaxOccupancy = %d, want 60", port.MaxOccupancy())
+	if qs := port.QueueStats(); qs.MaxDepth != 60 {
+		t.Errorf("MaxDepth = %d, want 60", qs.MaxDepth)
 	}
 	port.Push(0, make([]byte, 60)) // crosses threshold, releases
-	if port.Occupancy() != 0 {
+	qs := port.QueueStats()
+	if qs.Len != 0 {
 		t.Error("release did not empty the hold-back buffer")
 	}
-	if port.MaxOccupancy() != 120 {
-		t.Errorf("MaxOccupancy = %d, want 120", port.MaxOccupancy())
+	if qs.MaxDepth != 120 {
+		t.Errorf("MaxDepth = %d, want 120", qs.MaxDepth)
 	}
 }

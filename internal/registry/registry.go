@@ -115,13 +115,6 @@ func (v *Version) Key() string { return v.key }
 // Deployment returns the immutable trained deployment.
 func (v *Version) Deployment() *core.Deployment { return v.dep }
 
-// Meta returns the origin metadata recorded at registration.
-func (v *Version) Meta() Meta { return v.meta }
-
-// Fingerprint is the deployment's content identity (core.Fingerprint),
-// memoized at registration.
-func (v *Version) Fingerprint() uint64 { return v.fp }
-
 // model is the per-key lifecycle: the version history, the active version,
 // and at most one canary candidate with its traffic slice.
 type model struct {

@@ -95,7 +95,8 @@ func TestBatchedE2EBitIdentical(t *testing.T) {
 		go func(i int, s session) {
 			defer wg.Done()
 			label := fmt.Sprintf("client %d (%s, stride %d)", i, s.hello.Backend, s.hello.Stride)
-			c, err := Dial(addr, s.hello, nil)
+			var got []Judgment
+			c, err := Dial(addr, s.hello, collect(&got))
 			if err != nil {
 				errs[i] = err
 				return
@@ -116,7 +117,6 @@ func TestBatchedE2EBitIdentical(t *testing.T) {
 				errs[i] = err
 				return
 			}
-			got := c.Judgments()
 			if len(got) != len(s.want) {
 				errs[i] = fmt.Errorf("%s: judged %d, want %d", label, len(got), len(s.want))
 				return
@@ -167,12 +167,13 @@ func TestBatchedVsUnbatchedSoloClient(t *testing.T) {
 
 	run := func(opts []Option) []Judgment {
 		addr := startServer(t, opts, dep)
-		c, err := Dial(addr, Hello{Benchmark: fixBench, Model: "lstm", Backend: kernels.BackendNativeCalibrated}, nil)
+		var js []Judgment
+		c, err := Dial(addr, Hello{Benchmark: fixBench, Model: "lstm", Backend: kernels.BackendNativeCalibrated}, collect(&js))
 		if err != nil {
 			t.Fatal(err)
 		}
 		streamChunks(t, c, short, 8192)
-		return c.Judgments()
+		return js
 	}
 	unbatched := run(nil)
 	batched := run([]Option{WithBatching(50*time.Microsecond, 4)})
@@ -224,7 +225,7 @@ func TestDrainFlushesPartialBatches(t *testing.T) {
 			defer wg.Done()
 			c, err := Dial(addr, Hello{
 				Benchmark: fixBench, Model: "lstm", Backend: kernels.BackendNativeCalibrated, Attack: testAttack,
-			}, nil)
+			}, collect(&results[i].js))
 			if err != nil {
 				results[i].err = err
 				return
@@ -242,7 +243,6 @@ func TestDrainFlushesPartialBatches(t *testing.T) {
 			// Finish blocks: the session is parked in a batch that only a
 			// drain flush will release.
 			results[i].sum, results[i].err = c.Finish()
-			results[i].js = c.Judgments()
 		}(i)
 	}
 
@@ -403,13 +403,14 @@ func TestHelloStride(t *testing.T) {
 	addr := startServer(t, nil, dep)
 
 	run := func(stride int) (*Welcome, []Judgment) {
-		c, err := Dial(addr, Hello{Benchmark: fixBench, Model: "lstm", Stride: stride}, nil)
+		var js []Judgment
+		c, err := Dial(addr, Hello{Benchmark: fixBench, Model: "lstm", Stride: stride}, collect(&js))
 		if err != nil {
 			t.Fatal(err)
 		}
 		w := c.Welcome()
 		streamChunks(t, c, short, 8192)
-		return &w, c.Judgments()
+		return &w, js
 	}
 	wDefault, jDefault := run(0)
 	if wDefault.Stride != core.DefaultLSTMStride || wDefault.GapCycles != core.DefaultReplayGap ||

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 )
 
@@ -25,8 +24,6 @@ type Client struct {
 	ctx     context.Context
 
 	onJudgment func(Judgment)
-	mu         sync.Mutex
-	judgments  []Judgment
 
 	readerDone chan struct{}
 	sum        *Summary
@@ -55,9 +52,10 @@ func WithOpTimeout(d time.Duration) ClientOption {
 // Dial connects to an rtadd server, negotiates a session with hello
 // (hello.Proto defaults to Proto if empty), and starts receiving. A non-nil
 // onJudgment is called from the reader goroutine for every judgment as it
-// arrives; with nil, judgments accumulate and Judgments returns them after
-// Finish. A server rejection (busy, draining, bad hello) is returned as an
-// *ErrorMsg error.
+// arrives; with nil, judgments are read and discarded. Once Finish returns
+// the summary the reader goroutine is done, so what onJudgment recorded is
+// safe to read. A server rejection (busy, draining, bad hello) is returned
+// as an *ErrorMsg error.
 func Dial(addr string, hello Hello, onJudgment func(Judgment), opts ...ClientOption) (*Client, error) {
 	return DialContext(context.Background(), addr, hello, onJudgment, opts...)
 }
@@ -217,14 +215,6 @@ func (c *Client) Close() error {
 	return err
 }
 
-// Judgments returns the accumulated judgments (only populated when Dial was
-// given a nil onJudgment). Call after Finish for the complete stream.
-func (c *Client) Judgments() []Judgment {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.judgments
-}
-
 // waitReader waits briefly for the reader goroutine to surface a terminal
 // error (used to prefer the server's error frame over a local write error).
 func (c *Client) waitReader(d time.Duration) error {
@@ -262,10 +252,6 @@ func (c *Client) readLoop() {
 			}
 			if c.onJudgment != nil {
 				c.onJudgment(j)
-			} else {
-				c.mu.Lock()
-				c.judgments = append(c.judgments, j)
-				c.mu.Unlock()
 			}
 		case FrameSummary:
 			var sum Summary

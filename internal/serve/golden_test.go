@@ -70,15 +70,15 @@ func TestServedGoldenDigest(t *testing.T) {
 	const want = "cee02a1059c6a163c5acd72b3047ab394a4e0de5f821533969fa7e299d44e1d6"
 	dep, stream := fixtures(t)
 	addr := startServer(t, nil, dep)
+	var js []Judgment
 	c, err := Dial(addr, Hello{
 		Benchmark: fixBench, Model: "lstm", Backend: kernels.BackendNativeCalibrated,
 		Stride: 8, GapCycles: 100_000, Attack: testAttack,
-	}, nil)
+	}, collect(&js))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sum := streamChunks(t, c, stream[:len(stream)/16], 4096)
-	js := c.Judgments()
 	if len(js) == 0 || sum.Detection == nil {
 		t.Fatalf("%d judgments, detection %+v; lengthen the capture", len(js), sum.Detection)
 	}

@@ -41,14 +41,14 @@ func TestObservabilityIsObservationOnly(t *testing.T) {
 		}
 		done := make(chan error, 1)
 		go func() { done <- srv.Serve(ln) }()
+		var js []Judgment
 		c, err := Dial(ln.Addr().String(), Hello{
 			Benchmark: fixBench, Model: "lstm", Backend: kernels.BackendNativeCalibrated, Attack: testAttack,
-		}, nil)
+		}, collect(&js))
 		if err != nil {
 			t.Fatal(err)
 		}
 		streamChunks(t, c, short, 4096)
-		js := c.Judgments()
 		srv.Shutdown(10 * time.Second)
 		if err := <-done; err != nil {
 			t.Fatalf("Serve: %v", err)

@@ -115,7 +115,8 @@ func TestHotSwapUnderLoad(t *testing.T) {
 	key := depKey(fixBench, "lstm")
 
 	// Client 1 admitted on v1; stream the first half before the swap.
-	c1, err := Dial(addr, Hello{Benchmark: fixBench, Model: "lstm", Attack: testAttack}, nil)
+	var js1, js2 []Judgment
+	c1, err := Dial(addr, Hello{Benchmark: fixBench, Model: "lstm", Attack: testAttack}, collect(&js1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestHotSwapUnderLoad(t *testing.T) {
 	}
 
 	// Client 2 dials after the promote: new admissions land on v2.
-	c2, err := Dial(addr, Hello{Benchmark: fixBench, Model: "lstm", Attack: testAttack}, nil)
+	c2, err := Dial(addr, Hello{Benchmark: fixBench, Model: "lstm", Attack: testAttack}, collect(&js2))
 	if err != nil {
 		t.Fatalf("post-swap dial: %v", err)
 	}
@@ -195,8 +196,8 @@ func TestHotSwapUnderLoad(t *testing.T) {
 		}
 	}
 
-	compareJudgments(t, "in-flight session across the swap (v1)", c1.Judgments(), refA)
-	compareJudgments(t, "post-swap session (v2)", c2.Judgments(), refB)
+	compareJudgments(t, "in-flight session across the swap (v1)", js1, refA)
+	compareJudgments(t, "post-swap session (v2)", js2, refB)
 
 	if n := tel.Reg.Counter("rtad_serve_rejected_busy_total").Value() +
 		tel.Reg.Counter("rtad_serve_rejected_draining_total").Value(); n != 0 {
@@ -250,7 +251,8 @@ func TestCanaryShadowNeverLeaks(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c, err := Dial(addr, Hello{Benchmark: fixBench, Model: "lstm", Attack: testAttack}, nil)
+	var js []Judgment
+	c, err := Dial(addr, Hello{Benchmark: fixBench, Model: "lstm", Attack: testAttack}, collect(&js))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +260,7 @@ func TestCanaryShadowNeverLeaks(t *testing.T) {
 		t.Fatalf("canaried session admitted on version %d, want active version 1", got)
 	}
 	streamChunks(t, c, short, 4096)
-	compareJudgments(t, "canaried client vs active-only reference", c.Judgments(), refA)
+	compareJudgments(t, "canaried client vs active-only reference", js, refA)
 
 	// The candidate shadow-judged the whole stream: the tally matches what
 	// a v2-only run produces, and the baseline pairing covers the same

@@ -124,6 +124,13 @@ func referenceRun(t *testing.T, dep *core.Deployment, backend string, stride int
 	return out, res
 }
 
+// collect returns a Dial callback appending each judgment to *js. The
+// client's reader goroutine is its only caller, and it is done once Finish
+// returns the summary, so *js is complete and safe to read then.
+func collect(js *[]Judgment) func(Judgment) {
+	return func(j Judgment) { *js = append(*js, j) }
+}
+
 // streamChunks sends the trace in fixed-size chunks and finishes.
 func streamChunks(t *testing.T, c *Client, stream []byte, chunk int) *Summary {
 	t.Helper()
@@ -152,14 +159,14 @@ func TestE2EBitIdenticalAcrossBackends(t *testing.T) {
 	for _, backend := range []string{kernels.BackendGPU, kernels.BackendNativeCalibrated} {
 		t.Run(backend, func(t *testing.T) {
 			wantJ, wantRes := referenceRun(t, dep, backend, 0, 0, stream)
+			var gotJ []Judgment
 			c, err := Dial(addr, Hello{
 				Benchmark: fixBench, Model: "lstm", Backend: backend, Attack: testAttack,
-			}, nil)
+			}, collect(&gotJ))
 			if err != nil {
 				t.Fatal(err)
 			}
 			sum := streamChunks(t, c, stream, 4096)
-			gotJ := c.Judgments()
 
 			if len(gotJ) != len(wantJ) {
 				t.Fatalf("wire session judged %d vectors, in-process %d", len(gotJ), len(wantJ))
@@ -200,12 +207,13 @@ func TestChunkingInvariance(t *testing.T) {
 	addr := startServer(t, nil, dep)
 
 	run := func(chunk int) []Judgment {
-		c, err := Dial(addr, Hello{Benchmark: fixBench, Model: "lstm"}, nil)
+		var js []Judgment
+		c, err := Dial(addr, Hello{Benchmark: fixBench, Model: "lstm"}, collect(&js))
 		if err != nil {
 			t.Fatal(err)
 		}
 		streamChunks(t, c, short, chunk)
-		return c.Judgments()
+		return js
 	}
 	big := run(len(short))
 	tiny := run(37)
@@ -229,12 +237,12 @@ func TestConcurrentClients(t *testing.T) {
 	short := stream[:len(stream)/4]
 	addr := startServer(t, []Option{WithWorkers(4)}, dep)
 
-	ref, err := Dial(addr, Hello{Benchmark: fixBench, Model: "lstm"}, nil)
+	var want []Judgment
+	ref, err := Dial(addr, Hello{Benchmark: fixBench, Model: "lstm"}, collect(&want))
 	if err != nil {
 		t.Fatal(err)
 	}
 	streamChunks(t, ref, short, 8192)
-	want := ref.Judgments()
 	if len(want) == 0 {
 		t.Fatal("reference session judged nothing")
 	}
@@ -246,7 +254,8 @@ func TestConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c, err := Dial(addr, Hello{Benchmark: fixBench, Model: "lstm"}, nil)
+			var got []Judgment
+			c, err := Dial(addr, Hello{Benchmark: fixBench, Model: "lstm"}, collect(&got))
 			if err != nil {
 				errs[i] = err
 				return
@@ -266,7 +275,6 @@ func TestConcurrentClients(t *testing.T) {
 				errs[i] = err
 				return
 			}
-			got := c.Judgments()
 			if len(got) != len(want) {
 				errs[i] = fmt.Errorf("client %d judged %d, want %d", i, len(got), len(want))
 				return
@@ -362,7 +370,8 @@ func TestGracefulShutdown(t *testing.T) {
 	go func() { serveDone <- srv.Serve(ln) }()
 	addr := ln.Addr().String()
 
-	c, err := Dial(addr, Hello{Benchmark: fixBench, Model: "lstm"}, nil)
+	var js []Judgment
+	c, err := Dial(addr, Hello{Benchmark: fixBench, Model: "lstm"}, collect(&js))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +411,7 @@ func TestGracefulShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatalf("in-flight session did not drain cleanly: %v", err)
 	}
-	if sum.Events == 0 || len(c.Judgments()) == 0 {
+	if sum.Events == 0 || len(js) == 0 {
 		t.Fatalf("drained session summary is empty: %+v", sum)
 	}
 
@@ -450,12 +459,13 @@ func TestHelloRejections(t *testing.T) {
 			}
 		})
 	}
-	c, err := Dial(addr, lstm(Hello{}), nil)
+	var js []Judgment
+	c, err := Dial(addr, lstm(Hello{}), collect(&js))
 	if err != nil {
 		t.Fatalf("normal hello after the rejections: %v", err)
 	}
 	streamChunks(t, c, stream[:len(stream)/16], 8192)
-	if len(c.Judgments()) == 0 {
+	if len(js) == 0 {
 		t.Fatal("normal session after the rejections judged nothing")
 	}
 }
@@ -480,7 +490,8 @@ func TestServeMetrics(t *testing.T) {
 	tel := obs.NewMetricsOnly()
 	addr := startServer(t, []Option{WithTelemetry(tel)}, dep)
 
-	c, err := Dial(addr, Hello{Benchmark: fixBench, Model: "lstm"}, nil)
+	var js []Judgment
+	c, err := Dial(addr, Hello{Benchmark: fixBench, Model: "lstm"}, collect(&js))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,7 +503,26 @@ func TestServeMetrics(t *testing.T) {
 	if got := tel.Reg.Counter("rtad_serve_bytes_in_total").Value(); got != int64(len(short)) {
 		t.Errorf("bytes_in_total = %d, want %d", got, len(short))
 	}
-	if got := tel.Reg.Counter("rtad_serve_judgments_total").Value(); got != int64(len(c.Judgments())) {
-		t.Errorf("judgments_total = %d, want %d", got, len(c.Judgments()))
+	if got := tel.Reg.Counter("rtad_serve_judgments_total").Value(); got != int64(len(js)) {
+		t.Errorf("judgments_total = %d, want %d", got, len(js))
+	}
+}
+
+// TestEmptySessionNilCallback: a client that dials with a nil onJudgment
+// and finishes without sending a byte, as a warm-up session does, gets the
+// summary of an empty session.
+func TestEmptySessionNilCallback(t *testing.T) {
+	dep, _ := fixtures(t)
+	addr := startServer(t, nil, dep)
+	c, err := Dial(addr, Hello{Benchmark: fixBench, Model: "lstm"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := c.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *sum != (Summary{}) {
+		t.Errorf("empty session summary = %+v, want all zero", *sum)
 	}
 }

@@ -6,10 +6,7 @@
 // in closed form from cycle counts and its inputs' timestamps.
 package sim
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Time is a simulated instant or duration in picoseconds. Picosecond
 // resolution lets every clock period used by the prototype (4 ns, 8 ns,
@@ -29,12 +26,6 @@ const (
 // Microseconds reports t as a floating-point microsecond count, the unit the
 // paper uses for every latency figure.
 func (t Time) Microseconds() float64 { return float64(t) / float64(Microsecond) }
-
-// Nanoseconds reports t as a floating-point nanosecond count.
-func (t Time) Nanoseconds() float64 { return float64(t) / float64(Nanosecond) }
-
-// Std converts t to a time.Duration (nanosecond resolution, rounding down).
-func (t Time) Std() time.Duration { return time.Duration(t / Nanosecond) }
 
 // String formats t with an auto-selected unit, e.g. "3.62us" or "16ns".
 func (t Time) String() string {
@@ -88,17 +79,11 @@ var (
 	GPUClock = NewClock("gpu", 50_000_000)
 )
 
-// Name returns the domain name.
-func (c *Clock) Name() string { return c.name }
-
 // Period returns the exact clock period.
 func (c *Clock) Period() Time { return c.period }
 
 // Duration converts a cycle count in this domain to simulated time.
 func (c *Clock) Duration(cycles int64) Time { return Time(cycles) * c.period }
-
-// Cycles reports how many full periods of this clock fit in d.
-func (c *Clock) Cycles(d Time) int64 { return int64(d / c.period) }
 
 // CyclesCeil reports the number of periods needed to cover d completely,
 // i.e. the cycle count a synchronous circuit needs to wait at least d.

@@ -101,7 +101,7 @@ func Run(events []cpu.BranchEvent, cfg Config) (*Result, error) {
 		clk:      sim.FabricClock,
 		enc:      ptm.NewEncoder(ptm.Config{BranchBroadcast: true}),
 		events:   events,
-		deframer: tpiu.NewDeframer(0),
+		deframer: tpiu.NewDeframer(),
 		dec:      ptm.NewStreamDecoder(),
 	}
 	// Start at the first event's fabric edge.

@@ -44,7 +44,7 @@ func TestDeframerFeedZeroAlloc(t *testing.T) {
 		t.Fatalf("expected one frame (%d words), got %d", FrameBytes/4, len(words))
 	}
 
-	d := NewDeframer(0)
+	d := NewDeframer()
 	i := 0
 	var payloads int
 	allocs := testing.AllocsPerRun(200, func() {
@@ -79,7 +79,7 @@ func TestDeframerFeedPayloadReuse(t *testing.T) {
 		}
 		return ws
 	}
-	d := NewDeframer(0)
+	d := NewDeframer()
 	var first []byte
 	for _, w := range mkFrame(0xAA) {
 		if got := d.Feed(w); len(got) > 0 {

@@ -27,7 +27,9 @@ const FrameBytes = 16
 // PayloadBytes is the usable trace capacity per frame.
 const PayloadBytes = FrameBytes - 2
 
-// DefaultSourceID is the ATID the RTAD driver assigns to the PTM.
+// DefaultSourceID is the ATID the RTAD driver assigns to the PTM, the
+// port's only trace source: every formatter stamps it and every deframer
+// expects it.
 const DefaultSourceID byte = 0x41
 
 // TimedWord is one 32-bit beat on the trace port with its emission time.
@@ -36,10 +38,9 @@ type TimedWord struct {
 	W  uint32
 }
 
-// Config parameterises the formatter.
+// Config parameterises the formatter. The port runs on sim.FabricClock
+// and stamps DefaultSourceID.
 type Config struct {
-	SourceID byte
-	Clock    *sim.Clock // port clock; defaults to sim.FabricClock
 	// Telemetry, when non-nil, records emitted frames as spans on the
 	// fabric/tpiu track plus frame/byte counters. Observation-only.
 	Telemetry *obs.Telemetry
@@ -56,14 +57,12 @@ type Config struct {
 // FrameEmit — same timing algebra, no frame bytes or port words. One
 // formatter instance must stay in one mode.
 type Formatter struct {
-	cfg    Config
 	buf    []byte
 	cnt    int      // counted-mode buffered bytes (staged mode uses len(buf))
 	bufAt  sim.Time // time the most recent buffered byte arrived
 	freeAt sim.Time // next instant the output port is free
 	out    []TimedWord
 
-	frames int64
 	pushed int64 // total trace bytes accepted into the frame buffer
 	maxBuf int
 
@@ -83,13 +82,7 @@ type FrameEmit struct {
 
 // NewFormatter returns a formatter with cfg applied.
 func NewFormatter(cfg Config) *Formatter {
-	if cfg.SourceID == 0 {
-		cfg.SourceID = DefaultSourceID
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = sim.FabricClock
-	}
-	f := &Formatter{cfg: cfg}
+	f := &Formatter{}
 	if tel := cfg.Telemetry; tel != nil {
 		f.obsFrames = tel.Counter("rtad_tpiu_frames_total")
 		f.obsBytes = tel.Counter("rtad_tpiu_bytes_total")
@@ -97,13 +90,6 @@ func NewFormatter(cfg Config) *Formatter {
 	}
 	return f
 }
-
-// Frames reports how many frames have been emitted.
-func (f *Formatter) Frames() int64 { return f.frames }
-
-// Buffered reports bytes waiting for a frame boundary (materialised or
-// counted, depending on mode).
-func (f *Formatter) Buffered() int { return len(f.buf) + f.cnt }
 
 // StageName identifies the formatter in pipeline stage listings.
 func (f *Formatter) StageName() string { return "tpiu" }
@@ -153,12 +139,12 @@ func (f *Formatter) emit() {
 		n = PayloadBytes
 	}
 	var frame [FrameBytes]byte
-	frame[0] = f.cfg.SourceID
+	frame[0] = DefaultSourceID
 	copy(frame[1:1+n], f.buf[:n])
 	frame[FrameBytes-1] = byte(n)
 	f.buf = f.buf[:copy(f.buf, f.buf[n:])]
 
-	beat := f.cfg.Clock.NextEdge(f.bufAt)
+	beat := sim.FabricClock.NextEdge(f.bufAt)
 	if beat < f.freeAt {
 		beat = f.freeAt
 	}
@@ -167,7 +153,7 @@ func (f *Formatter) emit() {
 		w := uint32(frame[i]) | uint32(frame[i+1])<<8 |
 			uint32(frame[i+2])<<16 | uint32(frame[i+3])<<24
 		f.out = append(f.out, TimedWord{At: beat, W: w})
-		beat += f.cfg.Clock.Period()
+		beat += sim.FabricClock.Period()
 	}
 	if f.track != nil {
 		f.track.Span("frame", int64(emitStart), int64(beat),
@@ -175,7 +161,6 @@ func (f *Formatter) emit() {
 	}
 	f.obsFrames.Inc()
 	f.freeAt = beat
-	f.frames++
 
 	if len(f.buf) >= PayloadBytes {
 		f.emit()
@@ -242,11 +227,11 @@ func (f *Formatter) FlushCounted(at sim.Time) (FrameEmit, bool) {
 // mirroring emit's beat selection, telemetry, and counters without
 // materialising the words.
 func (f *Formatter) emitCounted(n int) FrameEmit {
-	beat := f.cfg.Clock.NextEdge(f.bufAt)
+	beat := sim.FabricClock.NextEdge(f.bufAt)
 	if beat < f.freeAt {
 		beat = f.freeAt
 	}
-	period := f.cfg.Clock.Period()
+	period := sim.FabricClock.Period()
 	end := beat + sim.Time(FrameBytes/4)*period
 	if f.track != nil {
 		f.track.Span("frame", int64(beat), int64(end),
@@ -254,7 +239,6 @@ func (f *Formatter) emitCounted(n int) FrameEmit {
 	}
 	f.obsFrames.Inc()
 	f.freeAt = end
-	f.frames++
 	return FrameEmit{LastWordAt: end - period, Payload: n}
 }
 
@@ -274,19 +258,13 @@ type Deframer struct {
 	frame [FrameBytes]byte
 	nbuf  int
 
-	// BadFrames counts frames whose source ID did not match.
+	// BadFrames counts frames whose source ID is not DefaultSourceID or
+	// whose payload count is out of range.
 	BadFrames int64
-	expectID  byte
 }
 
-// NewDeframer returns a deframer accepting frames from sourceID (0 means
-// DefaultSourceID).
-func NewDeframer(sourceID byte) *Deframer {
-	if sourceID == 0 {
-		sourceID = DefaultSourceID
-	}
-	return &Deframer{expectID: sourceID}
-}
+// NewDeframer returns a deframer accepting frames from DefaultSourceID.
+func NewDeframer() *Deframer { return &Deframer{} }
 
 // Feed consumes one 32-bit port word and returns any completed frame's
 // payload bytes.
@@ -304,7 +282,7 @@ func (d *Deframer) Feed(w uint32) []byte {
 		return nil
 	}
 	d.nbuf = 0
-	if d.frame[0] != d.expectID {
+	if d.frame[0] != DefaultSourceID {
 		d.BadFrames++
 		return nil
 	}

@@ -13,7 +13,7 @@ import (
 
 func TestFrameRoundTrip(t *testing.T) {
 	f := NewFormatter(Config{})
-	d := NewDeframer(0)
+	d := NewDeframer()
 	payload := make([]byte, 100)
 	for i := range payload {
 		payload[i] = byte(i * 7)
@@ -22,8 +22,9 @@ func TestFrameRoundTrip(t *testing.T) {
 		f.Push(sim.Time(i)*sim.Nanosecond, b)
 	}
 	f.Flush(sim.Microsecond)
+	words := f.TakeInto(nil)
 	var got []byte
-	for _, w := range f.TakeInto(nil) {
+	for _, w := range words {
 		got = append(got, d.Feed(w.W)...)
 	}
 	if !bytes.Equal(got, payload) {
@@ -33,8 +34,8 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Errorf("BadFrames = %d", d.BadFrames)
 	}
 	wantFrames := (len(payload) + PayloadBytes - 1) / PayloadBytes
-	if f.Frames() != int64(wantFrames) {
-		t.Errorf("Frames = %d, want %d", f.Frames(), wantFrames)
+	if len(words) != wantFrames*FrameBytes/4 {
+		t.Errorf("%d words, want %d frames of %d", len(words), wantFrames, FrameBytes/4)
 	}
 }
 
@@ -46,8 +47,8 @@ func TestPartialFrameNeedsFlush(t *testing.T) {
 	if len(f.TakeInto(nil)) != 0 {
 		t.Fatal("partial frame emitted without flush")
 	}
-	if f.Buffered() != PayloadBytes-1 {
-		t.Errorf("Buffered = %d", f.Buffered())
+	if n := f.QueueStats().Len; n != PayloadBytes-1 {
+		t.Errorf("buffered = %d", n)
 	}
 	f.Flush(0)
 	words := f.TakeInto(nil)
@@ -84,30 +85,33 @@ func TestWordTiming(t *testing.T) {
 	}
 }
 
-func TestDeframerRejectsWrongSource(t *testing.T) {
-	f := NewFormatter(Config{SourceID: 0x41})
-	d := NewDeframer(0x42)
-	for i := 0; i < PayloadBytes; i++ {
-		f.Push(0, 1)
-	}
+// feedFrame hands one hand-built frame to d as four port words and returns
+// the payload it yields.
+func feedFrame(d *Deframer, frame [FrameBytes]byte) []byte {
 	var got []byte
-	for _, w := range f.TakeInto(nil) {
-		got = append(got, d.Feed(w.W)...)
+	for i := 0; i < FrameBytes; i += 4 {
+		w := uint32(frame[i]) | uint32(frame[i+1])<<8 | uint32(frame[i+2])<<16 | uint32(frame[i+3])<<24
+		got = append(got, d.Feed(w)...)
 	}
-	if len(got) != 0 || d.BadFrames != 1 {
+	return got
+}
+
+func TestDeframerRejectsWrongSource(t *testing.T) {
+	d := NewDeframer()
+	var frame [FrameBytes]byte
+	frame[0] = DefaultSourceID + 1
+	frame[FrameBytes-1] = 1
+	if got := feedFrame(d, frame); len(got) != 0 || d.BadFrames != 1 {
 		t.Errorf("wrong-source frame accepted: %d bytes, bad=%d", len(got), d.BadFrames)
 	}
 }
 
 func TestDeframerRejectsBadCount(t *testing.T) {
-	d := NewDeframer(0)
+	d := NewDeframer()
 	var frame [FrameBytes]byte
 	frame[0] = DefaultSourceID
 	frame[FrameBytes-1] = PayloadBytes + 1 // invalid
-	for i := 0; i < FrameBytes; i += 4 {
-		w := uint32(frame[i]) | uint32(frame[i+1])<<8 | uint32(frame[i+2])<<16 | uint32(frame[i+3])<<24
-		d.Feed(w)
-	}
+	feedFrame(d, frame)
 	if d.BadFrames != 1 {
 		t.Errorf("BadFrames = %d, want 1", d.BadFrames)
 	}
@@ -117,7 +121,7 @@ func TestDeframerRejectsBadCount(t *testing.T) {
 func TestFormatterDeframerProperty(t *testing.T) {
 	prop := func(payload []byte) bool {
 		f := NewFormatter(Config{})
-		d := NewDeframer(0)
+		d := NewDeframer()
 		for i, b := range payload {
 			f.Push(sim.Time(i), b)
 		}
@@ -139,7 +143,7 @@ func TestCoreSightPathEndToEnd(t *testing.T) {
 	enc := ptm.NewEncoder(ptm.Config{BranchBroadcast: true, SyncEvery: 32})
 	port := ptm.NewPort(ptm.PortConfig{DrainThreshold: 64})
 	fmtr := NewFormatter(Config{})
-	defr := NewDeframer(0)
+	defr := NewDeframer()
 	dec := ptm.NewStreamDecoder()
 
 	r := rand.New(rand.NewSource(5))

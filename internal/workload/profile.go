@@ -113,9 +113,6 @@ func shortName(full string) string {
 	return full
 }
 
-// Short returns the profile name without the SPEC number prefix.
-func (p Profile) Short() string { return shortName(p.Name) }
-
 // String implements fmt.Stringer.
 func (p Profile) String() string {
 	return fmt.Sprintf("%s{funcs=%d blockALU=%v svcInt=%d}", p.Name, p.Funcs, p.BlockALU, p.SyscallInterval)

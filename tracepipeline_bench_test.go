@@ -1,18 +1,17 @@
 // Trace-pipeline microbenchmarks: the fused analytic PTM→TPIU→IGM fast
-// path introduced alongside the staged byte/word reference, stage by stage
-// and end to end. Like frontend_bench_test.go, every benchmark asserts its
+// path introduced alongside the staged byte/word reference, stage by
+// stage. Like frontend_bench_test.go, every benchmark asserts its
 // steady-state allocation contract (0 allocs/op) before the timed loop, so
 // the CI perf-smoke job's -benchtime 1x pass catches a regression on the
 // per-branch hot path — including the Fig 6 OverheadSink collection path.
 //
-// The ChainFused/ChainStaged pair measures the same per-branch work on both
-// trace paths; their ns/op ratio is the fused path's per-branch speedup.
+// The whole chain, on both trace paths, is measured by internal/core's
+// BenchmarkTracePipelineChainFused and BenchmarkTracePipelineChainStaged.
 package rtad
 
 import (
 	"testing"
 
-	"rtad/internal/core"
 	"rtad/internal/cpu"
 	"rtad/internal/igm"
 	"rtad/internal/ptm"
@@ -101,58 +100,6 @@ func BenchmarkTracePipelineIGM(b *testing.B) {
 		frame()
 	}
 }
-
-// chainBench drives core.Pipeline.BranchRetired with mapper-filtered targets
-// (the common case) on one trace path, asserting the per-branch zero-alloc
-// contract before timing. The targets cycle through every compressed
-// branch-packet length, 1 to 5 address bytes.
-func chainBench(b *testing.B, staged bool) {
-	dep := lstmDeployment(b)
-	p, err := core.NewPipeline(dep, core.PipelineConfig{
-		CUs: 5, Stride: 256, Backend: "native-calibrated", StagedTrace: staged,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	filtered := cycleTargets(0xDEAD0000)
-	for _, t := range filtered {
-		if _, ok := dep.Mapper.Lookup(t); ok {
-			b.Fatalf("benchmark target %#x is mapped", t)
-		}
-	}
-	ev := cpu.BranchEvent{PC: 0x8000, Kind: cpu.KindDirect, Taken: true}
-	next := 0
-	branch := func() {
-		ev.Cycle += 20
-		ev.Target = filtered[next]
-		if next++; next == len(filtered) {
-			next = 0
-		}
-		p.BranchRetired(ev)
-	}
-	for i := 0; i < 20000; i++ { // warm-up: settle every stage buffer
-		branch()
-	}
-	assertZeroAlloc(b, "BranchRetired(filtered)", branch)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		branch()
-	}
-	if p.Err() != nil {
-		b.Fatal(p.Err())
-	}
-}
-
-// BenchmarkTracePipelineChainFused is the whole per-branch front-end on the
-// fused analytic path (the default): counted encoder → counted port
-// → counted formatter → IGM direct delivery.
-func BenchmarkTracePipelineChainFused(b *testing.B) { chainBench(b, false) }
-
-// BenchmarkTracePipelineChainStaged is the same stream on the staged
-// byte/word reference path: per-byte port release → byte-at-a-time framing →
-// word deframing → packet re-decode.
-func BenchmarkTracePipelineChainStaged(b *testing.B) { chainBench(b, true) }
 
 // BenchmarkTracePipelineOverheadSink measures the Fig 6 collection path:
 // OverheadSink.BranchRetired (recycled EncodeInto buffer, counted stall
