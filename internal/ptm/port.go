@@ -45,7 +45,7 @@ const (
 
 // Port models the PTM output stage. Bytes pushed at simulated times are
 // buffered until the drain threshold is reached, then released onto the
-// port at the configured width, one beat per fabric cycle. Released bytes
+// port bytesPerCycle at a time, one beat per fabric cycle. Released bytes
 // appear on the Out slice with their departure times.
 //
 // The port runs in one of two modes, chosen by which Push family the
