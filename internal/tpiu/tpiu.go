@@ -27,9 +27,8 @@ const FrameBytes = 16
 // PayloadBytes is the usable trace capacity per frame.
 const PayloadBytes = FrameBytes - 2
 
-// DefaultSourceID is the ATID the RTAD driver assigns to the PTM, the
-// port's only trace source: every formatter stamps it and every deframer
-// expects it.
+// DefaultSourceID is the ATID assigned to the PTM, the port's only trace
+// source: every formatter stamps it and every deframer expects it.
 const DefaultSourceID byte = 0x41
 
 // TimedWord is one 32-bit beat on the trace port with its emission time.
