@@ -8,9 +8,9 @@ import "rtad/internal/sim"
 // LSTM *simultaneously* against one victim: both models' images are
 // resident in ML-MIAOW memory, each has its own IGM vector-generation
 // context (window, stride, mapper table), and their MCM front-ends
-// time-multiplex the one compute engine and share the SoC interconnect —
-// so syscall-window judgments contend with branch-window judgments exactly
-// as they would on the prototype. The wiring lives in openDual (open.go)
+// time-multiplex the one compute engine — so syscall-window judgments
+// contend with branch-window judgments exactly as they would on the
+// prototype. The wiring lives in openDual (open.go)
 // and Session.DetectDual runs one to completion.
 
 // DualResult pairs the two models' detection results from one victim run.

@@ -4,6 +4,8 @@ import (
 	"fmt"
 
 	"rtad/internal/cpu"
+	"rtad/internal/igm"
+	"rtad/internal/mcm"
 	"rtad/internal/ptm"
 	"rtad/internal/sim"
 	"rtad/internal/workload"
@@ -34,7 +36,7 @@ func MeasureOverhead(p workload.Profile, mode cpu.Mode, instr int64) (OverheadRe
 	var sink cpu.Sink
 	if mode == cpu.ModeRTAD {
 		// The RTAD path's only host cost is the CoreSight port.
-		sink = ptm.NewOverheadSink(ptm.Config{BranchBroadcast: true}, ptm.PortConfig{})
+		sink = ptm.NewOverheadSink()
 	}
 	run := cpu.New(prog, cpu.Config{Mode: mode, Sink: sink})
 	if _, err := run.Run(instr); err != nil {
@@ -61,7 +63,7 @@ type TransferBreakdown struct {
 	// software loop's table lookups).
 	Vectorize sim.Time
 	// Write: delivery into ML-MIAOW memory (MCM TX engine vs a CPU-driven
-	// uncached AXI copy).
+	// uncached copy).
 	Write sim.Time
 }
 
@@ -72,14 +74,14 @@ func (t TransferBreakdown) Total() sim.Time { return t.Read + t.Vectorize + t.Wr
 // the units the work actually happens in. The host reads each trace word
 // from the instrumentation buffer and unpacks it; vectorisation hashes each
 // element against the relevant-branch table; the copy is a CPU-driven
-// uncached write sequence across the NIC-301 into peripheral memory, paced
-// by the 125 MHz fabric.
+// uncached write sequence into peripheral memory, paced by the 125 MHz
+// fabric.
 const (
 	swReadCyclesPerElem = 16  // CPU cycles: load + unpack per element
 	swReadFixedCycles   = 100 // syscall into the collector, buffer check
 	swVecCyclesPerElem  = 110 // CPU cycles: hash, table probe, encode
 	swVecFixedCycles    = 80
-	swCopyFabricPerWord = 85 // uncached single-beat AXI write, incl. driver
+	swCopyFabricPerWord = 85 // uncached single-beat write, incl. driver
 	swCopyFabricFixed   = 80 // mapping + completion check
 )
 
@@ -93,15 +95,12 @@ func SWTransfer(n int) TransferBreakdown {
 	}
 }
 
-// ivgLatency is IGM's mapper+encoder latency (2 fabric cycles = 16 ns).
-const ivgCycles = 2
-
 // MeasureRTADTransfer runs the deployment's pipeline on a normal window of
 // instr instructions and averages the three stages across all judged
-// vectors. The TX time is reconstructed from the MCM's published
-// microarchitectural costs; the Read stage is whatever remains between
-// retirement and vector emission, dominated by PTM hold-back buffering
-// (Fig 7's discussion).
+// vectors. The Vectorize and Write stages are the IGM's and the MCM's own
+// costs (igm.VectorizeCycles, mcm.TXTime); the Read stage is whatever
+// remains between retirement and vector emission, dominated by PTM
+// hold-back buffering (Fig 7's discussion).
 func MeasureRTADTransfer(dep *Deployment, pcfg PipelineConfig, instr int64) (TransferBreakdown, int, error) {
 	// A session with no attack armed is exactly the clean-window pipeline
 	// run the figure needs.
@@ -120,7 +119,8 @@ func MeasureRTADTransfer(dep *Deployment, pcfg PipelineConfig, instr int64) (Tra
 		return TransferBreakdown{}, 0, fmt.Errorf("core: no vectors produced in %d instructions", instr)
 	}
 	var sum TransferBreakdown
-	ivg := sim.FabricClock.Duration(ivgCycles)
+	ivg := sim.FabricClock.Duration(igm.VectorizeCycles)
+	tx := mcm.TXTime(dep.Window())
 	for _, j := range judged {
 		// Vector.At marks the vector leaving the IVG; subtract the IVG
 		// stage to place the decode point.
@@ -130,7 +130,7 @@ func MeasureRTADTransfer(dep *Deployment, pcfg PipelineConfig, instr int64) (Tra
 		}
 		sum.Read += decode - j.FinalRetire
 		sum.Vectorize += ivg
-		sum.Write += txDuration(dep.Window())
+		sum.Write += tx
 	}
 	n := sim.Time(len(judged))
 	return TransferBreakdown{
@@ -138,13 +138,4 @@ func MeasureRTADTransfer(dep *Deployment, pcfg PipelineConfig, instr int64) (Tra
 		Vectorize: sum.Vectorize / n,
 		Write:     sum.Write / n,
 	}, len(judged), nil
-}
-
-// txDuration reconstructs the MCM TX engine's write time for an n-word
-// vector: n+2 single-beat writes (words + control/start registers) at the
-// interconnect's per-write cost (decode 2 + accept 3 + beat 1 cycles),
-// mirroring internal/mcm's use of the axi model.
-func txDuration(n int) sim.Time {
-	const perWrite = 6
-	return sim.FabricClock.Duration(int64(n+2) * perWrite)
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"rtad/internal/axi"
 	"rtad/internal/cpu"
 	"rtad/internal/kernels"
 	"rtad/internal/mcm"
@@ -164,16 +163,12 @@ func openDual(elmDep, lstmDep *Deployment, o *openConfig) (*Session, error) {
 		return nil, fmt.Errorf("core: deployments monitor different benchmarks (%s vs %s)",
 			elmDep.Profile.Name, lstmDep.Profile.Name)
 	}
-	bus, err := axi.RTADTopology()
-	if err != nil {
-		return nil, err
-	}
-	// Both lanes' MCMs contend for one compute engine and one switch.
+	// Both lanes' MCMs contend for one compute engine.
 	shared := mcm.NewSharedEngine()
 	tel := o.wire.tel
 	elmWire, lstmWire := o.wire, o.wire
-	elmWire.shared, elmWire.bus, elmWire.tel = shared, bus, tel.Lane("elm")
-	lstmWire.shared, lstmWire.bus, lstmWire.tel = shared, bus, tel.Lane("lstm")
+	elmWire.shared, elmWire.tel = shared, tel.Lane("elm")
+	lstmWire.shared, lstmWire.tel = shared, tel.Lane("lstm")
 	elmPipe, err := newPipeline(elmDep, o.base, elmWire)
 	if err != nil {
 		return nil, err

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"rtad/internal/axi"
 	"rtad/internal/cpu"
 	"rtad/internal/gpu"
 	"rtad/internal/igm"
@@ -55,7 +54,7 @@ type PipelineConfig struct {
 // wiring is what Open threads into a pipeline beside its config, set only
 // through Open's options: the telemetry bundle (WithTelemetry), the
 // inference-engine interceptor (WithEngineWrap), and, for dual sessions,
-// the engine token and interconnect both lanes' MCMs contend for.
+// the engine token both lanes' MCMs contend for.
 type wiring struct {
 	// tel, when non-nil, threads the observability layer through every
 	// stage of this pipeline (and, via Session, judgment delivery and the
@@ -68,7 +67,6 @@ type wiring struct {
 	// the MCM sees it: the serving layer's batching interception point.
 	wrap   func(kernels.Backend) kernels.Backend
 	shared *mcm.SharedEngine
-	bus    *axi.Interconnect
 }
 
 // Default runtime strides and the compute-unit bound.
@@ -224,7 +222,6 @@ func newPipeline(dep *Deployment, cfg PipelineConfig, w wiring) (*Pipeline, erro
 		Engine:    engine,
 		Translate: dep.Translate,
 		FIFODepth: cfg.FIFODepth,
-		Bus:       w.bus,
 		Shared:    w.shared,
 		Telemetry: w.tel,
 	})

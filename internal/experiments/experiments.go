@@ -214,7 +214,9 @@ func Fig6(o Options) (*Fig6Result, error) {
 	// order — and, below, floating-point accumulation order — is identical
 	// to a serial run at any worker count.
 	rows := make([]Fig6Row, len(profiles))
-	err = o.fleet().Run(len(profiles), func(i int) error {
+	fleet := o.fleet()
+	defer fleet.Close()
+	err = fleet.Run(len(profiles), func(i int) error {
 		p := profiles[i]
 		row := Fig6Row{Benchmark: p.Name, Overhead: map[cpu.Mode]float64{}}
 		for _, mode := range Fig6Modes {
@@ -373,7 +375,9 @@ func Fig8(o Options) (*Fig8Result, error) {
 	if o.Telemetry != nil && o.Telemetry.Reg != nil {
 		regs = make([]*obs.Registry, len(cells))
 	}
-	err = o.fleet().Run(len(cells), func(i int) error {
+	fleet := o.fleet()
+	defer fleet.Close()
+	err = fleet.Run(len(cells), func(i int) error {
 		kind, p := cells[i].kind, cells[i].p
 		var jt *obs.Telemetry
 		if regs != nil {

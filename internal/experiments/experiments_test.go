@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"rtad/internal/core"
 	"rtad/internal/cpu"
@@ -160,6 +162,34 @@ func TestFig8TelemetryWorkerInvariance(t *testing.T) {
 		if want := "rtad_judgment_latency_us_" + lane + "_bucket"; !strings.Contains(serial, want) {
 			t.Errorf("fig8 aggregate missing %s", want)
 		}
+	}
+}
+
+// TestGridsCloseTheirFleets runs small Fig 6 and Fig 8 grids four workers
+// wide and requires the goroutine count to return to its baseline: a grid
+// that leaves its fleet open parks a worker per unit of width on every
+// call.
+func TestGridsCloseTheirFleets(t *testing.T) {
+	o := quickOpts()
+	o.Benchmarks = []string{"458.sjeng"}
+	o.OverheadInstr = 100_000
+	o.Workers = 4
+	base := runtime.NumGoroutine()
+	for i := 0; i < 3; i++ {
+		if _, err := Fig6(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := Fig8(o); err != nil {
+		t.Fatal(err)
+	}
+	// A closed fleet's workers exit after they see the closed channel.
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n > base {
+		t.Fatalf("%d goroutines after the grids, %d before", n, base)
 	}
 }
 

@@ -181,6 +181,10 @@ const (
 	taDecodeCycles  = 1
 	mapperCycles    = 1
 	vecEncodeCycles = 1
+
+	// VectorizeCycles is the IVG's latency from a decoded branch to its
+	// vector: the mapper stage plus the encoder stage.
+	VectorizeCycles = mapperCycles + vecEncodeCycles
 )
 
 // IGM is the module instance.
@@ -303,7 +307,7 @@ func (g *IGM) p2s(decodeAt sim.Time) sim.Time {
 func (g *IGM) admit(at sim.Time, addr uint32, class int32) {
 	g.stats.Accepted++
 	g.obsAccepted.Inc()
-	at += sim.FabricClock.Duration(mapperCycles + vecEncodeCycles)
+	at += sim.FabricClock.Duration(VectorizeCycles)
 
 	if g.winN < g.cfg.Window {
 		// Fill phase: winHd stays 0 until the window first fills, so the

@@ -154,7 +154,7 @@ func TestVectorTimingMonotonicAndPipelined(t *testing.T) {
 func TestVectorGenerationLatencyIsTwoCyclesPastSerialiser(t *testing.T) {
 	// The paper's step (2): IGM turns a decoded address into a vector in
 	// 2 cycles (16 ns at 125 MHz).
-	if got := sim.FabricClock.Duration(mapperCycles + vecEncodeCycles); got != 16*sim.Nanosecond {
+	if got := sim.FabricClock.Duration(VectorizeCycles); got != 16*sim.Nanosecond {
 		t.Errorf("IVG latency = %v, want 16ns", got)
 	}
 }

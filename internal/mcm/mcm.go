@@ -14,7 +14,6 @@ package mcm
 import (
 	"fmt"
 
-	"rtad/internal/axi"
 	"rtad/internal/igm"
 	"rtad/internal/kernels"
 	"rtad/internal/obs"
@@ -38,9 +37,6 @@ type Config struct {
 	Translate func(int32) int32
 	// FIFODepth is the internal vector FIFO capacity.
 	FIFODepth int
-	// Bus is the SoC interconnect the TX/RX engines master; nil builds
-	// the standard RTAD topology (axi.RTADTopology).
-	Bus *axi.Interconnect
 	// Shared, when non-nil, serialises this module's compute phase with
 	// other MCM instances driving the same ML-MIAOW — the configuration
 	// where several models are deployed "at the user's disposal" (§II) on
@@ -52,13 +48,15 @@ type Config struct {
 	Telemetry *obs.Telemetry
 }
 
-// Microarchitectural constants in MCM fabric cycles. Data movement costs
-// come from the interconnect model: the ML-MIAOW base hardware exposes a
-// register-style AXI interface ("bus masters deliver data... ML-MIAOW
-// stores the data in its internal memory"), so the TX engine issues
-// single-beat writes per input word plus two control-register writes —
-// which reproduces the ~0.78 µs "successive write operations to the
-// ML-MIAOW memory" of Fig 7 for a 9–16 word vector.
+// Microarchitectural constants in MCM fabric cycles. The ML-MIAOW base
+// hardware exposes a register-style interface ("bus masters deliver
+// data... ML-MIAOW stores the data in its internal memory"), so the TX
+// engine issues one single-beat write per input word plus two
+// control-register writes, and the RX engine one single-beat read per
+// result word. Each access costs accessCycles: 2 cycles of address decode,
+// 3 for the SRAM to accept it and one data beat. That reproduces the
+// ~0.78 µs "successive write operations to the ML-MIAOW memory" of Fig 7
+// for a 9–16 word vector.
 const (
 	DefaultFIFODepth = 8
 
@@ -66,7 +64,21 @@ const (
 	ctrlWrites      = 2 // CU control registers + start command
 	resultWords     = 3 // flag, margin, smoothed score
 	irqCycles       = 2 // interrupt manager latch
+	accessCycles    = 6 // one single-beat access to ML-MIAOW's SRAM
 )
+
+// accessesDone returns when n back-to-back single-beat accesses issued at t
+// complete: the first waits for the next fabric edge and each takes
+// accessCycles. No access waits for another: a vector's accesses fall
+// between its start and Done, and the next vector, on this module or on
+// any other sharing the engine, starts at or after that Done.
+func accessesDone(t sim.Time, n int) sim.Time {
+	return sim.FabricClock.NextEdge(t) + sim.FabricClock.Duration(int64(n)*accessCycles)
+}
+
+// TXTime is the TX engine's WRITE_INPUT time for an n-word vector: n input
+// words plus the control registers, one single-beat write each.
+func TXTime(n int) sim.Time { return accessesDone(0, n+ctrlWrites) }
 
 // Record traces one input vector through the module.
 type Record struct {
@@ -146,13 +158,6 @@ func New(cfg Config) (*MCM, error) {
 	}
 	if cfg.FIFODepth <= 0 {
 		cfg.FIFODepth = DefaultFIFODepth
-	}
-	if cfg.Bus == nil {
-		bus, err := axi.RTADTopology()
-		if err != nil {
-			return nil, err
-		}
-		cfg.Bus = bus
 	}
 	m := &MCM{cfg: cfg}
 	if tel := cfg.Telemetry; tel != nil {
@@ -262,19 +267,15 @@ func (m *MCM) Push(v igm.Vector) (Record, bool, error) {
 	if m.cfg.Shared != nil && m.cfg.Shared.freeAt > start {
 		start = m.cfg.Shared.freeAt
 	}
-	t := start + sim.FabricClock.Duration(readInputCycles)
 	// WRITE_INPUT: the TX engine sends the input words plus the
 	// control/start registers as single-beat writes through the protocol
 	// converter.
-	t, err := m.cfg.Bus.SingleBeatSeries(axi.Write, t, axi.MLMIAOWBase, len(window)+ctrlWrites)
-	if err != nil {
-		return Record{}, false, fmt.Errorf("mcm: TX: %w", err)
-	}
+	t := accessesDone(start+sim.FabricClock.Duration(readInputCycles), len(window)+ctrlWrites)
 
 	// WAIT_DONE: the engine runs the model.
 	if m.fixed != nil {
 		if cycles, ok := m.fixed.FixedCost(); ok {
-			return m.pushDeferred(v, window, start, t, cycles)
+			return m.pushDeferred(v, window, start, t, cycles), true, nil
 		}
 	}
 	j, gpuCycles, err := m.cfg.Engine.Infer(window)
@@ -284,10 +285,7 @@ func (m *MCM) Push(v igm.Vector) (Record, bool, error) {
 	t += sim.GPUClock.Duration(gpuCycles)
 
 	// READ_RESULT: the RX engine reads the result words back.
-	t, err = m.cfg.Bus.SingleBeatSeries(axi.Read, t, axi.MLMIAOWBase+0x1000, resultWords)
-	if err != nil {
-		return Record{}, false, fmt.Errorf("mcm: RX: %w", err)
-	}
+	t = accessesDone(t, resultWords)
 
 	rec := Record{
 		Seq: v.Seq, Arrived: v.At, Started: start, Done: t,
@@ -320,19 +318,15 @@ func (m *MCM) Push(v igm.Vector) (Record, bool, error) {
 // bit-identical to the synchronous path; only host-side call structure
 // changes, which is what lets a serving batcher coalesce whole trace
 // chunks instead of parking every vector.
-func (m *MCM) pushDeferred(v igm.Vector, window []int32, start, t sim.Time, cycles int64) (Record, bool, error) {
-	t += sim.GPUClock.Duration(cycles)
-	t, err := m.cfg.Bus.SingleBeatSeries(axi.Read, t, axi.MLMIAOWBase+0x1000, resultWords)
-	if err != nil {
-		return Record{}, false, fmt.Errorf("mcm: RX: %w", err)
-	}
+func (m *MCM) pushDeferred(v igm.Vector, window []int32, start, t sim.Time, cycles int64) Record {
+	t = accessesDone(t+sim.GPUClock.Duration(cycles), resultWords)
 	m.pendArena = append(m.pendArena, window...)
 	rec := Record{
 		Seq: v.Seq, Arrived: v.At, Started: start, Done: t,
 		GPUCycles: cycles, Pending: true,
 	}
 	m.finish(start, t)
-	return rec, true, nil
+	return rec
 }
 
 // finish applies the bookkeeping every accepted vector shares: aggregate

@@ -37,28 +37,44 @@ func vec(seq int64, at sim.Time, classes ...int32) igm.Vector {
 }
 
 func TestSingleVectorTimeline(t *testing.T) {
-	eng := &fakeEngine{window: 3, gpuCycles: 100}
-	m, err := New(Config{Engine: eng})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, ok, err := m.Push(vec(0, 1000*sim.Nanosecond, 1, 2, 3))
-	if err != nil || !ok {
-		t.Fatal(err, ok)
-	}
-	if rec.Started < 1000*sim.Nanosecond {
-		t.Error("started before arrival")
-	}
-	// Expected: read 1 + TX of (3 words + 2 control writes) at 6 fabric
-	// cycles per single-beat write, + 100 GPU cycles, + RX of 3 result
-	// words at 6 cycles each.
-	want := rec.Started + sim.FabricClock.Duration(readInputCycles+(3+ctrlWrites)*6+resultWords*6) +
-		sim.GPUClock.Duration(100)
-	if rec.Done != want {
-		t.Errorf("Done = %v, want %v", rec.Done, want)
-	}
-	if rec.IRQAt != 0 {
-		t.Error("IRQ raised without anomaly")
+	// The service is read 1 + TX of (3 words + 2 control writes) at 6
+	// fabric cycles per single-beat write = 31 cycles (248 ns), the GPU
+	// cycles at 20 ns, then RX of 3 result words at 6 cycles each
+	// (144 ns). The vector starts on the first fabric edge (8 ns) at or
+	// after its arrival, and the RX engine's first read waits for the
+	// first edge after the GPU finishes.
+	for _, tc := range []struct {
+		name          string
+		at            sim.Time
+		gpuCycles     int64
+		started, done sim.Time
+	}{
+		// 1000 + 248 + 2000 + 144.
+		{"on fabric edges", 1000 * sim.Nanosecond, 100, 1000 * sim.Nanosecond, 3392 * sim.Nanosecond},
+		// Arrival 3 ns past an edge starts at 1008; the GPU ends at
+		// 1008 + 248 + 2020 = 3276, 4 ns past an edge; 3280 + 144.
+		{"off fabric edges", 1003 * sim.Nanosecond, 101, 1008 * sim.Nanosecond, 3424 * sim.Nanosecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := &fakeEngine{window: 3, gpuCycles: tc.gpuCycles}
+			m, err := New(Config{Engine: eng})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec, ok, err := m.Push(vec(0, tc.at, 1, 2, 3))
+			if err != nil || !ok {
+				t.Fatal(err, ok)
+			}
+			if rec.Started != tc.started {
+				t.Errorf("Started = %v, want %v", rec.Started, tc.started)
+			}
+			if rec.Done != tc.done {
+				t.Errorf("Done = %v, want %v", rec.Done, tc.done)
+			}
+			if rec.IRQAt != 0 {
+				t.Error("IRQ raised without anomaly")
+			}
+		})
 	}
 }
 

@@ -242,36 +242,37 @@ const syncStallCycles = 2
 
 // OverheadSink wires Encoder and Port into a cpu.Sink for the Fig 6
 // overhead study: every retired branch is encoded and pushed, and the
-// returned stall is the CPU-cycle cost of trace collection.
+// returned stall is the CPU-cycle cost of trace collection. Only the
+// stall matters there, so both run in their counted forms and no trace
+// byte is kept.
 type OverheadSink struct {
-	Enc  *Encoder
-	Port *Port
-
+	enc       *Encoder
+	port      *Port
+	marks     []PacketMark // recycled per-event marks (zero-alloc contract)
 	lastSyncs int64
-	encBuf    []byte // recycled per-event encode buffer (zero-alloc contract)
 }
 
 // NewOverheadSink builds the standard RTAD collection path: broadcast
 // encoder plus default port.
-func NewOverheadSink(cfg Config, pcfg PortConfig) *OverheadSink {
+func NewOverheadSink() *OverheadSink {
 	return &OverheadSink{
-		Enc:  NewEncoder(cfg),
-		Port: NewPort(pcfg),
+		enc:  NewEncoder(Config{BranchBroadcast: true}),
+		port: NewPort(PortConfig{}),
 	}
 }
 
 // BranchRetired implements cpu.Sink.
 func (s *OverheadSink) BranchRetired(ev cpu.BranchEvent) int64 {
 	at := sim.CPUClock.Duration(ev.Cycle)
-	s.encBuf = s.Enc.EncodeInto(s.encBuf[:0], ev)
-	bytes := s.encBuf
+	var n int
+	s.marks, n = s.enc.EncodeCounted(s.marks[:0], ev)
 	var stall int64
-	if syncs := s.Enc.Syncs(); syncs != s.lastSyncs {
+	if syncs := s.enc.Syncs(); syncs != s.lastSyncs {
 		s.lastSyncs = syncs
 		stall += syncStallCycles
 	}
-	if len(bytes) > 0 {
-		if lag := s.Port.Push(at, bytes); lag > 0 {
+	if n > 0 {
+		if _, lag := s.port.PushCounted(at, n); lag > 0 {
 			stall += sim.CPUClock.CyclesCeil(lag)
 		}
 	}

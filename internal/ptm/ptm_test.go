@@ -474,7 +474,7 @@ func TestOverheadSinkNegligibleOnRealWorkload(t *testing.T) {
 	base := cpu.New(prog, cpu.Config{Mode: cpu.ModeBaseline})
 	base.Run(400_000)
 
-	sink := NewOverheadSink(Config{BranchBroadcast: true}, PortConfig{})
+	sink := NewOverheadSink()
 	traced := cpu.New(prog, cpu.Config{Mode: cpu.ModeRTAD, Sink: sink})
 	traced.Run(400_000)
 

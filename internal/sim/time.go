@@ -73,7 +73,8 @@ var (
 	// CPUClock models the Cortex-A9 host, lowered to 250 MHz to emulate
 	// the host/coprocessor frequency ratio of production AP systems.
 	CPUClock = NewClock("cpu", 250_000_000)
-	// FabricClock models the RTAD fabric (IGM, MCM, interconnect) at 125 MHz.
+	// FabricClock models the RTAD fabric (PTM port, TPIU, IGM, MCM) at
+	// 125 MHz.
 	FabricClock = NewClock("fabric", 125_000_000)
 	// GPUClock models ML-MIAOW, which closes timing at 50 MHz on the FPGA.
 	GPUClock = NewClock("gpu", 50_000_000)

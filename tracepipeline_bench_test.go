@@ -102,12 +102,10 @@ func BenchmarkTracePipelineIGM(b *testing.B) {
 }
 
 // BenchmarkTracePipelineOverheadSink measures the Fig 6 collection path:
-// OverheadSink.BranchRetired (recycled EncodeInto buffer, counted stall
-// accounting) with the port drained through a recycled TakeInto buffer, as
-// the overhead experiment does.
+// OverheadSink.BranchRetired (counted encoder into recycled marks, counted
+// port push, stall accounting), as the overhead experiment runs it.
 func BenchmarkTracePipelineOverheadSink(b *testing.B) {
-	s := ptm.NewOverheadSink(ptm.Config{BranchBroadcast: true}, ptm.PortConfig{})
-	var tb []ptm.TimedByte
+	s := ptm.NewOverheadSink()
 	var cycle int64
 	branch := func() {
 		cycle += 20
@@ -115,7 +113,6 @@ func BenchmarkTracePipelineOverheadSink(b *testing.B) {
 			PC: 0x8000, Target: 0x8000 + uint32(cycle%64)*4,
 			Kind: cpu.KindDirect, Taken: true, Cycle: cycle,
 		})
-		tb = s.Port.TakeInto(tb[:0])
 	}
 	for i := 0; i < 20000; i++ { // warm-up: cross sync boundaries and drains
 		branch()
