@@ -96,11 +96,11 @@ func SWTransfer(n int) TransferBreakdown {
 }
 
 // MeasureRTADTransfer runs the deployment's pipeline on a normal window of
-// instr instructions and averages the three stages across all judged
-// vectors. The Vectorize and Write stages are the IGM's and the MCM's own
-// costs (igm.VectorizeCycles, mcm.TXTime); the Read stage is whatever
-// remains between retirement and vector emission, dominated by PTM
-// hold-back buffering (Fig 7's discussion).
+// instr instructions and reports the three stages for the judged vectors.
+// The Vectorize and Write stages are the IGM's and the MCM's own fixed
+// costs (igm.VectorizeCycles, mcm.TXTime); the Read stage, averaged over
+// the vectors, is whatever remains between retirement and vector emission,
+// dominated by PTM hold-back buffering (Fig 7's discussion).
 func MeasureRTADTransfer(dep *Deployment, pcfg PipelineConfig, instr int64) (TransferBreakdown, int, error) {
 	// A session with no attack armed is exactly the clean-window pipeline
 	// run the figure needs.
@@ -118,9 +118,8 @@ func MeasureRTADTransfer(dep *Deployment, pcfg PipelineConfig, instr int64) (Tra
 	if len(judged) == 0 {
 		return TransferBreakdown{}, 0, fmt.Errorf("core: no vectors produced in %d instructions", instr)
 	}
-	var sum TransferBreakdown
+	var read sim.Time
 	ivg := sim.FabricClock.Duration(igm.VectorizeCycles)
-	tx := mcm.TXTime(dep.Window())
 	for _, j := range judged {
 		// Vector.At marks the vector leaving the IVG; subtract the IVG
 		// stage to place the decode point.
@@ -128,14 +127,11 @@ func MeasureRTADTransfer(dep *Deployment, pcfg PipelineConfig, instr int64) (Tra
 		if decode < j.FinalRetire {
 			decode = j.FinalRetire
 		}
-		sum.Read += decode - j.FinalRetire
-		sum.Vectorize += ivg
-		sum.Write += tx
+		read += decode - j.FinalRetire
 	}
-	n := sim.Time(len(judged))
 	return TransferBreakdown{
-		Read:      sum.Read / n,
-		Vectorize: sum.Vectorize / n,
-		Write:     sum.Write / n,
+		Read:      read / sim.Time(len(judged)),
+		Vectorize: ivg,
+		Write:     mcm.TXTime(dep.Window()),
 	}, len(judged), nil
 }
