@@ -81,7 +81,7 @@ const (
 	swReadFixedCycles   = 100 // syscall into the collector, buffer check
 	swVecCyclesPerElem  = 110 // CPU cycles: hash, table probe, encode
 	swVecFixedCycles    = 80
-	swCopyFabricPerWord = 85 // uncached single-beat write, incl. driver
+	swCopyFabricPerWord = 85 // uncached single-beat write, incl. software overhead
 	swCopyFabricFixed   = 80 // mapping + completion check
 )
 
