@@ -67,6 +67,8 @@ type wiring struct {
 	// the MCM sees it: the serving layer's batching interception point.
 	wrap   func(kernels.Backend) kernels.Backend
 	shared *mcm.SharedEngine
+	// reference selects the byte/word reference chain (reference.go).
+	reference bool
 }
 
 // Default runtime strides and the compute-unit bound.
@@ -132,6 +134,9 @@ type Pipeline struct {
 	fmtr   *tpiu.Formatter
 	ig     *igm.IGM
 	mod    *mcm.MCM
+	// ref, when non-nil, is the byte/word reference chain, which then
+	// carries every retired branch instead of enc, port and fmtr.
+	ref *reference
 
 	// acceptedRetire records the retirement time of each mapper-accepted
 	// taken branch; vectors index it by AcceptedIdx to recover FinalRetire.
@@ -247,6 +252,9 @@ func newPipeline(dep *Deployment, cfg PipelineConfig, w wiring) (*Pipeline, erro
 		mod:    mod,
 		staged: cfg.StagedTrace,
 	}
+	if w.reference {
+		p.ref = newReference(dep.Mapper, p.ig, cfg.DrainThreshold)
+	}
 	if tel := w.tel; tel != nil {
 		p.latHist = tel.Histogram("rtad_judgment_latency_us", JudgmentLatencyBuckets)
 		p.obsJudgments = tel.Counter("rtad_judgments_total")
@@ -258,6 +266,9 @@ func newPipeline(dep *Deployment, cfg PipelineConfig, w wiring) (*Pipeline, erro
 // BranchRetired implements cpu.Sink: it drives the whole CoreSight → IGM →
 // MCM path for one retired branch, advancing every stage's timing model.
 func (p *Pipeline) BranchRetired(ev cpu.BranchEvent) int64 {
+	if p.ref != nil {
+		return p.branchRetiredRef(ev)
+	}
 	if p.staged {
 		return p.branchRetiredStaged(ev)
 	}
@@ -438,6 +449,10 @@ func (p *Pipeline) pruneRetire(consumed int64) {
 
 // Flush pushes out any residual trace data at time at (end of a window).
 func (p *Pipeline) Flush(at sim.Time) {
+	if p.ref != nil {
+		p.flushRef(at)
+		return
+	}
 	if p.staged {
 		p.encBuf = p.enc.FlushInto(p.encBuf[:0])
 		p.port.Push(at, p.encBuf)

@@ -19,42 +19,47 @@ func tracePathFixtures(t testing.TB) (elm, lstm *Deployment, calib *kernels.Cali
 	return trainELMDeployment(t, "400.perlbench"), trainLSTMDeployment(t, "458.sjeng"), tpCalib
 }
 
-// runTracePathDiff replays one synthesized branch/flush op stream through a
-// staged-reference pipeline and a fused fast-path pipeline in lockstep and
+// runTracePathDiff replays one synthesized branch/flush op stream through
+// a counted-chain pipeline and the reference pipelines in lockstep and
 // fails on any observable divergence: per-event backpressure stalls, the
 // full judged stream (vector timestamps, windows, MCM records, retirement
-// anchors), stage statistics, and end-of-run stage snapshots.
+// anchors), stage statistics, and end-of-run stage snapshots. It returns
+// the CPU cycles the stream stalled for.
 //
 // Each op byte encodes one action from the event vocabulary the encoder
 // distinguishes: mapped/unmapped direct branches (address packets under
 // branch-broadcast), not-taken waypoints (atoms), syscalls (exception
 // packets), odd-bit targets (the wire drops address bit 0), and pipeline
-// flushes; the top bits jitter the inter-event cycle gap.
-func runTracePathDiff(t *testing.T, dep *Deployment, calib *kernels.Calibration, stride, threshold int, ops []byte) {
+// flushes; the top bits add 0–7 cycles to the inter-event gap, which is at
+// least gap cycles.
+func runTracePathDiff(t *testing.T, dep *Deployment, calib *kernels.Calibration, stride, threshold int, gap int64, ops []byte) int64 {
 	t.Helper()
-	build := func(stagedMode bool) *Pipeline {
+	build := func(staged, ref bool) *Pipeline {
 		p, err := newPipeline(dep, PipelineConfig{
 			CUs: 5, Stride: stride, DrainThreshold: threshold,
 			Backend: kernels.BackendNativeCalibrated, Calibration: calib,
-			StagedTrace: stagedMode,
-		}, wiring{})
+			StagedTrace: staged,
+		}, wiring{reference: ref})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return p
 	}
-	sp, fp := build(true), build(false)
+	fp := build(false, false)
+	refs := []*Pipeline{build(true, false), build(false, true)}
 	addrs := dep.Mapper.Entries()
-	var cycle int64
+	var cycle, stalls int64
 	for i, b := range ops {
-		cycle += int64(3 + b>>5)
+		cycle += gap + int64(b>>5)
 		op := b & 7
 		var ev cpu.BranchEvent
 		switch {
 		case op == 6:
 			at := sim.CPUClock.Duration(cycle)
-			sp.Flush(at)
 			fp.Flush(at)
+			for _, rp := range refs {
+				rp.Flush(at)
+			}
 			continue
 		case op == 7 && len(addrs) > 0:
 			ev = cpu.BranchEvent{PC: 0x8000, Target: addrs[int(b>>3)%len(addrs)].Addr | 1,
@@ -71,41 +76,47 @@ func runTracePathDiff(t *testing.T, dep *Deployment, calib *kernels.Calibration,
 			ev = cpu.BranchEvent{PC: 0x8000, Target: addrs[int(b>>3)%len(addrs)].Addr,
 				Kind: cpu.KindDirect, Taken: true, Cycle: cycle}
 		}
-		s1 := sp.BranchRetired(ev)
-		s2 := fp.BranchRetired(ev)
-		if s1 != s2 {
-			t.Fatalf("op %d: backpressure stall diverged: staged=%d fused=%d", i, s1, s2)
+		s := fp.BranchRetired(ev)
+		for k, rp := range refs {
+			if rs := rp.BranchRetired(ev); rs != s {
+				t.Fatalf("op %d: backpressure stall diverged: reference %d=%d counted=%d", i, k, rs, s)
+			}
 		}
-		cycle += s1
+		cycle += s
+		stalls += s
 	}
 	at := sim.CPUClock.Duration(cycle + 64)
-	sp.Flush(at)
 	fp.Flush(at)
-	comparePipelines(t, sp, fp)
+	fj := fp.TakeJudged(nil)
+	for _, rp := range refs {
+		rp.Flush(at)
+		comparePipelines(t, rp, fp, fj)
+	}
+	return stalls
 }
 
-// comparePipelines asserts full observable equality between the staged
-// reference and the fused fast path.
-func comparePipelines(t *testing.T, sp, fp *Pipeline) {
+// comparePipelines asserts full observable equality between a reference
+// pipeline and the counted chain, whose judgments are fj.
+func comparePipelines(t *testing.T, sp, fp *Pipeline, fj []Judged) {
 	t.Helper()
-	sj, fj := sp.TakeJudged(nil), fp.TakeJudged(nil)
+	sj := sp.TakeJudged(nil)
 	if (sp.Err() == nil) != (fp.Err() == nil) {
-		t.Fatalf("error divergence: staged=%v fused=%v", sp.Err(), fp.Err())
+		t.Fatalf("error divergence: reference=%v counted=%v", sp.Err(), fp.Err())
 	}
 	if len(sj) != len(fj) {
-		t.Fatalf("judged count diverged: staged=%d fused=%d", len(sj), len(fj))
+		t.Fatalf("judged count diverged: reference=%d counted=%d", len(sj), len(fj))
 	}
 	for i := range sj {
 		a, b := sj[i], fj[i]
 		if a.Rec != b.Rec {
-			t.Fatalf("judged[%d] record diverged:\nstaged %+v\nfused  %+v", i, a.Rec, b.Rec)
+			t.Fatalf("judged[%d] record diverged:\nreference %+v\ncounted   %+v", i, a.Rec, b.Rec)
 		}
 		if a.FinalRetire != b.FinalRetire {
-			t.Fatalf("judged[%d] FinalRetire diverged: staged=%d fused=%d", i, a.FinalRetire, b.FinalRetire)
+			t.Fatalf("judged[%d] FinalRetire diverged: reference=%d counted=%d", i, a.FinalRetire, b.FinalRetire)
 		}
 		av, bv := a.Vector, b.Vector
 		if av.At != bv.At || av.Seq != bv.Seq || av.AcceptedIdx != bv.AcceptedIdx || av.Addr != bv.Addr {
-			t.Fatalf("judged[%d] vector diverged:\nstaged %+v\nfused  %+v", i, av, bv)
+			t.Fatalf("judged[%d] vector diverged:\nreference %+v\ncounted   %+v", i, av, bv)
 		}
 		if len(av.Classes) != len(bv.Classes) {
 			t.Fatalf("judged[%d] window length diverged: %d vs %d", i, len(av.Classes), len(bv.Classes))
@@ -117,15 +128,15 @@ func comparePipelines(t *testing.T, sp, fp *Pipeline) {
 		}
 	}
 	if s, f := sp.ig.Stats(), fp.ig.Stats(); s != f {
-		t.Fatalf("IGM stats diverged:\nstaged %+v\nfused  %+v", s, f)
+		t.Fatalf("IGM stats diverged:\nreference %+v\ncounted   %+v", s, f)
 	}
 	if s, f := sp.MCMStats(), fp.MCMStats(); s != f {
-		t.Fatalf("MCM stats diverged:\nstaged %+v\nfused  %+v", s, f)
+		t.Fatalf("MCM stats diverged:\nreference %+v\ncounted   %+v", s, f)
 	}
 	ss, fs := SnapshotStages(sp.Stages()), SnapshotStages(fp.Stages())
 	for i := range ss {
 		if ss[i] != fs[i] {
-			t.Fatalf("stage %q snapshot diverged:\nstaged %+v\nfused  %+v", ss[i].Name, ss[i], fs[i])
+			t.Fatalf("stage %q snapshot diverged:\nreference %+v\ncounted   %+v", ss[i].Name, ss[i], fs[i])
 		}
 	}
 }
@@ -134,10 +145,14 @@ func comparePipelines(t *testing.T, sp, fp *Pipeline) {
 // property check: for both deployments, every DrainThreshold in {1, 64,
 // 256}, and both sparse and dense strides, a fixed pseudo-random op stream
 // (including mid-stream flushes, filtered targets, atoms, syscalls, and
-// odd-bit addresses) must drive the fused path to bit-identical output.
+// odd-bit addresses) must drive the counted chain to output bit-identical
+// to the reference's. The flood cells retire a branch every cycle, which
+// outruns the port, so they must stall the CPU and pin the backpressure
+// horizon.
 func TestTracePathEquivalenceGrid(t *testing.T) {
 	elm, lstm, calib := tracePathFixtures(t)
 	ops := make([]byte, 6000)
+	flood := make([]byte, len(ops))
 	x := uint32(0x2545F491)
 	for i := range ops {
 		// xorshift: deterministic, full byte coverage.
@@ -145,26 +160,34 @@ func TestTracePathEquivalenceGrid(t *testing.T) {
 		x ^= x >> 17
 		x ^= x << 5
 		ops[i] = byte(x)
+		flood[i] = byte(x) & 0x1F // no added gap
 	}
 	for _, tc := range []struct {
 		name   string
 		dep    *Deployment
 		stride int
+		gap    int64
+		ops    []byte
 	}{
-		{"elm-stride1", elm, 1},
-		{"lstm-stride7", lstm, 7},
-		{"lstm-stride256", lstm, 256},
+		{"elm-stride1", elm, 1, 3, ops},
+		{"lstm-stride7", lstm, 7, 3, ops},
+		{"lstm-stride256", lstm, 256, 3, ops},
+		{"elm-flood", elm, 1, 1, flood},
+		{"lstm-flood", lstm, 7, 1, flood},
 	} {
 		for _, threshold := range []int{1, 64, 256} {
 			tc, threshold := tc, threshold
 			t.Run(fmt.Sprintf("%s-thresh%d", tc.name, threshold), func(t *testing.T) {
-				runTracePathDiff(t, tc.dep, calib, tc.stride, threshold, ops)
+				stalls := runTracePathDiff(t, tc.dep, calib, tc.stride, threshold, tc.gap, tc.ops)
+				if tc.gap == 1 && stalls == 0 {
+					t.Fatal("the flood never stalled the CPU: the backpressure horizon went unchecked")
+				}
 			})
 		}
 	}
 }
 
-// FuzzTracePathDifferential fuzzes the staged-vs-fused equivalence over
+// FuzzTracePathDifferential fuzzes the reference-vs-counted equivalence over
 // random op streams and configuration draws. The committed corpus under
 // testdata/fuzz covers the structural edge cases (threshold-1 ports, frame
 // boundaries straddling packets, flush storms, odd addresses); `go test`
@@ -190,41 +213,42 @@ func FuzzTracePathDifferential(f *testing.F) {
 		if len(ops) > 1<<16 {
 			ops = ops[:1<<16]
 		}
-		runTracePathDiff(t, dep, calib, stride, threshold, ops)
+		runTracePathDiff(t, dep, calib, stride, threshold, 3, ops)
 	})
 }
 
 // TestAcceptedRetireBounded is the long-run pruning check: a pipeline that
 // streams accepted branches forever must not grow the retirement-anchor
 // slice without bound (it previously kept one entry per accepted branch for
-// the life of the pipeline). FinalRetire integrity is pinned two ways: the
-// staged and fused paths must agree entry for entry here, and the
-// experiments-JSON byte-identity suite pins both against the pre-pruning
-// recorded judgment streams.
+// the life of the pipeline). The reference, which prunes nothing itself,
+// must agree with the counted chain entry for entry, and the golden digests
+// pin FinalRetire across commits.
 func TestAcceptedRetireBounded(t *testing.T) {
 	elm, _, calib := tracePathFixtures(t)
-	build := func(stagedMode bool) *Pipeline {
+	build := func(staged, ref bool) *Pipeline {
 		p, err := newPipeline(elm, PipelineConfig{
 			CUs: 5, Backend: kernels.BackendNativeCalibrated, Calibration: calib,
-			StagedTrace: stagedMode,
-		}, wiring{})
+			StagedTrace: staged,
+		}, wiring{reference: ref})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return p
 	}
-	sp, fp := build(true), build(false)
+	fp := build(false, false)
+	refs := []*Pipeline{build(true, false), build(false, true)}
 	const branches = 300_000
 	var cycle int64
 	for i := 0; i < branches; i++ {
 		cycle += 40
 		ev := cpu.BranchEvent{PC: 0x8000, Target: cpu.SyscallTarget(int32(i) & 15),
 			Kind: cpu.KindSyscall, Taken: true, Cycle: cycle}
-		cycle += sp.BranchRetired(ev)
-		fp.BranchRetired(ev)
+		cycle += fp.BranchRetired(ev)
+		for _, rp := range refs {
+			rp.BranchRetired(ev)
+		}
 	}
 	at := sim.CPUClock.Duration(cycle + 64)
-	sp.Flush(at)
 	fp.Flush(at)
 	if fp.ig.Stats().Accepted < branches/2 {
 		t.Fatalf("only %d accepted branches — the path under test did not run", fp.ig.Stats().Accepted)
@@ -238,5 +262,9 @@ func TestAcceptedRetireBounded(t *testing.T) {
 	if fp.retireBase == 0 {
 		t.Fatal("retireBase never advanced — pruning is not engaging")
 	}
-	comparePipelines(t, sp, fp)
+	fj := fp.TakeJudged(nil)
+	for _, rp := range refs {
+		rp.Flush(at)
+		comparePipelines(t, rp, fp, fj)
+	}
 }
