@@ -4,7 +4,7 @@
 // before timing, so a regression fails the benchmark rather than silently
 // shifting numbers; the CI perf-smoke job runs them at -benchtime 1x for
 // exactly that check. The assembled per-branch chain is timed by
-// BenchmarkTracePipelineChain{Fused,Staged} in tracepipeline_bench_test.go.
+// BenchmarkTracePipelineChain{Fused,Staged} in internal/core/alloc_test.go.
 package rtad
 
 import (
@@ -12,8 +12,6 @@ import (
 
 	"rtad/internal/cpu"
 	"rtad/internal/ptm"
-	"rtad/internal/sim"
-	"rtad/internal/tpiu"
 )
 
 // assertZeroAlloc fails the benchmark if fn allocates in steady state.
@@ -154,29 +152,4 @@ func benchDecode(b *testing.B, what string, stream []byte, decode func(chunk []b
 	b.ReportAllocs()
 	b.ResetTimer()
 	run(b.N)
-}
-
-// BenchmarkFrontendFormatter measures TPIU frame packing plus the word
-// hand-off through a recycled TakeInto buffer.
-func BenchmarkFrontendFormatter(b *testing.B) {
-	f := tpiu.NewFormatter(tpiu.Config{})
-	var out []tpiu.TimedWord
-	var at sim.Time
-	frame := func() {
-		for i := 0; i < tpiu.PayloadBytes; i++ {
-			at += 1000
-			f.Push(at, byte(i))
-		}
-		out = f.TakeInto(out[:0])
-	}
-	for i := 0; i < 256; i++ { // warm-up
-		frame()
-	}
-	assertZeroAlloc(b, "frame+TakeInto", frame)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		frame()
-	}
-	b.SetBytes(tpiu.PayloadBytes)
 }

@@ -19,11 +19,11 @@ func feedBranches(p *Pipeline, cycle *int64, n int, target uint32, kind cpu.Kind
 	}
 }
 
-// TestFrontendSteadyStateZeroAlloc is the tentpole's allocation contract:
-// once warm, a retired branch whose target the mapper filters — the common
-// case, since the IGM table admits only the monitored addresses — must drive
-// the whole encode → port → frame → deframe → decode → map path without a
-// single heap allocation.
+// TestFrontendSteadyStateZeroAlloc is the counted chain's allocation
+// contract: once warm, a retired branch whose target the mapper filters —
+// the common case, since the IGM table admits only the monitored addresses
+// — must drive the whole encode → port → frame → map path without a single
+// heap allocation.
 func TestFrontendSteadyStateZeroAlloc(t *testing.T) {
 	dep := trainLSTMDeployment(t, "458.sjeng")
 	p, err := newPipeline(dep, PipelineConfig{CUs: 5, Stride: 256, Backend: "native-calibrated"}, wiring{})
@@ -125,14 +125,14 @@ func cycleTargets(base uint32) []uint32 {
 }
 
 // chainBench drives Pipeline.BranchRetired with mapper-filtered targets
-// (the common case) on one trace path, asserting the per-branch zero-alloc
-// contract before timing, so CI's -benchtime 1x pass catches an allocation
-// on the hot path. The targets cycle through every compressed
-// branch-packet length, 1 to 5 address bytes.
-func chainBench(b *testing.B, staged bool) {
+// (the common case) on the counted chain or the reference, asserting the
+// per-branch zero-alloc contract before timing, so CI's -benchtime 1x pass
+// catches an allocation on the hot path. The targets cycle through every
+// compressed branch-packet length, 1 to 5 address bytes.
+func chainBench(b *testing.B, ref bool) {
 	dep := trainLSTMDeployment(b, "458.sjeng")
 	p, err := newPipeline(dep, PipelineConfig{
-		CUs: 5, Stride: 256, Backend: "native-calibrated", StagedTrace: staged,
+		CUs: 5, Stride: 256, Backend: "native-calibrated", StagedTrace: ref,
 	}, wiring{})
 	if err != nil {
 		b.Fatal(err)
@@ -170,12 +170,12 @@ func chainBench(b *testing.B, staged bool) {
 }
 
 // BenchmarkTracePipelineChainFused is the whole per-branch front-end on the
-// fused analytic path (the default): counted encoder → counted port
-// → counted formatter → IGM direct delivery.
+// counted chain (the default): counted encoder → counted port → counted
+// formatter → IGM direct delivery.
 func BenchmarkTracePipelineChainFused(b *testing.B) { chainBench(b, false) }
 
-// BenchmarkTracePipelineChainStaged is the same stream on the staged
-// byte/word reference path: per-byte port release → byte-at-a-time framing →
-// word deframing → packet re-decode. Its ns/op over ChainFused's is the
-// fused path's per-branch speedup.
+// BenchmarkTracePipelineChainStaged is the same stream on the byte/word
+// reference (reference.go): byte encoding → per-byte port release →
+// byte-at-a-time framing → frame reassembly → packet re-decode. perfbench
+// runs the reference for every detect cell, so its cost is bounded here.
 func BenchmarkTracePipelineChainStaged(b *testing.B) { chainBench(b, true) }

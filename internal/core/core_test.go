@@ -134,9 +134,6 @@ func TestLSTMPipelineEndToEnd(t *testing.T) {
 	if len(judged) < 5 {
 		t.Fatalf("only %d judged vectors", len(judged))
 	}
-	if pipe.ig.Stats().DecErrors != 0 {
-		t.Errorf("PTM decode errors: %d", pipe.ig.Stats().DecErrors)
-	}
 	for i, j := range judged {
 		if j.FinalRetire == 0 {
 			t.Fatalf("vector %d missing retirement anchor", i)

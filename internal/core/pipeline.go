@@ -40,14 +40,14 @@ type PipelineConfig struct {
 	// backend replays WAIT_DONE timing from; passing one table to every
 	// pipeline in a run amortises the one-time GPU calibration pass.
 	Calibration *kernels.Calibration
-	// StagedTrace selects the staged byte/word trace-delivery reference
-	// path: every PTM byte is materialised as a TimedByte, pushed through
-	// the TPIU formatter one call each, framed into TimedWords, deframed,
-	// and PTM-re-decoded by the IGM. The default (false) uses the fused
-	// fast path, which computes the identical delivery timestamps
-	// analytically from the encoder's packet boundaries and the port's
-	// release schedules — bit-identical judgments, stats, and stage
-	// snapshots (see DESIGN §13), at a fraction of the per-branch cost.
+	// StagedTrace selects the byte/word reference chain, the oracle the
+	// counted chain is checked against: it moves real PTM bytes through
+	// its own port and TPIU frame model and decodes them again before the
+	// IGM (reference.go). The default (false) is the counted chain, which
+	// computes the same delivery timestamps in closed form from the
+	// encoder's packet boundaries and the port's release schedules —
+	// bit-identical judgments, stats, and stage snapshots (see DESIGN §13),
+	// at a fraction of the per-branch cost.
 	StagedTrace bool
 }
 
@@ -67,8 +67,6 @@ type wiring struct {
 	// the MCM sees it: the serving layer's batching interception point.
 	wrap   func(kernels.Backend) kernels.Backend
 	shared *mcm.SharedEngine
-	// reference selects the byte/word reference chain (reference.go).
-	reference bool
 }
 
 // Default runtime strides and the compute-unit bound.
@@ -153,20 +151,13 @@ type Pipeline struct {
 	judged []Judged
 	err    error
 
-	// Per-branch scratch buffers: BranchRetired and drain run once per
-	// retired branch, so every stage hand-off reuses these instead of
-	// allocating fresh slices.
-	encBuf     []byte
-	tbScratch  []ptm.TimedByte
-	twScratch  []tpiu.TimedWord
+	// vecScratch is drainVectors' hand-off buffer, reused on every call.
 	vecScratch []igm.Vector
 
-	// Fused fast-path state (cfg.StagedTrace == false). The counted encoder
-	// appends a mark per packet to pend, and verdicts holds each queued
-	// branch packet's mapper class, resolved at retire time. A packet is
-	// handed straight to the IGM once the frame carrying its last byte
-	// emits.
-	staged    bool
+	// Counted-chain state. The counted encoder appends a mark per packet
+	// to pend, and verdicts holds each queued branch packet's mapper
+	// class, resolved at retire time. A packet is handed straight to the
+	// IGM once the frame carrying its last byte emits.
 	pend      []ptm.PacketMark
 	pendHd    int
 	verdicts  []verdict
@@ -249,10 +240,9 @@ func newPipeline(dep *Deployment, cfg PipelineConfig, w wiring) (*Pipeline, erro
 			Stride:    cfg.Stride,
 			Telemetry: w.tel,
 		}),
-		mod:    mod,
-		staged: cfg.StagedTrace,
+		mod: mod,
 	}
-	if w.reference {
+	if cfg.StagedTrace {
 		p.ref = newReference(dep.Mapper, p.ig, cfg.DrainThreshold)
 	}
 	if tel := w.tel; tel != nil {
@@ -269,9 +259,6 @@ func (p *Pipeline) BranchRetired(ev cpu.BranchEvent) int64 {
 	if p.ref != nil {
 		return p.branchRetiredRef(ev)
 	}
-	if p.staged {
-		return p.branchRetiredStaged(ev)
-	}
 	at := sim.CPUClock.Duration(ev.Cycle)
 	// Single mapper lookup per taken branch: the class the IGM will need is
 	// resolved here (on the wire-decoded even address — the encoding drops
@@ -282,7 +269,7 @@ func (p *Pipeline) BranchRetired(ev cpu.BranchEvent) int64 {
 		class, accepted := p.dep.Mapper.Lookup(ev.Target &^ 1)
 		if ev.Target&1 != 0 {
 			// Odd target: the retire-time record keys the raw address (the
-			// staged path's semantics), which may resolve differently from
+			// reference's semantics), which may resolve differently from
 			// the wire-decoded one. Rare enough to afford a second lookup.
 			if _, ok := p.dep.Mapper.Lookup(ev.Target); ok {
 				p.acceptedRetire = append(p.acceptedRetire, at)
@@ -307,20 +294,6 @@ func (p *Pipeline) BranchRetired(ev cpu.BranchEvent) int64 {
 	return sim.CPUClock.CyclesCeil(stall)
 }
 
-// branchRetiredStaged is the byte/word reference path (cfg.StagedTrace).
-func (p *Pipeline) branchRetiredStaged(ev cpu.BranchEvent) int64 {
-	at := sim.CPUClock.Duration(ev.Cycle)
-	if ev.Taken {
-		if _, ok := p.dep.Mapper.Lookup(ev.Target); ok {
-			p.acceptedRetire = append(p.acceptedRetire, at)
-		}
-	}
-	p.encBuf = p.enc.EncodeInto(p.encBuf[:0], ev)
-	stall := p.port.Push(at, p.encBuf)
-	p.drain()
-	return sim.CPUClock.CyclesCeil(stall)
-}
-
 // feedRelease advances the formatter by one port release schedule and
 // delivers every frame it completes.
 func (p *Pipeline) feedRelease(rel ptm.Release) {
@@ -335,8 +308,8 @@ func (p *Pipeline) feedRelease(rel ptm.Release) {
 
 // deliverFrame hands every packet completed by one emitted frame to the
 // IGM. Frames emit in stream order, so each pending packet is delivered by
-// the frame carrying its last byte and shares that frame's TA decode time —
-// exactly the staged Deframer/StreamDecoder behaviour.
+// the frame carrying its last byte and shares that frame's TA decode time,
+// as a decoder fed the frame's payload would complete it.
 func (p *Pipeline) deliverFrame(fe tpiu.FrameEmit) {
 	decodeAt := p.ig.FrameArrived(fe.LastWordAt)
 	p.fedBytes += int64(fe.Payload)
@@ -365,24 +338,8 @@ func compactQueue[T any](q []T, hd int) ([]T, int) {
 	return q[:copy(q, q[hd:])], 0
 }
 
-// drain moves whatever each stage has produced into the next stage (staged
-// path). All hand-offs go through the TakeInto scratch buffers, so in
-// steady state — in particular for every filtered or non-emitting branch —
-// a drain pass allocates nothing.
-func (p *Pipeline) drain() {
-	p.tbScratch = p.port.TakeInto(p.tbScratch[:0])
-	for _, tb := range p.tbScratch {
-		p.fmtr.Push(tb.At, tb.B)
-	}
-	p.twScratch = p.fmtr.TakeInto(p.twScratch[:0])
-	for _, w := range p.twScratch {
-		p.ig.FeedWord(w)
-	}
-	p.drainVectors()
-}
-
 // drainVectors moves completed vectors into the MCM and records judgments;
-// it is the shared tail of both trace paths.
+// the counted chain and the reference share it.
 func (p *Pipeline) drainVectors() {
 	p.vecScratch = p.ig.TakeInto(p.vecScratch[:0])
 	for _, v := range p.vecScratch {
@@ -453,27 +410,14 @@ func (p *Pipeline) Flush(at sim.Time) {
 		p.flushRef(at)
 		return
 	}
-	if p.staged {
-		p.encBuf = p.enc.FlushInto(p.encBuf[:0])
-		p.port.Push(at, p.encBuf)
-		p.port.Flush(at)
-		p.drain()
-		p.fmtr.Flush(at)
-		p.twScratch = p.fmtr.TakeInto(p.twScratch[:0])
-		for _, w := range p.twScratch {
-			p.ig.FeedWord(w)
-		}
-		p.drain()
-		return
-	}
 	var n int
 	p.pend, n = p.enc.FlushCounted(p.pend)
 	rel, _ := p.port.PushCounted(at, n)
 	p.feedRelease(rel)
 	p.feedRelease(p.port.FlushCounted(at))
-	// Drain at the same two points as the staged Flush (after the port
-	// flush, and again after the formatter flush) so the IGM out-queue's
-	// high-water mark groups vectors identically.
+	// Drain at the same two points as the reference's Flush (after the
+	// port flush, and again after the formatter flush) so the IGM
+	// out-queue's high-water mark groups vectors identically.
 	p.drainVectors()
 	if fe, ok := p.fmtr.FlushCounted(at); ok {
 		p.deliverFrame(fe)

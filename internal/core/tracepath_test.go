@@ -20,8 +20,8 @@ func tracePathFixtures(t testing.TB) (elm, lstm *Deployment, calib *kernels.Cali
 }
 
 // runTracePathDiff replays one synthesized branch/flush op stream through
-// a counted-chain pipeline and the reference pipelines in lockstep and
-// fails on any observable divergence: per-event backpressure stalls, the
+// a counted-chain pipeline and a reference pipeline in lockstep and fails
+// on any observable divergence: per-event backpressure stalls, the
 // full judged stream (vector timestamps, windows, MCM records, retirement
 // anchors), stage statistics, and end-of-run stage snapshots. It returns
 // the CPU cycles the stream stalled for.
@@ -34,19 +34,18 @@ func tracePathFixtures(t testing.TB) (elm, lstm *Deployment, calib *kernels.Cali
 // least gap cycles.
 func runTracePathDiff(t *testing.T, dep *Deployment, calib *kernels.Calibration, stride, threshold int, gap int64, ops []byte) int64 {
 	t.Helper()
-	build := func(staged, ref bool) *Pipeline {
+	build := func(ref bool) *Pipeline {
 		p, err := newPipeline(dep, PipelineConfig{
 			CUs: 5, Stride: stride, DrainThreshold: threshold,
 			Backend: kernels.BackendNativeCalibrated, Calibration: calib,
-			StagedTrace: staged,
-		}, wiring{reference: ref})
+			StagedTrace: ref,
+		}, wiring{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return p
 	}
-	fp := build(false, false)
-	refs := []*Pipeline{build(true, false), build(false, true)}
+	rp, fp := build(true), build(false)
 	addrs := dep.Mapper.Entries()
 	var cycle, stalls int64
 	for i, b := range ops {
@@ -56,10 +55,8 @@ func runTracePathDiff(t *testing.T, dep *Deployment, calib *kernels.Calibration,
 		switch {
 		case op == 6:
 			at := sim.CPUClock.Duration(cycle)
+			rp.Flush(at)
 			fp.Flush(at)
-			for _, rp := range refs {
-				rp.Flush(at)
-			}
 			continue
 		case op == 7 && len(addrs) > 0:
 			ev = cpu.BranchEvent{PC: 0x8000, Target: addrs[int(b>>3)%len(addrs)].Addr | 1,
@@ -76,38 +73,34 @@ func runTracePathDiff(t *testing.T, dep *Deployment, calib *kernels.Calibration,
 			ev = cpu.BranchEvent{PC: 0x8000, Target: addrs[int(b>>3)%len(addrs)].Addr,
 				Kind: cpu.KindDirect, Taken: true, Cycle: cycle}
 		}
-		s := fp.BranchRetired(ev)
-		for k, rp := range refs {
-			if rs := rp.BranchRetired(ev); rs != s {
-				t.Fatalf("op %d: backpressure stall diverged: reference %d=%d counted=%d", i, k, rs, s)
-			}
+		s1 := rp.BranchRetired(ev)
+		s2 := fp.BranchRetired(ev)
+		if s1 != s2 {
+			t.Fatalf("op %d: backpressure stall diverged: reference=%d counted=%d", i, s1, s2)
 		}
-		cycle += s
-		stalls += s
+		cycle += s1
+		stalls += s1
 	}
 	at := sim.CPUClock.Duration(cycle + 64)
+	rp.Flush(at)
 	fp.Flush(at)
-	fj := fp.TakeJudged(nil)
-	for _, rp := range refs {
-		rp.Flush(at)
-		comparePipelines(t, rp, fp, fj)
-	}
+	comparePipelines(t, rp, fp)
 	return stalls
 }
 
-// comparePipelines asserts full observable equality between a reference
-// pipeline and the counted chain, whose judgments are fj.
-func comparePipelines(t *testing.T, sp, fp *Pipeline, fj []Judged) {
+// comparePipelines asserts full observable equality between the reference
+// and the counted chain.
+func comparePipelines(t *testing.T, rp, fp *Pipeline) {
 	t.Helper()
-	sj := sp.TakeJudged(nil)
-	if (sp.Err() == nil) != (fp.Err() == nil) {
-		t.Fatalf("error divergence: reference=%v counted=%v", sp.Err(), fp.Err())
+	rj, fj := rp.TakeJudged(nil), fp.TakeJudged(nil)
+	if (rp.Err() == nil) != (fp.Err() == nil) {
+		t.Fatalf("error divergence: reference=%v counted=%v", rp.Err(), fp.Err())
 	}
-	if len(sj) != len(fj) {
-		t.Fatalf("judged count diverged: reference=%d counted=%d", len(sj), len(fj))
+	if len(rj) != len(fj) {
+		t.Fatalf("judged count diverged: reference=%d counted=%d", len(rj), len(fj))
 	}
-	for i := range sj {
-		a, b := sj[i], fj[i]
+	for i := range rj {
+		a, b := rj[i], fj[i]
 		if a.Rec != b.Rec {
 			t.Fatalf("judged[%d] record diverged:\nreference %+v\ncounted   %+v", i, a.Rec, b.Rec)
 		}
@@ -127,13 +120,13 @@ func comparePipelines(t *testing.T, sp, fp *Pipeline, fj []Judged) {
 			}
 		}
 	}
-	if s, f := sp.ig.Stats(), fp.ig.Stats(); s != f {
+	if s, f := rp.ig.Stats(), fp.ig.Stats(); s != f {
 		t.Fatalf("IGM stats diverged:\nreference %+v\ncounted   %+v", s, f)
 	}
-	if s, f := sp.MCMStats(), fp.MCMStats(); s != f {
+	if s, f := rp.MCMStats(), fp.MCMStats(); s != f {
 		t.Fatalf("MCM stats diverged:\nreference %+v\ncounted   %+v", s, f)
 	}
-	ss, fs := SnapshotStages(sp.Stages()), SnapshotStages(fp.Stages())
+	ss, fs := SnapshotStages(rp.Stages()), SnapshotStages(fp.Stages())
 	for i := range ss {
 		if ss[i] != fs[i] {
 			t.Fatalf("stage %q snapshot diverged:\nreference %+v\ncounted   %+v", ss[i].Name, ss[i], fs[i])
@@ -220,35 +213,33 @@ func FuzzTracePathDifferential(f *testing.F) {
 // TestAcceptedRetireBounded is the long-run pruning check: a pipeline that
 // streams accepted branches forever must not grow the retirement-anchor
 // slice without bound (it previously kept one entry per accepted branch for
-// the life of the pipeline). The reference, which prunes nothing itself,
-// must agree with the counted chain entry for entry, and the golden digests
-// pin FinalRetire across commits.
+// the life of the pipeline). The reference must agree with the counted
+// chain entry for entry, and the golden digests pin FinalRetire across
+// commits.
 func TestAcceptedRetireBounded(t *testing.T) {
 	elm, _, calib := tracePathFixtures(t)
-	build := func(staged, ref bool) *Pipeline {
+	build := func(ref bool) *Pipeline {
 		p, err := newPipeline(elm, PipelineConfig{
 			CUs: 5, Backend: kernels.BackendNativeCalibrated, Calibration: calib,
-			StagedTrace: staged,
-		}, wiring{reference: ref})
+			StagedTrace: ref,
+		}, wiring{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return p
 	}
-	fp := build(false, false)
-	refs := []*Pipeline{build(true, false), build(false, true)}
+	rp, fp := build(true), build(false)
 	const branches = 300_000
 	var cycle int64
 	for i := 0; i < branches; i++ {
 		cycle += 40
 		ev := cpu.BranchEvent{PC: 0x8000, Target: cpu.SyscallTarget(int32(i) & 15),
 			Kind: cpu.KindSyscall, Taken: true, Cycle: cycle}
-		cycle += fp.BranchRetired(ev)
-		for _, rp := range refs {
-			rp.BranchRetired(ev)
-		}
+		cycle += rp.BranchRetired(ev)
+		fp.BranchRetired(ev)
 	}
 	at := sim.CPUClock.Duration(cycle + 64)
+	rp.Flush(at)
 	fp.Flush(at)
 	if fp.ig.Stats().Accepted < branches/2 {
 		t.Fatalf("only %d accepted branches — the path under test did not run", fp.ig.Stats().Accepted)
@@ -262,9 +253,5 @@ func TestAcceptedRetireBounded(t *testing.T) {
 	if fp.retireBase == 0 {
 		t.Fatal("retireBase never advanced — pruning is not engaging")
 	}
-	fj := fp.TakeJudged(nil)
-	for _, rp := range refs {
-		rp.Flush(at)
-		comparePipelines(t, rp, fp, fj)
-	}
+	comparePipelines(t, rp, fp)
 }

@@ -78,8 +78,8 @@ func TestReportSchemaV2ForNativeBackends(t *testing.T) {
 // refactor at grid scale: the full Fig 8 benchmark × model × CU sweep must
 // produce identical rows — latencies, drops, detection verdicts — on the
 // native backend as on the cycle-accurate GPU reference. Every backend
-// also runs on the staged byte/word trace path, the fused fast path's
-// oracle: its report must match the fused one byte for byte.
+// also runs on the byte/word reference chain, the counted chain's oracle:
+// its report must match the counted one byte for byte.
 func TestFig8GridBackendEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig8 is the heaviest experiment")
@@ -118,7 +118,7 @@ func TestFig8GridBackendEquivalence(t *testing.T) {
 			}
 		}
 		if _, stagedJSON := run(backend, true); !bytes.Equal(stagedJSON, fusedJSON) {
-			t.Errorf("%s: fused report diverges from staged:\n  fused  %s\n  staged %s", backend, fusedJSON, stagedJSON)
+			t.Errorf("%s: counted report diverges from the reference:\n  counted   %s\n  reference %s", backend, fusedJSON, stagedJSON)
 		}
 	}
 }

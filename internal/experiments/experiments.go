@@ -58,9 +58,9 @@ type Options struct {
 	// un-instrumented build.
 	Telemetry *obs.Telemetry
 
-	// stagedTrace runs every detection pipeline on the staged byte/word
-	// trace-delivery reference path instead of the fused fast path. Only
-	// the fused-vs-staged equivalence tests set it.
+	// stagedTrace runs every detection pipeline on the byte/word
+	// reference chain instead of the counted one. Only the grid
+	// equivalence test sets it.
 	stagedTrace bool
 }
 

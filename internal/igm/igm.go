@@ -6,7 +6,9 @@
 // addresses, which must be serialised), and the input vector generator —
 // an address mapper that passes only addresses present in a configurable
 // lookup table, and a vector encoder that turns the surviving class IDs
-// into the input-vector format of the target ML model.
+// into the input-vector format of the target ML model. The IGM times the
+// trace analyzer; its caller hands it each arriving frame and the packets
+// the frame completes (FrameArrived, PacketDecoded, BranchDecoded).
 package igm
 
 import (
@@ -15,7 +17,6 @@ import (
 
 	"rtad/internal/cpu"
 	"rtad/internal/obs"
-	"rtad/internal/ptm"
 	"rtad/internal/sim"
 	"rtad/internal/tpiu"
 )
@@ -189,9 +190,7 @@ const (
 
 // IGM is the module instance.
 type IGM struct {
-	cfg  Config
-	defr *tpiu.Deframer
-	dec  *ptm.StreamDecoder
+	cfg Config
 	// win is the sliding window as a fixed-capacity ring (hardware shift
 	// register): winHd indexes the oldest element once winN == Window, so
 	// sliding is one store instead of a copy.
@@ -217,13 +216,12 @@ type IGM struct {
 
 // Stats counts IGM activity for the evaluation harness.
 type Stats struct {
-	Words     int64 // 32-bit port words consumed
-	Packets   int64 // trace packets decoded
-	Branches  int64 // branch-address packets seen
-	Accepted  int64 // addresses passing the mapper
-	Filtered  int64 // addresses rejected by the mapper
-	Vectors   int64 // vectors emitted
-	DecErrors int   // PTM protocol errors
+	Words    int64 // 32-bit port words consumed
+	Packets  int64 // trace packets decoded
+	Branches int64 // branch-address packets seen
+	Accepted int64 // addresses passing the mapper
+	Filtered int64 // addresses rejected by the mapper
+	Vectors  int64 // vectors emitted
 }
 
 // New returns an IGM with cfg applied.
@@ -238,10 +236,8 @@ func New(cfg Config) *IGM {
 		cfg.Stride = 1
 	}
 	g := &IGM{
-		cfg:  cfg,
-		defr: tpiu.NewDeframer(),
-		dec:  ptm.NewStreamDecoder(),
-		win:  make([]int32, cfg.Window),
+		cfg: cfg,
+		win: make([]int32, cfg.Window),
 	}
 	if tel := cfg.Telemetry; tel != nil {
 		g.obsAccepted = tel.Counter("rtad_igm_accepted_total")
@@ -250,45 +246,6 @@ func New(cfg Config) *IGM {
 		g.track = tel.Track("fabric", "igm")
 	}
 	return g
-}
-
-// FeedWord consumes one timed 32-bit word from the TPIU port, advancing the
-// TA/P2S/IVG pipeline. Completed vectors accumulate for TakeInto.
-func (g *IGM) FeedWord(w tpiu.TimedWord) {
-	g.stats.Words++
-	payload := g.defr.Feed(w.W)
-	if len(payload) == 0 {
-		return
-	}
-	// The four TA units decode the word's payload bytes in parallel; the
-	// results are valid one cycle after the word arrives.
-	decodeAt := w.At + sim.FabricClock.Duration(taDecodeCycles)
-	for _, b := range payload {
-		pkt, ok := g.dec.FeedByte(b)
-		if !ok {
-			continue
-		}
-		g.stats.Packets++
-		if pkt.Type != ptm.PktBranch {
-			continue
-		}
-		g.stats.Branches++
-		g.acceptBranch(decodeAt, pkt.Addr)
-	}
-	g.stats.DecErrors = g.dec.Errors
-}
-
-// acceptBranch runs one decoded address through P2S, the mapper and the
-// vector encoder (staged path: the class is looked up here).
-func (g *IGM) acceptBranch(decodeAt sim.Time, addr uint32) {
-	at := g.p2s(decodeAt)
-	class, ok := g.cfg.Mapper.Lookup(addr)
-	if !ok {
-		g.stats.Filtered++
-		g.obsFiltered.Inc()
-		return
-	}
-	g.admit(at, addr, class)
 }
 
 // p2s serialises one decoded address out of the parallel-to-serial
@@ -349,28 +306,25 @@ func (g *IGM) admit(at sim.Time, addr uint32, class int32) {
 	}
 }
 
-// FrameArrived accounts one fused-fast-path frame delivery: the four port
-// words of a frame whose last word lands at lastWordAt. It returns the
-// instant the frame's payload finishes TA decode — the decode timestamp
-// shared by every packet the frame completes, exactly as FeedWord computes
-// it for the frame's final word.
+// FrameArrived accounts one frame delivery: the four port words of a frame
+// whose last word lands at lastWordAt. The four TA units decode the
+// frame's payload in parallel, so it returns the instant the payload
+// finishes TA decode — the decode timestamp shared by every packet the
+// frame completes.
 func (g *IGM) FrameArrived(lastWordAt sim.Time) sim.Time {
 	g.stats.Words += tpiu.FrameBytes / 4
 	return lastWordAt + sim.FabricClock.Duration(taDecodeCycles)
 }
 
 // PacketDecoded accounts one non-branch packet (a-sync, i-sync, atoms, ...)
-// completed by a fused-path frame: only the decoded-packet count advances,
-// as in the staged decoder.
+// completed by a frame: only the decoded-packet count advances.
 func (g *IGM) PacketDecoded() { g.stats.Packets++ }
 
-// BranchDecoded is the fused fast path's direct entry point for one
-// branch-address packet completing at decodeAt. The mapper lookup has
-// already happened upstream — the fast path resolves each taken branch's
-// class once and threads it through — so the IGM only applies the P2S and
-// (for accepted addresses) mapper/encoder latencies. Stats, telemetry, and
-// emitted vectors are bit-identical to the staged decode of the same
-// packet stream.
+// BranchDecoded accounts one branch-address packet completing at
+// decodeAt. The caller has already looked addr up in the mapper (the
+// counted chain resolves each taken branch's class once, at retire time),
+// so the IGM only applies the P2S and (for accepted addresses) the
+// mapper/encoder latencies.
 func (g *IGM) BranchDecoded(decodeAt sim.Time, addr uint32, class int32, accepted bool) {
 	g.stats.Packets++
 	g.stats.Branches++

@@ -4,41 +4,25 @@ import (
 	"testing"
 
 	"rtad/internal/cpu"
-	"rtad/internal/ptm"
 	"rtad/internal/sim"
-	"rtad/internal/tpiu"
 )
 
-// pushTrace runs branch events through the full PTM->TPIU->IGM path and
-// returns the vectors plus the IGM.
-func pushTrace(t *testing.T, g *IGM, events []cpu.BranchEvent) []Vector {
-	t.Helper()
-	enc := ptm.NewEncoder(ptm.Config{BranchBroadcast: true})
-	port := ptm.NewPort(ptm.PortConfig{DrainThreshold: 16})
-	fmtr := tpiu.NewFormatter(tpiu.Config{})
-	var now sim.Time
-	for _, ev := range events {
-		now = sim.CPUClock.Duration(ev.Cycle)
-		port.Push(now, enc.EncodeInto(nil, ev))
-	}
-	port.Push(now, enc.Flush())
-	port.Flush(now)
-	for _, tb := range port.TakeInto(nil) {
-		fmtr.Push(tb.At, tb.B)
-	}
-	fmtr.Flush(now)
-	for _, w := range fmtr.TakeInto(nil) {
-		g.FeedWord(w)
+// pushTrace hands g the decoded branch targets the way its caller does:
+// frames 100 ns apart, each completing one non-branch packet and up to
+// four branch packets, every branch looked up in g's mapper. It returns
+// the emitted vectors.
+func pushTrace(g *IGM, targets []uint32) []Vector {
+	var at sim.Time
+	for i := 0; i < len(targets); i += 4 {
+		at += 100 * sim.Nanosecond
+		decodeAt := g.FrameArrived(at)
+		g.PacketDecoded()
+		for _, addr := range targets[i:min(i+4, len(targets))] {
+			class, ok := g.cfg.Mapper.Lookup(addr)
+			g.BranchDecoded(decodeAt, addr, class, ok)
+		}
 	}
 	return g.TakeInto(nil)
-}
-
-func takenBranches(targets []uint32) []cpu.BranchEvent {
-	evs := make([]cpu.BranchEvent, len(targets))
-	for i, tgt := range targets {
-		evs[i] = cpu.BranchEvent{Cycle: int64(i * 10), PC: 0x8000, Target: tgt, Kind: cpu.KindDirect, Taken: true}
-	}
-	return evs
 }
 
 func TestAddressMapBasics(t *testing.T) {
@@ -99,7 +83,7 @@ func TestFilteringAndWindow(t *testing.T) {
 	g := New(Config{Mapper: m, Window: 3})
 
 	targets := []uint32{0x8000, 0x9999 &^ 3, 0x8010, 0x8000, 0x8010, 0x8010}
-	vecs := pushTrace(t, g, takenBranches(targets))
+	vecs := pushTrace(g, targets)
 
 	// 5 accepted (0x9998 filtered); window fills after 3 -> 3 vectors.
 	st := g.Stats()
@@ -120,9 +104,6 @@ func TestFilteringAndWindow(t *testing.T) {
 			}
 		}
 	}
-	if st.DecErrors != 0 {
-		t.Errorf("decode errors: %d", st.DecErrors)
-	}
 }
 
 func TestVectorTimingMonotonicAndPipelined(t *testing.T) {
@@ -133,7 +114,7 @@ func TestVectorTimingMonotonicAndPipelined(t *testing.T) {
 		m.Add(targets[i])
 	}
 	g := New(Config{Mapper: m, Window: 1})
-	vecs := pushTrace(t, g, takenBranches(targets))
+	vecs := pushTrace(g, targets)
 	if len(vecs) != len(targets) {
 		t.Fatalf("got %d vectors, want %d", len(vecs), len(targets))
 	}
@@ -164,17 +145,13 @@ func TestSyscallPipelineForELM(t *testing.T) {
 	m.AddSyscalls()
 	g := New(Config{Mapper: m, Window: 4})
 
-	var evs []cpu.BranchEvent
+	var targets []uint32
 	// Interleave syscalls with direct branches that must be filtered.
 	nums := []int32{3, 1, 4, 1, 5, 9, 2, 6}
-	cyc := int64(0)
 	for _, n := range nums {
-		cyc += 100
-		evs = append(evs, cpu.BranchEvent{Cycle: cyc, PC: 0x8000, Target: 0x8004, Kind: cpu.KindDirect, Taken: true})
-		cyc += 100
-		evs = append(evs, cpu.BranchEvent{Cycle: cyc, PC: 0x8008, Target: cpu.SyscallTarget(n), Kind: cpu.KindSyscall, Taken: true})
+		targets = append(targets, 0x8004, cpu.SyscallTarget(n))
 	}
-	vecs := pushTrace(t, g, evs)
+	vecs := pushTrace(g, targets)
 	if len(vecs) != len(nums)-3 {
 		t.Fatalf("got %d vectors, want %d", len(vecs), len(nums)-3)
 	}
@@ -195,7 +172,7 @@ func TestStatsCounters(t *testing.T) {
 	m := NewAddressMap()
 	m.Add(0x8000)
 	g := New(Config{Mapper: m, Window: 1})
-	pushTrace(t, g, takenBranches([]uint32{0x8000, 0x8000, 0x8000}))
+	pushTrace(g, []uint32{0x8000, 0x8000, 0x8000})
 	st := g.Stats()
 	if st.Words == 0 || st.Packets == 0 {
 		t.Error("word/packet counters not advancing")
@@ -213,7 +190,7 @@ func TestStridePacing(t *testing.T) {
 		m.Add(targets[i])
 	}
 	g := New(Config{Mapper: m, Window: 4, Stride: 8})
-	vecs := pushTrace(t, g, takenBranches(targets))
+	vecs := pushTrace(g, targets)
 	// Window fills at event 4 (first emission), then every 8th accepted.
 	if len(vecs) != 5 {
 		t.Fatalf("got %d vectors, want 5 (first fill + 4 strides)", len(vecs))
@@ -252,51 +229,5 @@ func TestAddressMapEntriesRoundTrip(t *testing.T) {
 	c := clone.Add(0xA000)
 	if c == a || c == b {
 		t.Error("new class collides with restored classes")
-	}
-}
-
-// Failure injection: garbage bytes spliced into the port stream must not
-// wedge the IGM — errors are counted and decoding resumes at the next
-// a-sync (the hardware's realignment behaviour).
-func TestTraceCorruptionRecovery(t *testing.T) {
-	m := NewAddressMap()
-	targets := make([]uint32, 64)
-	for i := range targets {
-		targets[i] = 0x8000 + uint32(i%8)*4
-		m.Add(targets[i])
-	}
-	g := New(Config{Mapper: m, Window: 1})
-
-	enc := ptm.NewEncoder(ptm.Config{BranchBroadcast: true, SyncEvery: 16})
-	fmtr := tpiu.NewFormatter(tpiu.Config{})
-	var now sim.Time
-	half := len(targets) / 2
-	push := func(bytes []byte) {
-		for _, b := range bytes {
-			fmtr.Push(now, b)
-		}
-	}
-	for i, tgt := range targets {
-		now = sim.Time(i*100) * sim.Nanosecond
-		ev := cpu.BranchEvent{Cycle: int64(i * 25), PC: 0x8000, Target: tgt, Kind: cpu.KindDirect, Taken: true}
-		push(enc.EncodeInto(nil, ev))
-		if i == half {
-			// Corruption: a burst of junk that is not valid PFT.
-			push([]byte{0xFF, 0x80, 0xFF, 0x55, 0x80})
-		}
-	}
-	push(enc.Flush())
-	fmtr.Flush(now)
-	for _, w := range fmtr.TakeInto(nil) {
-		g.FeedWord(w)
-	}
-	st := g.Stats()
-	if st.DecErrors == 0 {
-		t.Fatal("corruption not flagged")
-	}
-	// Most branches still decode: everything before the junk, plus
-	// everything after the next periodic sync.
-	if st.Accepted < int64(len(targets)*3/4) {
-		t.Errorf("only %d/%d branches recovered after corruption", st.Accepted, len(targets))
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"rtad/internal/cpu"
-	"rtad/internal/sim"
 )
 
 // TestEncodeIntoSteadyStateZeroAlloc pins the encoder's hot-path contract:
@@ -64,27 +63,5 @@ func TestFeedByteZeroAlloc(t *testing.T) {
 	}
 	if pkts == 0 {
 		t.Fatal("no packets decoded — the path under test did not run")
-	}
-}
-
-// TestPortTakeIntoZeroAlloc pins the port hand-off: pushing and draining
-// through a recycled buffer allocates nothing once warm.
-func TestPortTakeIntoZeroAlloc(t *testing.T) {
-	p := NewPort(PortConfig{DrainThreshold: 16})
-	var out []TimedByte
-	data := []byte{1, 2, 3, 4, 5, 6, 7, 8}
-	var at int64
-	for i := 0; i < 256; i++ { // warm-up
-		at += 1000
-		p.Push(sim.Time(at), data)
-		out = p.TakeInto(out[:0])
-	}
-	allocs := testing.AllocsPerRun(500, func() {
-		at += 1000
-		p.Push(sim.Time(at), data)
-		out = p.TakeInto(out[:0])
-	})
-	if allocs > 0 {
-		t.Fatalf("Push+TakeInto allocates %.2f objects/op in steady state, want 0", allocs)
 	}
 }

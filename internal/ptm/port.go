@@ -6,13 +6,6 @@ import (
 	"rtad/internal/sim"
 )
 
-// TimedByte is one trace byte with the simulated instant it becomes visible
-// on the TPIU-facing port.
-type TimedByte struct {
-	At sim.Time
-	B  byte
-}
-
 // PortConfig sizes the PTM output stage: the formatter policy that holds
 // bytes back until enough have accumulated. That hold-back is the dominant
 // component of RTAD's step-(1) latency in Fig 7 — "PTM does not send the
@@ -44,24 +37,14 @@ const (
 )
 
 // Port models the PTM output stage. Bytes pushed at simulated times are
-// buffered until the drain threshold is reached, then released onto the
-// port bytesPerCycle at a time, one beat per fabric cycle. Released bytes
-// appear on the Out slice with their departure times.
-//
-// The port runs in one of two modes, chosen by which Push family the
-// caller uses. The staged mode (Push/Flush/TakeInto) materialises every
-// released byte as a TimedByte. The counted fast-path mode
-// (PushCounted/FlushCounted) keeps only occupancy and the departure
-// horizon, and describes each release as an arithmetic-progression
-// schedule (Release) instead — same timing algebra, no per-byte values.
-// One port instance must stay in one mode.
+// counted until the drain threshold is reached, then released onto the
+// port bytesPerCycle at a time, one beat per fabric cycle. The port keeps
+// only its occupancy and departure horizon, and describes each release as
+// an arithmetic-progression schedule (Release); no byte is stored.
 type Port struct {
 	drainThreshold int
-	buf            []byte
-	occ            int      // counted-mode occupancy (staged mode uses len(buf))
+	occ            int      // bytes held back
 	freeAt         sim.Time // next fabric instant the port can emit a beat
-	// Out accumulates released bytes; callers consume it with TakeInto.
-	out []TimedByte
 
 	pushed    int64 // total bytes accepted into the hold-back buffer
 	maxOccupy int
@@ -72,12 +55,10 @@ type Port struct {
 	track       *obs.Track
 }
 
-// Release describes one drain burst's departure schedule on the fused fast
-// path: Bytes leave in groups of Group per beat, beats Step apart, starting
-// at Start. Byte j of the release therefore departs at Start + (j/Group)*Step
-// — exactly the arithmetic progression the staged path materialises as
-// TimedBytes. A zero Release (Bytes == 0) means the push did not cross the
-// drain threshold.
+// Release describes one drain burst's departure schedule: Bytes leave in
+// groups of Group per beat, beats Step apart, starting at Start. Byte j of
+// the release therefore departs at Start + (j/Group)*Step. A zero Release
+// (Bytes == 0) means the push did not cross the drain threshold.
 type Release struct {
 	Start sim.Time
 	Bytes int
@@ -110,48 +91,16 @@ func (p *Port) StageName() string { return "ptm" }
 
 // QueueStats reports the hold-back buffer as a uniform queue snapshot. The
 // port is lossless by construction — its only pressure-relief mechanism is
-// the backpressure stall Push returns to the CPU, never a drop — so
+// the backpressure stall PushCounted returns to the CPU, never a drop — so
 // Overflows and Dropped are 0 by design (not merely unreported), and
 // Accepted counts every byte admitted to the hold-back buffer.
 func (p *Port) QueueStats() sim.QueueStats {
-	return sim.QueueStats{Len: len(p.buf) + p.occ, MaxDepth: p.maxOccupy, Accepted: p.pushed}
-}
-
-// Push buffers data produced at time at and returns how long (in simulated
-// time) the producer must stall because the port's departure schedule has
-// run more than queueBytes ahead — the only backpressure path to the CPU.
-func (p *Port) Push(at sim.Time, data []byte) sim.Time {
-	p.buf = append(p.buf, data...)
-	p.pushed += int64(len(data))
-	p.obsBytes.Add(int64(len(data)))
-	if len(p.buf) > p.maxOccupy {
-		p.maxOccupy = len(p.buf)
-	}
-	if len(p.buf) >= p.drainThreshold {
-		p.release(at)
-	}
-	// Sustained-bandwidth backpressure: if the port is scheduled beyond
-	// the queue horizon, the producer waits for the excess.
-	if lag := p.freeAt - at - horizon; lag > 0 {
-		p.obsStallPS.Add(int64(lag))
-		return lag
-	}
-	return 0
-}
-
-// Flush releases any held-back bytes regardless of the threshold (trace
-// disable, or the driver forcing visibility).
-func (p *Port) Flush(at sim.Time) {
-	if len(p.buf) > 0 {
-		p.release(at)
-	}
+	return sim.QueueStats{Len: p.occ, MaxDepth: p.maxOccupy, Accepted: p.pushed}
 }
 
 // schedule records one drain burst of n bytes requested at time at: it
 // advances the release counter and the departure horizon and emits the
 // telemetry span, returning the burst's arithmetic-progression schedule.
-// Shared by the staged and counted modes so both produce identical timing,
-// counters, and spans.
 func (p *Port) schedule(at sim.Time, n int) Release {
 	p.obsReleases.Inc()
 	start := sim.FabricClock.NextEdge(at)
@@ -169,29 +118,12 @@ func (p *Port) schedule(at sim.Time, n int) Release {
 	return Release{Start: start, Bytes: n, Group: bytesPerCycle, Step: step}
 }
 
-// release schedules every buffered byte onto the port (staged mode).
-func (p *Port) release(at sim.Time) {
-	r := p.schedule(at, len(p.buf))
-	beat := r.Start
-	for i := 0; i < len(p.buf); i += bytesPerCycle {
-		end := i + bytesPerCycle
-		if end > len(p.buf) {
-			end = len(p.buf)
-		}
-		for _, b := range p.buf[i:end] {
-			p.out = append(p.out, TimedByte{At: beat, B: b})
-		}
-		beat += r.Step
-	}
-	p.buf = p.buf[:0]
-}
-
-// PushCounted is the fused fast-path form of Push: it accounts for n bytes
-// produced at time at without materialising them. The returned Release
-// carries the drain burst's departure schedule (Bytes == 0 when the push
-// did not cross the threshold); the returned stall is the same
-// backpressure duration Push reports. Timing, counters, and spans are
-// bit-identical to pushing the same bytes through Push.
+// PushCounted accounts for n bytes produced at time at. The returned
+// Release carries the drain burst's departure schedule (Bytes == 0 when
+// the push did not cross the threshold). The returned stall is how long
+// (in simulated time) the producer must wait because the port's departure
+// schedule has run more than queueBytes ahead — the only backpressure path
+// to the CPU.
 func (p *Port) PushCounted(at sim.Time, n int) (Release, sim.Time) {
 	p.occ += n
 	p.pushed += int64(n)
@@ -211,9 +143,9 @@ func (p *Port) PushCounted(at sim.Time, n int) (Release, sim.Time) {
 	return rel, 0
 }
 
-// FlushCounted is the fused fast-path form of Flush: any counted occupancy
-// is released regardless of the threshold. Bytes == 0 in the returned
-// Release means nothing was held back.
+// FlushCounted releases any held-back bytes regardless of the threshold
+// (trace disable, or the driver forcing visibility). Bytes == 0 in the
+// returned Release means nothing was held back.
 func (p *Port) FlushCounted(at sim.Time) Release {
 	var rel Release
 	if p.occ > 0 {
@@ -221,16 +153,6 @@ func (p *Port) FlushCounted(at sim.Time) Release {
 		p.occ = 0
 	}
 	return rel
-}
-
-// TakeInto appends the released-byte stream to dst, clears the internal
-// queue (retaining its capacity for reuse), and returns the extended slice.
-// A caller that recycles dst (`buf = port.TakeInto(buf[:0])`) drains the
-// port with zero steady-state allocations.
-func (p *Port) TakeInto(dst []TimedByte) []TimedByte {
-	dst = append(dst, p.out...)
-	p.out = p.out[:0]
-	return dst
 }
 
 // syncStallCycles is the CPU-side cost of generating a synchronisation

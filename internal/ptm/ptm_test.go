@@ -405,61 +405,56 @@ func TestRandomEventsRoundTrip(t *testing.T) {
 
 func TestPortThresholdHoldback(t *testing.T) {
 	port := NewPort(PortConfig{DrainThreshold: 16})
-	at := sim.Time(1000 * sim.Nanosecond)
-	port.Push(at, make([]byte, 10))
-	if got := port.TakeInto(nil); len(got) != 0 {
-		t.Fatalf("released %d bytes below threshold", len(got))
+	if rel, _ := port.PushCounted(1003*sim.Nanosecond, 10); rel.Bytes != 0 {
+		t.Fatalf("released %d bytes below threshold", rel.Bytes)
 	}
 	if n := port.QueueStats().Len; n != 10 {
 		t.Errorf("occupancy = %d, want 10", n)
 	}
-	port.Push(at+sim.Microsecond, make([]byte, 10))
-	out := port.TakeInto(nil)
-	if len(out) != 20 {
-		t.Fatalf("released %d bytes, want 20", len(out))
-	}
-	// Release times: 4 bytes per fabric cycle starting at the next edge.
-	first := out[0].At
-	if first < at+sim.Microsecond {
-		t.Errorf("release before push: %v", first)
-	}
-	if out[4].At != first+sim.FabricClock.Period() {
-		t.Errorf("beat pacing wrong: %v then %v", first, out[4].At)
-	}
-	if out[3].At != first {
-		t.Errorf("bytes within a beat must share a timestamp")
-	}
-	// One release: the 20 bytes leave as five back-to-back beats.
-	if out[19].At != first+4*sim.FabricClock.Period() {
-		t.Errorf("last byte at %v, want the fifth beat after %v", out[19].At, first)
+	// Crossing the threshold releases all 20 bytes, 4 per 8 ns beat from
+	// the first fabric edge at or after the push: five beats, 2008–2040 ns.
+	rel, _ := port.PushCounted(2003*sim.Nanosecond, 10)
+	want := Release{Start: 2008 * sim.Nanosecond, Bytes: 20, Group: 4, Step: 8 * sim.Nanosecond}
+	if rel != want {
+		t.Fatalf("release %+v, want %+v", rel, want)
 	}
 	if n := port.QueueStats().Len; n != 0 {
 		t.Errorf("occupancy after release = %d", n)
+	}
+	// The next release waits for the port: it starts after the fifth beat,
+	// at 2048 ns, not on the edge after its own push.
+	rel, _ = port.PushCounted(2010*sim.Nanosecond, 16)
+	if rel.Start != 2048*sim.Nanosecond || rel.Bytes != 16 {
+		t.Errorf("second release %+v, want 16 bytes from 2048 ns", rel)
 	}
 }
 
 func TestPortFlush(t *testing.T) {
 	port := NewPort(PortConfig{DrainThreshold: 1000})
-	port.Push(0, []byte{1, 2, 3})
-	port.Flush(sim.Microsecond)
-	out := port.TakeInto(nil)
-	if len(out) != 3 {
-		t.Fatalf("flush released %d bytes", len(out))
+	port.PushCounted(0, 3)
+	rel := port.FlushCounted(sim.Microsecond)
+	want := Release{Start: sim.Microsecond, Bytes: 3, Group: 4, Step: 8 * sim.Nanosecond}
+	if rel != want {
+		t.Fatalf("flush released %+v, want %+v", rel, want)
 	}
-	if out[0].At < sim.Microsecond {
-		t.Error("flush release time precedes flush call")
+	if rel := port.FlushCounted(2 * sim.Microsecond); rel.Bytes != 0 {
+		t.Errorf("second flush released %d bytes", rel.Bytes)
 	}
 }
 
 func TestPortBackpressure(t *testing.T) {
 	// A flood of bytes at one instant stalls the producer once the
-	// departure schedule runs more than queueBytes ahead of it: each push
-	// below releases one beat, so push i schedules the port to i beats.
+	// departure schedule runs more than 512 bytes (128 beats of 8 ns)
+	// ahead of it: each push below releases one beat, so push i schedules
+	// the port to i beats.
 	port := NewPort(PortConfig{DrainThreshold: 4})
-	const free = queueBytes / bytesPerCycle
-	for i := 1; i <= 2*free; i++ {
-		stall := port.Push(0, []byte{1, 2, 3, 4})
-		if want := sim.FabricClock.Duration(int64(max(i-free, 0))); stall != want {
+	for i := 1; i <= 256; i++ {
+		_, stall := port.PushCounted(0, 4)
+		var want sim.Time
+		if i > 128 {
+			want = sim.Time(i-128) * 8 * sim.Nanosecond
+		}
+		if stall != want {
 			t.Fatalf("push %d stalled %v, want %v", i, stall, want)
 		}
 	}
@@ -530,11 +525,11 @@ func TestOverflowAnywhereRecovers(t *testing.T) {
 
 func TestPortMaxOccupancyTracksHoldback(t *testing.T) {
 	port := NewPort(PortConfig{DrainThreshold: 100})
-	port.Push(0, make([]byte, 60))
+	port.PushCounted(0, 60)
 	if qs := port.QueueStats(); qs.MaxDepth != 60 {
 		t.Errorf("MaxDepth = %d, want 60", qs.MaxDepth)
 	}
-	port.Push(0, make([]byte, 60)) // crosses threshold, releases
+	port.PushCounted(0, 60) // crosses threshold, releases
 	qs := port.QueueStats()
 	if qs.Len != 0 {
 		t.Error("release did not empty the hold-back buffer")

@@ -1,7 +1,6 @@
 package tpiu
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -11,140 +10,113 @@ import (
 	"rtad/internal/sim"
 )
 
+// Property: every byte pushed leaves as payload of exactly one frame, in
+// bursts of any size. Frames fill to PayloadBytes; only the flush emits a
+// partial one, and the port sends each frame's four words after the
+// previous frame's.
 func TestFrameRoundTrip(t *testing.T) {
-	f := NewFormatter(Config{})
-	d := NewDeframer()
-	payload := make([]byte, 100)
-	for i := range payload {
-		payload[i] = byte(i * 7)
-	}
-	for i, b := range payload {
-		f.Push(sim.Time(i)*sim.Nanosecond, b)
-	}
-	f.Flush(sim.Microsecond)
-	words := f.TakeInto(nil)
-	var got []byte
-	for _, w := range words {
-		got = append(got, d.Feed(w.W)...)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("deframed %d bytes != pushed %d bytes", len(got), len(payload))
-	}
-	if d.BadFrames != 0 {
-		t.Errorf("BadFrames = %d", d.BadFrames)
-	}
-	wantFrames := (len(payload) + PayloadBytes - 1) / PayloadBytes
-	if len(words) != wantFrames*FrameBytes/4 {
-		t.Errorf("%d words, want %d frames of %d", len(words), wantFrames, FrameBytes/4)
-	}
-}
-
-func TestPartialFrameNeedsFlush(t *testing.T) {
-	f := NewFormatter(Config{})
-	for i := 0; i < PayloadBytes-1; i++ {
-		f.Push(0, byte(i))
-	}
-	if len(f.TakeInto(nil)) != 0 {
-		t.Fatal("partial frame emitted without flush")
-	}
-	if n := f.QueueStats().Len; n != PayloadBytes-1 {
-		t.Errorf("buffered = %d", n)
-	}
-	f.Flush(0)
-	words := f.TakeInto(nil)
-	if len(words) != FrameBytes/4 {
-		t.Fatalf("flush emitted %d words, want %d", len(words), FrameBytes/4)
-	}
-}
-
-func TestWordTiming(t *testing.T) {
-	f := NewFormatter(Config{})
-	at := 100 * sim.Nanosecond
-	for i := 0; i < PayloadBytes; i++ {
-		f.Push(at, 0xAA)
-	}
-	words := f.TakeInto(nil)
-	if len(words) != 4 {
-		t.Fatalf("%d words", len(words))
-	}
-	if words[0].At < at {
-		t.Errorf("first word at %v before data at %v", words[0].At, at)
-	}
-	for i := 1; i < 4; i++ {
-		if words[i].At != words[i-1].At+sim.FabricClock.Period() {
-			t.Errorf("word %d not one fabric cycle after word %d", i, i-1)
-		}
-	}
-	// Port must serialise consecutive frames.
-	for i := 0; i < PayloadBytes; i++ {
-		f.Push(at, 0xBB)
-	}
-	second := f.TakeInto(nil)
-	if second[0].At < words[3].At+sim.FabricClock.Period() {
-		t.Error("second frame overlaps first on the port")
-	}
-}
-
-// feedFrame hands one hand-built frame to d as four port words and returns
-// the payload it yields.
-func feedFrame(d *Deframer, frame [FrameBytes]byte) []byte {
-	var got []byte
-	for i := 0; i < FrameBytes; i += 4 {
-		w := uint32(frame[i]) | uint32(frame[i+1])<<8 | uint32(frame[i+2])<<16 | uint32(frame[i+3])<<24
-		got = append(got, d.Feed(w)...)
-	}
-	return got
-}
-
-func TestDeframerRejectsWrongSource(t *testing.T) {
-	d := NewDeframer()
-	var frame [FrameBytes]byte
-	frame[0] = DefaultSourceID + 1
-	frame[FrameBytes-1] = 1
-	if got := feedFrame(d, frame); len(got) != 0 || d.BadFrames != 1 {
-		t.Errorf("wrong-source frame accepted: %d bytes, bad=%d", len(got), d.BadFrames)
-	}
-}
-
-func TestDeframerRejectsBadCount(t *testing.T) {
-	d := NewDeframer()
-	var frame [FrameBytes]byte
-	frame[0] = DefaultSourceID
-	frame[FrameBytes-1] = PayloadBytes + 1 // invalid
-	feedFrame(d, frame)
-	if d.BadFrames != 1 {
-		t.Errorf("BadFrames = %d, want 1", d.BadFrames)
-	}
-}
-
-// Property: any byte sequence survives format -> deframe unchanged.
-func TestFormatterDeframerProperty(t *testing.T) {
-	prop := func(payload []byte) bool {
+	prop := func(bursts []uint8) bool {
 		f := NewFormatter(Config{})
-		d := NewDeframer()
-		for i, b := range payload {
-			f.Push(sim.Time(i), b)
+		var fes []FrameEmit
+		var at sim.Time
+		total := 0
+		for _, n := range bursts {
+			at += 100 * sim.Nanosecond
+			fes = f.PushCounted(at, 8*sim.Nanosecond, 4, int(n), fes)
+			total += int(n)
 		}
-		f.Flush(sim.Time(len(payload)))
-		var got []byte
-		for _, w := range f.TakeInto(nil) {
-			got = append(got, d.Feed(w.W)...)
+		full := len(fes)
+		if fe, ok := f.FlushCounted(at); ok {
+			fes = append(fes, fe)
 		}
-		return bytes.Equal(got, payload)
+		got := 0
+		for i, fe := range fes {
+			if i < full && fe.Payload != PayloadBytes {
+				return false
+			}
+			if i > 0 && fe.LastWordAt < fes[i-1].LastWordAt+4*8*sim.Nanosecond {
+				return false
+			}
+			got += fe.Payload
+		}
+		qs := f.QueueStats()
+		return got == total && qs.Accepted == int64(total) && qs.Len == 0
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }
 
-// End-to-end: PTM encode -> port -> TPIU frames -> deframe -> PTM decode
-// recovers the branch sequence exactly (the full CoreSight path of Fig 1).
+func TestPartialFrameNeedsFlush(t *testing.T) {
+	f := NewFormatter(Config{})
+	if fes := f.PushCounted(0, 8*sim.Nanosecond, 4, PayloadBytes-1, nil); len(fes) != 0 {
+		t.Fatal("partial frame emitted without flush")
+	}
+	if n := f.QueueStats().Len; n != PayloadBytes-1 {
+		t.Errorf("buffered = %d", n)
+	}
+	fe, ok := f.FlushCounted(0)
+	if !ok || fe.Payload != PayloadBytes-1 {
+		t.Fatalf("flush emitted %+v (ok=%v), want a %d-byte frame", fe, ok, PayloadBytes-1)
+	}
+	if _, ok := f.FlushCounted(0); ok {
+		t.Error("second flush emitted a frame")
+	}
+}
+
+func TestWordTiming(t *testing.T) {
+	// 14 bytes arrive 4 per 8 ns beat from 100 ns, the last at 124 ns. The
+	// frame's words go on the next fabric edge, 128 ns, one per 8 ns, so
+	// the fourth lands at 152 ns.
+	f := NewFormatter(Config{})
+	step := 8 * sim.Nanosecond
+	fes := f.PushCounted(100*sim.Nanosecond, step, 4, PayloadBytes, nil)
+	if len(fes) != 1 || fes[0].LastWordAt != 152*sim.Nanosecond || fes[0].Payload != PayloadBytes {
+		t.Fatalf("frame %+v, want one full frame with its last word at 152ns", fes)
+	}
+	// The port serialises frames: a second frame of bytes that arrived as
+	// early starts after the first frame's fourth word, at 160 ns.
+	fes = f.PushCounted(100*sim.Nanosecond, step, 4, PayloadBytes, fes[:0])
+	if len(fes) != 1 || fes[0].LastWordAt != 184*sim.Nanosecond {
+		t.Fatalf("second frame %+v, want its last word at 184ns", fes)
+	}
+}
+
+// End-to-end: PTM encode -> port -> TPIU frames delivers every packet the
+// encoder completes, in order, once the frame carrying its last byte
+// lands, so the branch sequence is recovered exactly (the CoreSight path
+// of Fig 1, counted).
 func TestCoreSightPathEndToEnd(t *testing.T) {
 	enc := ptm.NewEncoder(ptm.Config{BranchBroadcast: true, SyncEvery: 32})
 	port := ptm.NewPort(ptm.PortConfig{DrainThreshold: 64})
 	fmtr := NewFormatter(Config{})
-	defr := NewDeframer()
-	dec := ptm.NewStreamDecoder()
+
+	var (
+		marks   []ptm.PacketMark
+		fes     []FrameEmit
+		fed     int64
+		got     []uint32
+		lastAt  sim.Time
+		pending int
+	)
+	frames := func(emitted []FrameEmit) {
+		for _, fe := range emitted {
+			if fe.LastWordAt < lastAt {
+				t.Fatal("frames out of time order")
+			}
+			lastAt = fe.LastWordAt
+			fed += int64(fe.Payload)
+			for ; pending < len(marks) && marks[pending].End <= fed; pending++ {
+				if marks[pending].Branch {
+					got = append(got, marks[pending].Addr)
+				}
+			}
+		}
+	}
+	deliver := func(rel ptm.Release) {
+		fes = fmtr.PushCounted(rel.Start, rel.Step, rel.Group, rel.Bytes, fes[:0])
+		frames(fes)
+	}
 
 	r := rand.New(rand.NewSource(5))
 	var want []uint32
@@ -157,30 +129,21 @@ func TestCoreSightPathEndToEnd(t *testing.T) {
 			want = append(want, target)
 		}
 		ev := cpu.BranchEvent{PC: 0x8000, Target: target, Kind: cpu.KindDirect, Taken: taken}
-		port.Push(now, enc.EncodeInto(nil, ev))
+		var n int
+		marks, n = enc.EncodeCounted(marks, ev)
+		rel, _ := port.PushCounted(now, n)
+		deliver(rel)
 	}
-	port.Push(now, enc.Flush())
-	port.Flush(now)
-	for _, tb := range port.TakeInto(nil) {
-		fmtr.Push(tb.At, tb.B)
+	var n int
+	marks, n = enc.FlushCounted(marks)
+	rel, _ := port.PushCounted(now, n)
+	deliver(rel)
+	deliver(port.FlushCounted(now))
+	if fe, ok := fmtr.FlushCounted(now); ok {
+		frames([]FrameEmit{fe})
 	}
-	fmtr.Flush(now)
-
-	var got []uint32
-	lastAt := sim.Time(-1)
-	for _, w := range fmtr.TakeInto(nil) {
-		if w.At < lastAt {
-			t.Fatal("port words out of time order")
-		}
-		lastAt = w.At
-		for _, b := range defr.Feed(w.W) {
-			if pkt, ok := dec.FeedByte(b); ok && pkt.Type == ptm.PktBranch {
-				got = append(got, pkt.Addr)
-			}
-		}
-	}
-	if dec.Errors != 0 {
-		t.Fatalf("decoder errors: %d", dec.Errors)
+	if pending != len(marks) {
+		t.Fatalf("%d of %d packets never delivered", len(marks)-pending, len(marks))
 	}
 	if len(got) != len(want) {
 		t.Fatalf("recovered %d branches, want %d", len(got), len(want))

@@ -1,12 +1,12 @@
-// Trace-pipeline microbenchmarks: the fused analytic PTM→TPIU→IGM fast
-// path introduced alongside the staged byte/word reference, stage by
-// stage. Like frontend_bench_test.go, every benchmark asserts its
+// Trace-pipeline microbenchmarks: the counted PTM→TPIU→IGM chain, stage
+// by stage. Like frontend_bench_test.go, every benchmark asserts its
 // steady-state allocation contract (0 allocs/op) before the timed loop, so
 // the CI perf-smoke job's -benchtime 1x pass catches a regression on the
 // per-branch hot path — including the Fig 6 OverheadSink collection path.
 //
-// The whole chain, on both trace paths, is measured by internal/core's
-// BenchmarkTracePipelineChainFused and BenchmarkTracePipelineChainStaged.
+// The whole chain is measured by internal/core's
+// BenchmarkTracePipelineChainFused, and the byte/word reference by
+// BenchmarkTracePipelineChainStaged.
 package rtad
 
 import (
@@ -19,9 +19,8 @@ import (
 	"rtad/internal/tpiu"
 )
 
-// BenchmarkTracePipelinePort measures the fused port's byte accounting:
-// PushCounted keeps occupancy and a departure schedule without ever
-// materialising per-byte TimedByte records.
+// BenchmarkTracePipelinePort measures the port's byte accounting:
+// PushCounted keeps occupancy and a departure schedule, storing no byte.
 func BenchmarkTracePipelinePort(b *testing.B) {
 	p := ptm.NewPort(ptm.PortConfig{})
 	var at sim.Time
@@ -41,7 +40,7 @@ func BenchmarkTracePipelinePort(b *testing.B) {
 	b.SetBytes(3)
 }
 
-// BenchmarkTracePipelineFormatter measures the fused formatter: PushCounted
+// BenchmarkTracePipelineFormatter measures the formatter: PushCounted
 // converts a release's byte count and departure schedule straight into
 // per-frame emission beats, appending into a recycled FrameEmit buffer.
 func BenchmarkTracePipelineFormatter(b *testing.B) {
@@ -65,8 +64,7 @@ func BenchmarkTracePipelineFormatter(b *testing.B) {
 	b.SetBytes(tpiu.PayloadBytes)
 }
 
-// BenchmarkTracePipelineIGM measures the IGM's direct entry points — the
-// fused path's replacement for word feeding and re-decoding: a frame
+// BenchmarkTracePipelineIGM measures the IGM's entry points: a frame
 // arrival, a decoded branch admitted through the flat mapper into the ring
 // window, and the vector hand-off with Classes recycling.
 func BenchmarkTracePipelineIGM(b *testing.B) {
