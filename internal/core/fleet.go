@@ -18,6 +18,9 @@ type Fleet struct {
 	// one-shot grids (cmd/experiments) share one pool implementation.
 	mu   sync.Mutex
 	jobs chan func()
+	// live counts the running workers of the pool jobs feeds; each pool
+	// gets its own, so a Go after Close never adds to one Close waits on.
+	live *sync.WaitGroup
 	next int64 // submission index, for deterministic first-error reporting
 	wg   sync.WaitGroup
 
@@ -51,10 +54,12 @@ func (f *Fleet) Go(fn func() error) {
 		// Workers range over a captured local, not the f.jobs field: an
 		// idle worker that never received a job has no happens-before edge
 		// with a later Close, so a field read here would race its nil-ing.
-		ch := make(chan func(), f.workers)
-		f.jobs = ch
+		ch, live := make(chan func(), f.workers), new(sync.WaitGroup)
+		f.jobs, f.live = ch, live
+		live.Add(f.workers)
 		for k := 0; k < f.workers; k++ {
 			go func() {
+				defer live.Done()
 				for job := range ch {
 					job()
 				}
@@ -93,15 +98,18 @@ func (f *Fleet) Wait() error {
 	return err
 }
 
-// Close stops the worker goroutines after in-flight jobs finish. Go after
-// Close restarts the pool; a nil or never-used fleet is a no-op.
+// Close stops the worker goroutines and returns once they have exited,
+// after every job already submitted has run. It must not be called from a
+// job. Go after Close restarts the pool; a nil or never-used fleet is a
+// no-op.
 func (f *Fleet) Close() {
 	f.mu.Lock()
-	jobs := f.jobs
-	f.jobs = nil
+	jobs, live := f.jobs, f.live
+	f.jobs, f.live = nil, nil
 	f.mu.Unlock()
 	if jobs != nil {
 		close(jobs)
+		live.Wait()
 	}
 }
 

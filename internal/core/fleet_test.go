@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 )
 
@@ -81,4 +82,48 @@ func TestFleetDefaults(t *testing.T) {
 	if err := NewFleet(4).Run(0, func(int) error { return errors.New("never") }); err != nil {
 		t.Errorf("empty fleet run errored: %v", err)
 	}
+}
+
+// TestFleetCloseWaitsForWorkers: Close returns only after every submitted
+// job has run and the pool's workers are gone, so right after it the
+// goroutine count is back to its baseline, and Go after Close starts a new
+// pool that runs jobs.
+func TestFleetCloseWaitsForWorkers(t *testing.T) {
+	base := exitedGoroutines()
+	f := NewFleet(4)
+	for round := 0; round < 2; round++ {
+		var ran atomic.Int64
+		if err := f.Run(16, func(int) error { ran.Add(1); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if got := ran.Load(); got != 16 {
+			t.Fatalf("round %d: %d of 16 jobs ran", round, got)
+		}
+		if n := runtime.NumGoroutine(); n < base+4 {
+			t.Fatalf("round %d: %d goroutines with four workers up, %d before", round, n, base)
+		}
+		// A job still running when Close is called has finished by the
+		// time Close returns.
+		release := make(chan struct{})
+		f.Go(func() error { <-release; ran.Add(1); return nil })
+		close(release)
+		f.Close()
+		if got := ran.Load(); got != 17 {
+			t.Fatalf("round %d: Close returned before the last job finished", round)
+		}
+		if n := exitedGoroutines(); n > base {
+			t.Fatalf("round %d: %d goroutines after Close, %d before", round, n, base)
+		}
+	}
+	f.Close() // closing a closed fleet is a no-op
+}
+
+// exitedGoroutines counts goroutines once those that have run their last
+// deferred call have also exited, as a closed fleet's workers have when
+// Close returns. With one P, each such goroutine, runnable anywhere, runs
+// to its end before a yielding caller is scheduled again.
+func exitedGoroutines() int {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.Gosched()
+	return runtime.NumGoroutine()
 }

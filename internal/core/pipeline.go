@@ -173,8 +173,8 @@ type Pipeline struct {
 	judgTrack    *obs.Track
 }
 
-// verdict is the mapper's answer for one queued branch packet on the fused
-// fast path.
+// verdict is the mapper's answer for one queued branch packet on the
+// counted chain.
 type verdict struct {
 	class    int32
 	accepted bool

@@ -84,17 +84,21 @@ func newReference(mapper *igm.AddressMap, ig *igm.IGM, threshold int) *reference
 	}
 }
 
-// StageName and QueueStats report the reference's port and formatter the
-// way the counted ones report themselves.
-func (q *refPort) StageName() string { return "ptm" }
+// refStage reports one of the reference's stages in Pipeline.Stages, the
+// way the counted port and formatter report themselves.
+type refStage struct {
+	name  string
+	stats func() sim.QueueStats
+}
 
-func (q *refPort) QueueStats() sim.QueueStats {
+func (s refStage) StageName() string          { return s.name }
+func (s refStage) QueueStats() sim.QueueStats { return s.stats() }
+
+func (q *refPort) stats() sim.QueueStats {
 	return sim.QueueStats{Len: len(q.hold), MaxDepth: q.maxHold, Accepted: q.accepted}
 }
 
-func (f *refFormatter) StageName() string { return "tpiu" }
-
-func (f *refFormatter) QueueStats() sim.QueueStats {
+func (f *refFormatter) stats() sim.QueueStats {
 	return sim.QueueStats{Len: len(f.payload), MaxDepth: f.maxPayload, Accepted: f.accepted}
 }
 

@@ -34,7 +34,7 @@ func SnapshotStages(stages []Stage) []StageSnapshot {
 // Stages lists the pipeline's trace-delivery blocks in chain order.
 func (p *Pipeline) Stages() []Stage {
 	if r := p.ref; r != nil {
-		return []Stage{&r.port, &r.tpiu, p.ig, p.mod}
+		return []Stage{refStage{"ptm", r.port.stats}, refStage{"tpiu", r.tpiu.stats}, p.ig, p.mod}
 	}
 	return []Stage{p.port, p.fmtr, p.ig, p.mod}
 }

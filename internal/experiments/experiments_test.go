@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"rtad/internal/core"
 	"rtad/internal/cpu"
@@ -174,7 +173,7 @@ func TestGridsCloseTheirFleets(t *testing.T) {
 	o.Benchmarks = []string{"458.sjeng"}
 	o.OverheadInstr = 100_000
 	o.Workers = 4
-	base := runtime.NumGoroutine()
+	base := exitedGoroutines()
 	for i := 0; i < 3; i++ {
 		if _, err := Fig6(o); err != nil {
 			t.Fatal(err)
@@ -183,14 +182,19 @@ func TestGridsCloseTheirFleets(t *testing.T) {
 	if _, err := Fig8(o); err != nil {
 		t.Fatal(err)
 	}
-	// A closed fleet's workers exit after they see the closed channel.
-	n := runtime.NumGoroutine()
-	for deadline := time.Now().Add(5 * time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n > base {
+	if n := exitedGoroutines(); n > base {
 		t.Fatalf("%d goroutines after the grids, %d before", n, base)
 	}
+}
+
+// exitedGoroutines counts goroutines once those that have run their last
+// deferred call have also exited, as a closed fleet's workers have when
+// Fleet.Close returns. With one P, each such goroutine, runnable anywhere,
+// runs to its end before a yielding caller is scheduled again.
+func exitedGoroutines() int {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.Gosched()
+	return runtime.NumGoroutine()
 }
 
 func TestOptionsValidation(t *testing.T) {

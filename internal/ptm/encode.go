@@ -30,8 +30,8 @@ const DefaultSyncEvery = 256
 // compression logic serves both the overhead study (Fig 6) and the latency
 // pipeline (Figs 7–8).
 //
-// Like Port, the encoder runs in one of two forms, chosen by which call
-// family the caller uses. The byte form (StartInto/EncodeInto/FlushInto)
+// The encoder runs in one of two forms, chosen by which call family the
+// caller uses. The byte form (StartInto/EncodeInto/FlushInto)
 // appends the packet bytes. The counted form (EncodeCounted/FlushCounted)
 // writes no bytes: it advances the same compression, atom and sync state
 // and reports each completed packet as a PacketMark. One encoder instance
@@ -51,7 +51,7 @@ type Encoder struct {
 
 // PacketMark records one packet completed by the counted form: where it
 // ends in the stream and, for branch-address packets, the address a
-// decoder reconstructs. The fused trace-delivery fast path needs nothing
+// decoder reconstructs. The counted trace-delivery chain needs nothing
 // else: packet ends plus the port's and formatter's release schedules
 // determine exactly when each packet becomes visible to the IGM, so the
 // bytes are never written or re-decoded.
