@@ -51,11 +51,18 @@ var ErrReplayClockExhausted = errors.New("core: replay clock exhausted")
 // times are synthesized on a fixed pacing: each branch event advances the
 // replay clock by gap cycles plus whatever backpressure stall the trace
 // path reports, exactly as the stall would have held back a live CPU.
+//
+// Every fed byte writes the decoder's state, and concurrent sessions run on
+// different cores, so the front is padded to keep that state off any cache
+// line another allocation shares: two served sessions' decoders that share
+// a line stall each other on every byte.
 type traceFront struct {
-	dec    *ptm.StreamDecoder // its Bytes counts the stream bytes consumed
+	_      [64]byte
+	dec    ptm.StreamDecoder // its Bytes counts the stream bytes consumed
 	gap    int64
 	cycle  int64 // synthesized CPU cycle of the next retirement
 	events int64 // synthesized branch retirements, each one's Seq
+	_      [64]byte
 }
 
 func newTraceFront(gap int64) (*traceFront, error) {
@@ -65,7 +72,7 @@ func newTraceFront(gap int64) (*traceFront, error) {
 	case gap < 0 || gap > MaxReplayGap:
 		return nil, fmt.Errorf("core: replay gap %d cycles outside 1..%d", gap, MaxReplayGap)
 	}
-	return &traceFront{dec: ptm.NewStreamDecoder(), gap: gap}, nil
+	return &traceFront{gap: gap}, nil
 }
 
 // ReplayStats reports a trace-replay session's progress: stream bytes
