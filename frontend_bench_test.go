@@ -43,7 +43,7 @@ func cycleTargets(base uint32) []uint32 {
 // same events (branch-broadcast configuration, every compressed length,
 // crossing periodic-sync boundaries): bytes is EncodeInto with a recycled
 // buffer, counted is EncodeCounted with a recycled mark slice, the form the
-// fused trace path uses.
+// counted trace chain uses.
 func BenchmarkFrontendEncode(b *testing.B) {
 	b.Run("bytes", func(b *testing.B) {
 		e := ptm.NewEncoder(ptm.Config{BranchBroadcast: true})
