@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"rtad/internal/cpu"
+	"rtad/internal/ptm"
 	"rtad/internal/sim"
+	"rtad/internal/tpiu"
 )
 
 // pushTrace hands g the decoded branch targets the way its caller does:
@@ -229,5 +231,68 @@ func TestAddressMapEntriesRoundTrip(t *testing.T) {
 	c := clone.Add(0xA000)
 	if c == a || c == b {
 		t.Error("new class collides with restored classes")
+	}
+}
+
+// Failure injection: garbage bytes spliced into the port stream must not
+// wedge the IGM's trace analyzer — the decoder counts the errors and
+// realigns at the next a-sync (the hardware's realignment behaviour), and
+// the IGM goes on accepting branches. The stream is cut into frames and
+// each frame's packets are handed over as the byte-level reference chain
+// does: FrameArrived, then PacketDecoded or BranchDecoded per packet.
+func TestTraceCorruptionRecovery(t *testing.T) {
+	m := NewAddressMap()
+	targets := make([]uint32, 64)
+	for i := range targets {
+		targets[i] = 0x8000 + uint32(i%8)*4
+		m.Add(targets[i])
+	}
+	g := New(Config{Mapper: m, Window: 1})
+
+	enc := ptm.NewEncoder(ptm.Config{BranchBroadcast: true, SyncEvery: 16})
+	var stream []byte
+	half := len(targets) / 2
+	for i, tgt := range targets {
+		ev := cpu.BranchEvent{Cycle: int64(i * 25), PC: 0x8000, Target: tgt, Kind: cpu.KindDirect, Taken: true}
+		stream = enc.EncodeInto(stream, ev)
+		if i == half {
+			// Corruption: a burst of junk that is not valid PFT.
+			stream = append(stream, 0xFF, 0x80, 0xFF, 0x55, 0x80)
+		}
+	}
+	stream = enc.FlushInto(stream)
+
+	dec := ptm.NewStreamDecoder()
+	var at sim.Time
+	for len(stream) > 0 {
+		n := min(len(stream), tpiu.PayloadBytes)
+		at += 100 * sim.Nanosecond
+		decodeAt := g.FrameArrived(at)
+		for _, b := range stream[:n] {
+			pkt, ok := dec.FeedByte(b)
+			if !ok {
+				continue
+			}
+			if pkt.Type != ptm.PktBranch {
+				g.PacketDecoded()
+				continue
+			}
+			class, accepted := m.Lookup(pkt.Addr)
+			g.BranchDecoded(decodeAt, pkt.Addr, class, accepted)
+		}
+		stream = stream[n:]
+	}
+	if dec.Errors == 0 {
+		t.Fatal("corruption not flagged")
+	}
+	// Most branches still decode: everything before the junk, plus
+	// everything after the next periodic sync.
+	st := g.Stats()
+	if st.Accepted < int64(len(targets)*3/4) {
+		t.Errorf("only %d/%d branches recovered after corruption", st.Accepted, len(targets))
+	}
+	vecs := g.TakeInto(nil)
+	if len(vecs) != int(st.Accepted) || vecs[len(vecs)-1].Addr != targets[len(targets)-1] {
+		t.Errorf("%d vectors for %d accepted branches; decoding did not resume to the last branch", len(vecs), st.Accepted)
 	}
 }

@@ -1,6 +1,7 @@
 package tpiu
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -41,6 +42,64 @@ func TestFrameRoundTrip(t *testing.T) {
 		}
 		qs := f.QueueStats()
 		return got == total && qs.Accepted == int64(total) && qs.Len == 0
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// Property: any byte sequence survives format -> deframe unchanged. The
+// formatter counts bytes rather than storing them, so each frame it emits
+// is packed here in the layout the package documents (source ID 0x41, the
+// next Payload pushed bytes, the count) and deframed by checking the ID
+// and count: in bursts of any size the frames must give back the pushed
+// bytes in order, and no frame's last word may land before its last
+// payload byte arrived and three words went ahead of it.
+func TestFormatterDeframerProperty(t *testing.T) {
+	const sourceID = 0x41
+	step := 8 * sim.Nanosecond
+	period := sim.FabricClock.Period()
+	prop := func(payload []byte, cuts []uint8) bool {
+		f := NewFormatter(Config{})
+		arrived := make([]sim.Time, len(payload))
+		var fes []FrameEmit
+		at := sim.Time(0)
+		for i, c := 0, 0; i < len(payload); c++ {
+			n := len(payload) - i
+			if c < len(cuts) {
+				n = min(n, int(cuts[c])%(3*PayloadBytes)+1)
+			}
+			for j := range n {
+				arrived[i+j] = at + sim.Time(j/4)*step
+			}
+			fes = f.PushCounted(at, step, 4, n, fes)
+			at = arrived[i+n-1] + step + sim.Time(c%3)*100*sim.Nanosecond
+			i += n
+		}
+		if fe, ok := f.FlushCounted(at); ok {
+			fes = append(fes, fe)
+		}
+		var got []byte
+		next := 0
+		for _, fe := range fes {
+			if fe.Payload < 1 || next+fe.Payload > len(payload) {
+				return false
+			}
+			var frame [FrameBytes]byte
+			frame[0] = sourceID
+			copy(frame[1:], payload[next:next+fe.Payload])
+			frame[FrameBytes-1] = byte(fe.Payload)
+			next += fe.Payload
+			if fe.LastWordAt < arrived[next-1]+3*period {
+				return false
+			}
+			n := int(frame[FrameBytes-1])
+			if frame[0] != sourceID || n > PayloadBytes {
+				return false
+			}
+			got = append(got, frame[1:1+n]...)
+		}
+		return bytes.Equal(got, payload)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
